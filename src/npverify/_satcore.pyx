@@ -4,7 +4,9 @@ two in lockstep; same decision order, same learned clauses, same models).
 
 Literals are encoded as ``2*v`` (positive) / ``2*v + 1`` (negative) over
 1-based variables.  First-UIP learning, two-watched literals, activity-free
-branching, no restarts, no clause deletion.
+branching, no restarts, no clause deletion; incremental solving under
+assumptions (`assume`, `failed`, `add_clause`), with `stats()` and the
+conflict cap covering the last `solve()` call only.
 """
 
 from libc.stdlib cimport free, malloc, realloc
@@ -56,6 +58,8 @@ cdef class Solver:
     cdef public long propagations
     cdef public long learned
     cdef bint ok
+    cdef list assumptions_        # encoded literals for the next solve()
+    cdef list failed_             # DIMACS literals from analyze_final
 
     def __cinit__(self, int num_vars, clauses, order=None,
                   long max_conflicts=5_000_000):
@@ -96,6 +100,8 @@ cdef class Solver:
         self.propagations = 0
         self.learned = 0
         self.ok = True
+        self.assumptions_ = []
+        self.failed_ = []
         for clause in clauses:
             if not self._add_clause(clause):
                 self.ok = False
@@ -143,6 +149,39 @@ cdef class Solver:
         vec_push(&self.watches[out[0]], ci)
         vec_push(&self.watches[out[1]], ci)
         return True
+
+    def add_clause(self, clause):
+        """Add a clause between `solve()` calls, simplified against the
+        level-0 assignment first."""
+        cdef int enc
+        cdef list kept = []
+        if not self.ok:
+            return
+        if self.current_level > 0:
+            self._backjump(0)
+        for lit in clause:
+            enc = self._encode(lit)
+            if self._lit_true(enc):
+                return  # satisfied for good
+            if not self._lit_false(enc):
+                kept.append(lit)
+        if not self._add_clause(kept):
+            self.ok = False
+
+    def assume(self, lits):
+        """Set the assumptions (DIMACS literals) of the next `solve()`."""
+        self.assumptions_ = [self._encode(lit) for lit in lits]
+
+    def failed(self):
+        """After `solve()` returned False: the assumptions (DIMACS
+        literals) that the formula refutes together."""
+        return list(self.failed_)
+
+    cdef int _encode(self, lit) except -1:
+        cdef int var = abs(lit)
+        if var < 1 or var > self.num_vars:
+            raise ValueError(f"literal {lit} out of range")
+        return 2 * var + (1 if lit < 0 else 0)
 
     cdef inline bint _lit_true(self, int lit) noexcept:
         return self.assigns[lit >> 1] == (lit & 1) ^ 1
@@ -276,16 +315,50 @@ cdef class Solver:
         vec_push(&self.watches[<int> learnt[1]], ci)
         return ci
 
+    cdef list _analyze_final(self, int lit):
+        cdef list core = [lit]
+        cdef int index, q, var, ci, s, k, other
+        if self.level[lit >> 1] > 0:
+            self.seen[lit >> 1] = 1
+            for index in range(self.trail_len - 1, -1, -1):
+                q = self.trail[index]
+                var = q >> 1
+                if self.level[var] == 0:
+                    break
+                if not self.seen[var]:
+                    continue
+                self.seen[var] = 0
+                ci = self.reason[var]
+                if ci == UNDEF:
+                    core.append(q)
+                    continue
+                s = self.start.data[ci]
+                for k in range(s, s + self.size.data[ci]):
+                    other = self.lits.data[k] >> 1
+                    if other != var and self.level[other] > 0:
+                        self.seen[other] = 1
+        return [-(c >> 1) if c & 1 else c >> 1 for c in core]
+
     def solve(self):
-        cdef int confl, var, ci, blevel
+        cdef int confl, var, ci, blevel, lit
         cdef list learnt
+        cdef list assumptions = self.assumptions_
+        self.assumptions_ = []
+        self.decisions = 0
+        self.conflicts = 0
+        self.propagations = 0
+        self.learned = 0
+        self.failed_ = []
         if not self.ok:
             return False
+        if self.current_level > 0:
+            self._backjump(0)
         while True:
             confl = self._propagate()
             if confl != UNDEF:
                 self.conflicts += 1
                 if self.current_level == 0:
+                    self.ok = False
                     return False
                 if self.conflicts > self.max_conflicts:
                     raise SolverCapError(
@@ -294,6 +367,15 @@ cdef class Solver:
                 self._backjump(blevel)
                 ci = self._record(learnt)
                 self._enqueue(<int> learnt[0], ci)
+                continue
+            if self.current_level < len(assumptions):
+                lit = assumptions[self.current_level]
+                if self._lit_false(lit):
+                    self.failed_ = self._analyze_final(lit)
+                    return False
+                # An assumption already true opens an empty level.
+                self.current_level += 1
+                self._enqueue(lit, UNDEF)
                 continue
             if self.trail_len == self.num_vars:
                 return True

@@ -208,6 +208,14 @@ def export_varmap(f: CnfFormula, domain: Domain) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_token(tok: str, what: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise TextFormatError(
+            f"bad {what} {tok!r} at line {lineno}") from None
+
+
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     num_vars = None
     num_clauses = None
@@ -221,12 +229,13 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise TextFormatError(f"bad DIMACS header at line {lineno}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars = _int_token(parts[2], "variable count", lineno)
+            num_clauses = _int_token(parts[3], "clause count", lineno)
             continue
         if num_vars is None:
             raise TextFormatError(f"clause before header at line {lineno}")
         for tok in line.split():
-            lit = int(tok)
+            lit = _int_token(tok, "literal", lineno)
             if lit == 0:
                 clauses.append(pending)
                 pending = []
@@ -243,12 +252,12 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 def import_model(text: str, f: CnfFormula) -> Model:
     """Parse solver ``v``-lines into a variable assignment."""
     model: Model = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line.startswith("v"):
             continue
         for tok in line[1:].split():
-            lit = int(tok)
+            lit = _int_token(tok, "model literal", lineno)
             if lit == 0:
                 continue
             var = abs(lit)

@@ -1,5 +1,7 @@
 """Pure-Python CDCL core: first-UIP learning, two-watched literals,
-activity-free branching (lowest unassigned variable in a fixed order).
+activity-free branching (lowest unassigned variable in a fixed order),
+incremental solving under assumptions in the MiniSat style (Een &
+Sorensson, "An Extensible SAT-solver", SAT 2003).
 
 This is the fallback backend; `npverify._satcore` is a compiled port with
 identical semantics (same decision order, same learned clauses, same
@@ -11,6 +13,16 @@ Literals are encoded as ``2*v`` (positive) / ``2*v + 1`` (negative) over
 workbench produces are small and highly propagating, and determinism is
 worth more than raw speed.  A conflict cap guards against surprises; hitting
 it raises, it is never reported as UNSAT.
+
+One solver answers many questions about one formula.  `assume(lits)` sets
+the assumptions (DIMACS literals) of the next `solve()`, which places them
+as pseudo-decisions at levels 1..k before searching; they are not counted
+as decisions.  When an assumption is found false, `solve()` returns False
+and `failed()` names a subset of the assumptions that the formula refutes.
+Learned clauses and level-0 facts carry over from call to call, and
+`add_clause` adds a clause between calls; a conflict at level 0 makes the
+solver unsatisfiable for good.  `stats()` and the conflict cap cover the
+last `solve()` call only.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ class Solver:
         self.propagations = 0
         self.learned = 0
         self.ok = True
+        self._assumptions: list[int] = []
+        self._failed: list[int] = []
         self._seen = [False] * (num_vars + 1)
         for clause in clauses:
             if not self._add_clause(clause):
@@ -72,7 +86,41 @@ class Solver:
         self.watches[out[1]].append(ci)
         return True
 
+    def add_clause(self, clause) -> None:
+        """Add a clause between `solve()` calls.  It is simplified against
+        the level-0 assignment first: level-0 literals are not propagated
+        again, so a clause watching one of them would never fire."""
+        if not self.ok:
+            return
+        if self.current_level > 0:
+            self._backjump(0)
+        kept = []
+        for lit in clause:
+            enc = self._encode(lit)
+            if self._lit_true(enc):
+                return  # satisfied for good
+            if not self._lit_false(enc):
+                kept.append(lit)
+        if not self._add_clause(kept):
+            self.ok = False
+
+    def assume(self, lits) -> None:
+        """Set the assumptions (DIMACS literals) of the next `solve()`."""
+        self._assumptions = [self._encode(lit) for lit in lits]
+
+    def failed(self) -> list[int]:
+        """After `solve()` returned False: the assumptions (DIMACS
+        literals) that the formula refutes together; empty when the
+        formula is unsatisfiable on its own."""
+        return list(self._failed)
+
     # -- assignment primitives ------------------------------------------
+
+    def _encode(self, lit: int) -> int:
+        var = abs(lit)
+        if not 1 <= var <= self.num_vars:
+            raise ValueError(f"literal {lit} out of range")
+        return 2 * var + (1 if lit < 0 else 0)
 
     def _lit_true(self, lit: int) -> bool:
         return self.assigns[lit >> 1] == (lit & 1) ^ 1
@@ -200,14 +248,48 @@ class Solver:
         self.watches[learnt[1]].append(ci)
         return ci
 
+    def _analyze_final(self, lit: int) -> list[int]:
+        """The assumption `lit` is false: collect it and the assumptions
+        (pseudo-decisions) its negation was propagated from, as DIMACS
+        literals."""
+        core = [lit]
+        seen = self._seen
+        if self.level[lit >> 1] > 0:
+            seen[lit >> 1] = True
+            for index in range(len(self.trail) - 1, -1, -1):
+                q = self.trail[index]
+                var = q >> 1
+                if self.level[var] == 0:
+                    break
+                if not seen[var]:
+                    continue
+                seen[var] = False
+                ci = self.reason[var]
+                if ci == UNDEF:
+                    core.append(q)
+                    continue
+                s = self.start[ci]
+                for k in range(s, s + self.size[ci]):
+                    other = self.lits[k] >> 1
+                    if other != var and self.level[other] > 0:
+                        seen[other] = True
+        return [-(c >> 1) if c & 1 else c >> 1 for c in core]
+
     def solve(self) -> bool:
+        assumptions, self._assumptions = self._assumptions, []
+        self.decisions = self.conflicts = 0
+        self.propagations = self.learned = 0
+        self._failed = []
         if not self.ok:
             return False
+        if self.current_level > 0:
+            self._backjump(0)
         while True:
             confl = self._propagate()
             if confl != UNDEF:
                 self.conflicts += 1
                 if self.current_level == 0:
+                    self.ok = False
                     return False
                 if self.conflicts > self.max_conflicts:
                     raise SolverCapError(
@@ -216,6 +298,15 @@ class Solver:
                 self._backjump(blevel)
                 ci = self._record(learnt)
                 self._enqueue(learnt[0], ci)
+                continue
+            if self.current_level < len(assumptions):
+                lit = assumptions[self.current_level]
+                if self._lit_false(lit):
+                    self._failed = self._analyze_final(lit)
+                    return False
+                # An assumption already true opens an empty level.
+                self.current_level += 1
+                self._enqueue(lit, UNDEF)
                 continue
             if len(self.trail) == self.num_vars:
                 return True

@@ -5,6 +5,13 @@ importable; otherwise the pure-Python `npverify.satcore` is used.  Both
 implement the same deterministic algorithm and produce identical models.
 Set ``NPVERIFY_SOLVER=pure`` or ``compiled`` to force a backend.
 
+A `Session` holds one core loaded with one formula and answers a sequence
+of questions about it, each a set of assumed literals; learned clauses
+carry over, and `add_clause` strengthens the formula between calls.  The
+lemma sweeps load their shared base once this way instead of once per
+instance, and `solve_formula` is a one-shot session.  Each result's
+statistics cover its own call only.
+
 For differential acceptance an independent external solver can re-check
 exported DIMACS files.  Any binary speaking the conventional interface
 (``solver FILE.cnf`` printing ``s SATISFIABLE``/``s UNSATISFIABLE`` and
@@ -69,34 +76,51 @@ def branching_order(num_vars: int, seed: int | None) -> list[int]:
     return order
 
 
-def solve_clauses(num_vars: int, clauses, seed: int | None = None,
-                  max_conflicts: int = 5_000_000,
-                  backend: str | None = None) -> SolveResult:
-    backend = default_backend() if backend is None else backend
-    order = branching_order(num_vars, seed)
-    if backend == COMPILED:
-        if _satcore is None:
-            raise ParameterError("compiled solver backend is not built")
-        solver = _satcore.Solver(num_vars, clauses, order, max_conflicts)
-    elif backend == PURE:
-        solver = satcore.Solver(num_vars, clauses, order=order,
-                                max_conflicts=max_conflicts)
-    else:
-        raise ParameterError(f"unknown solver backend {backend!r}")
-    status = solver.solve()
-    model = None
-    if status:
-        values = solver.model()
-        model = {var: values[var] for var in range(1, num_vars + 1)}
-    return SolveResult(status=status, model=model, stats=solver.stats(),
-                       backend=backend)
+class Session:
+    """One solver core loaded with `formula`, solved repeatedly."""
+
+    def __init__(self, formula: cnf.CnfFormula, seed: int | None = None,
+                 max_conflicts: int = 5_000_000,
+                 backend: str | None = None):
+        self.formula = formula
+        self.backend = default_backend() if backend is None else backend
+        num_vars = formula.num_vars
+        order = branching_order(num_vars, seed)
+        # The core classes are looked up at call time: tracing rebinds them.
+        if self.backend == COMPILED:
+            if _satcore is None:
+                raise ParameterError("compiled solver backend is not built")
+            self._core = _satcore.Solver(num_vars, formula.clauses, order,
+                                         max_conflicts)
+        elif self.backend == PURE:
+            self._core = satcore.Solver(num_vars, formula.clauses,
+                                        order=order,
+                                        max_conflicts=max_conflicts)
+        else:
+            raise ParameterError(f"unknown solver backend {self.backend!r}")
+
+    def add_clause(self, clause) -> None:
+        """Strengthen the formula for every later call."""
+        self._core.add_clause(clause)
+
+    def solve(self, assumptions=()) -> SolveResult:
+        """Decide the formula with the literals `assumptions` held true."""
+        self._core.assume(assumptions)
+        status = self._core.solve()
+        model = None
+        if status:
+            values = self._core.model()
+            model = {var: values[var]
+                     for var in range(1, self.formula.num_vars + 1)}
+        return SolveResult(status=status, model=model,
+                           stats=self._core.stats(), backend=self.backend)
 
 
 def solve_formula(formula: cnf.CnfFormula, seed: int | None = None,
                   max_conflicts: int = 5_000_000,
                   backend: str | None = None) -> SolveResult:
-    return solve_clauses(formula.num_vars, formula.clauses, seed=seed,
-                         max_conflicts=max_conflicts, backend=backend)
+    return Session(formula, seed=seed, max_conflicts=max_conflicts,
+                   backend=backend).solve()
 
 
 # -- external solver -------------------------------------------------------

@@ -5,10 +5,12 @@ cross-checks witnesses and reports.
 Each scenario expands to one or more CNF instances over the relevant
 domain.  An expected-UNSAT scenario passes when every instance is
 unsatisfiable (universally quantified lemmas iterate all qualifying
-profiles, one instance each); an expected-SAT scenario passes when some
-instance has a model, and every model is decoded and re-checked against
-the manipulation oracle and the scenario's own constraints, recomputed
-from scratch.
+profiles, one instance each; the instances of a sweep are assumptions over
+one shared base formula, so one solver session answers the whole sweep);
+an expected-SAT scenario passes when some instance has a model, and every
+model is decoded and re-checked against the manipulation oracle, the
+scenario's own constraints and the instance's assumptions, recomputed from
+scratch.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from . import cnf, profiles, solver, strategyproof
@@ -27,7 +29,8 @@ from .rules import Rule
 
 X, Y, Z = 0, 1, 2
 
-_CODE_VERSION = "npverify-0.1.0"
+# Part of the cache key: change it whenever the cached payload changes.
+_CODE_VERSION = "npverify-0.1.0-cache2"
 
 
 @lru_cache(maxsize=None)
@@ -106,9 +109,22 @@ def build_list_part2(n: int) -> dict[str, Profile]:
 
 @dataclass(frozen=True)
 class Instance:
+    """One SAT question: `base` with the literals `assumptions` held true.
+    Instances of one sweep share the same `base` object; `constraints`
+    are what a decoded witness must satisfy."""
+
     tag: str
-    formula: cnf.CnfFormula
+    base: cnf.CnfFormula
+    assumptions: tuple[int, ...]
     constraints: tuple[cnf.ScenarioConstraint, ...]
+
+    @cached_property
+    def formula(self) -> cnf.CnfFormula:
+        """The complete formula: `base` plus one unit clause per
+        assumption (for export and the external check)."""
+        if not self.assumptions:
+            return self.base
+        return self.base.extended((lit,) for lit in self.assumptions)
 
 
 @dataclass(frozen=True)
@@ -141,7 +157,8 @@ def _with(formula: cnf.CnfFormula,
           tag: str) -> Instance:
     for c in constraints:
         formula = cnf.add_scenario(formula, c)
-    return Instance(tag=tag, formula=formula, constraints=tuple(constraints))
+    return Instance(tag=tag, base=formula, assumptions=(),
+                    constraints=tuple(constraints))
 
 
 def _all_indices(scn: Scenario) -> tuple[int, ...]:
@@ -188,6 +205,9 @@ def _build_nrange_part2(scn: Scenario) -> list[Instance]:
 
 
 def _build_nrange_full(scn: Scenario) -> list[Instance]:
+    # Three formulas, not one shared base with an assumption per NP*
+    # profile: as assumptions the exclusions are not level-0 facts, and the
+    # search more than triples (80 -> 261 conflicts at n=4, no seed).
     star = np_star_indices(scn.n, scn.m)
     letters = "xyz"
     out = []
@@ -209,7 +229,8 @@ def _build_example1_exists(scn: Scenario) -> list[Instance]:
 
 def _build_lemma4_2(scn: Scenario):
     """One instance per qualifying profile (a head voter ranks x on top),
-    asserting the profile picks y or z; all must be UNSAT."""
+    assuming the profile does not pick x (under exactly-one: it picks y or
+    z); all must be UNSAT."""
     domain = scn.domain()
     star = np_star_indices(scn.n, scn.m)
     range_x = cnf.RangeSubset(frozenset({X}), star)
@@ -220,9 +241,8 @@ def _build_lemma4_2(scn: Scenario):
         if any(p[v][0] == X for v in head):
             found = True
             yield Instance(
-                tag=f"u={profiles.encode_profile(p)}",
-                formula=base.extended([(base.var(i, Y), base.var(i, Z))]),
-                constraints=(range_x,))
+                tag=f"u={profiles.encode_profile(p)}", base=base,
+                assumptions=(-base.var(i, X),), constraints=(range_x,))
     if not found:
         raise ScenarioError("no qualifying profile for lemma4_2")
 
@@ -240,36 +260,34 @@ def _build_lemma4_3(scn: Scenario):
         if any(p[v][-1] == Y for v in head):
             found = True
             yield Instance(
-                tag=f"u={profiles.encode_profile(p)}",
-                formula=cnf.add_scenario(base, cnf.Fix(i, Y)),
+                tag=f"u={profiles.encode_profile(p)}", base=base,
+                assumptions=(base.var(i, Y),),
                 constraints=(range_x, cnf.Fix(i, Y)))
     if not found:
         raise ScenarioError("no qualifying profile for lemma4_3")
 
 
-def _build_lemma4_4(scn: Scenario) -> list[Instance]:
+def _carries_x(scn: Scenario, tag: str, fixed: Profile,
+               target: Profile) -> Instance:
+    """x at `fixed` but not at `target`, as assumptions over the plain
+    base."""
     domain = scn.domain()
+    base = _base_formula(scn)
+    i, k = domain.index_of(fixed), domain.index_of(target)
+    return Instance(tag=tag, base=base,
+                    assumptions=(base.var(i, X), -base.var(k, X)),
+                    constraints=(cnf.Fix(i, X),))
+
+
+def _build_lemma4_4(scn: Scenario) -> list[Instance]:
     lists = build_list_part2(scn.n)
-    out = []
-    for j in (1, 2, 3, 4):
-        fixed = domain.index_of(lists[f"L{j}**"])
-        target = domain.index_of(lists[f"L{j}*"])
-        base = cnf.add_scenario(_base_formula(scn), cnf.Fix(fixed, X))
-        formula = base.extended([(-base.var(target, X),)])
-        out.append(Instance(tag=f"j={j}", formula=formula,
-                            constraints=(cnf.Fix(fixed, X),)))
-    return out
+    return [_carries_x(scn, f"j={j}", lists[f"L{j}**"], lists[f"L{j}*"])
+            for j in (1, 2, 3, 4)]
 
 
 def _build_lemma4_5(scn: Scenario) -> list[Instance]:
-    domain = scn.domain()
     lists = build_list_part2(scn.n)
-    fixed = domain.index_of(lists["L3**"])
-    target = domain.index_of(lists["L2**"])
-    base = cnf.add_scenario(_base_formula(scn), cnf.Fix(fixed, X))
-    formula = base.extended([(-base.var(target, X),)])
-    return [Instance(tag="L3**->L2**", formula=formula,
-                     constraints=(cnf.Fix(fixed, X),))]
+    return [_carries_x(scn, "L3**->L2**", lists["L3**"], lists["L2**"])]
 
 
 _BUILDERS = {
@@ -356,6 +374,10 @@ class InstanceResult:
     external_agrees: bool | None = None
 
 
+EXTERNAL_NOT_REQUESTED = "skipped(not requested)"
+EXTERNAL_NOT_FOUND = "skipped(not found)"
+
+
 @dataclass
 class Report:
     scenario: Scenario
@@ -365,6 +387,9 @@ class Report:
     domain_size: int
     wall_time: float
     cached: bool = False
+    # Which external check ran: "agree k/n", "skipped(not requested)" or
+    # "skipped(not found)".
+    external: str = EXTERNAL_NOT_REQUESTED
 
     def render(self) -> str:
         scn = self.scenario
@@ -385,11 +410,7 @@ class Report:
                 lines.append(f"  instance {r.tag}: SAT, witness verified")
             elif len(self.instances) <= 8:
                 lines.append(f"  instance {r.tag}: {r.outcome}")
-        checked = [r.external_agrees for r in self.instances
-                   if r.external_agrees is not None]
-        if checked:
-            lines.append(f"  external solver agreement: "
-                         f"{sum(checked)}/{len(checked)} instances")
+        lines.append(f"  external={self.external}")
         return "\n".join(lines)
 
     def structured(self) -> dict:
@@ -404,12 +425,13 @@ class Report:
             "domain_size": self.domain_size,
             "wall_time": round(self.wall_time, 3),
             "cached": self.cached,
+            "external": self.external,
         }
 
 
 def _verify_witness(instance: Instance, model: cnf.Model,
                     domain: Domain) -> Rule:
-    rule = cnf.decode_model(model, instance.formula, domain)
+    rule = cnf.decode_model(model, instance.base, domain)
     witness = strategyproof.find_manipulation(rule)
     if witness is not None:
         raise ContractError(
@@ -418,6 +440,11 @@ def _verify_witness(instance: Instance, model: cnf.Model,
         if not constraint.check(rule):
             raise ContractError(
                 f"decoded witness violates scenario constraint {constraint}")
+    for lit in instance.assumptions:
+        i, alt = instance.base.profile_alt(abs(lit))
+        if (rule.table[i] == alt) != (lit > 0):
+            raise ContractError(
+                f"decoded witness violates assumption {lit}")
     return rule
 
 
@@ -451,8 +478,12 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
 
     domain = scn.domain()
     results = []
+    session = None
     for idx, instance in enumerate(scn.instances()):
-        res = solver.solve_formula(instance.formula, seed=seed)
+        if session is None or session.formula is not instance.base:
+            session = None  # free the old core before loading the next
+            session = solver.Session(instance.base, seed=seed)
+        res = session.solve(instance.assumptions)
         outcome = "SAT" if res.status else "UNSAT"
         record = InstanceResult(tag=instance.tag, outcome=outcome,
                                 stats=res.stats)
@@ -477,9 +508,17 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
     met = None if scn.expected is None else overall == scn.expected
     if any(r.external_agrees is False for r in results):
         met = False
+    if external is not None:
+        agreed = sum(bool(r.external_agrees) for r in results)
+        external_status = f"agree {agreed}/{len(results)}"
+    elif differential is False:
+        external_status = EXTERNAL_NOT_REQUESTED
+    else:
+        external_status = EXTERNAL_NOT_FOUND
     report = Report(scenario=scn, outcome=overall, expectation_met=met,
                     instances=results, domain_size=len(domain),
-                    wall_time=time.monotonic() - start)
+                    wall_time=time.monotonic() - start,
+                    external=external_status)
     if cache_path is not None:
         _cache_store(cache_path, report)
     return report
@@ -497,16 +536,17 @@ def enumerate_models(scn: Scenario | str, k: int, n: int | None = None,
                             "scenarios")
     instance = instances[0]
     domain = scn.domain()
-    formula = instance.formula
+    base = instance.base
+    session = solver.Session(base, seed=seed)
     out: list[Rule] = []
     while len(out) < k:
-        res = solver.solve_formula(formula, seed=seed)
+        res = session.solve(instance.assumptions)
         if not res.status:
             break
         rule = _verify_witness(instance, res.model, domain)
         out.append(rule)
-        blocking = tuple(-formula.var(i, a) for i, a in enumerate(rule.table))
-        formula = formula.extended([blocking])
+        session.add_clause(
+            [-base.var(i, a) for i, a in enumerate(rule.table)])
     return out
 
 
@@ -532,7 +572,8 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
                    for t, o in data["instances"]],
         domain_size=data["domain_size"],
         wall_time=data["wall_time"],
-        cached=True)
+        cached=True,
+        external=data["external"])
 
 
 def _cache_store(path: Path, report: Report) -> None:
@@ -543,5 +584,6 @@ def _cache_store(path: Path, report: Report) -> None:
         "instances": [(r.tag, r.outcome) for r in report.instances],
         "domain_size": report.domain_size,
         "wall_time": report.wall_time,
+        "external": report.external,
     }
     path.write_text(json.dumps(payload))

@@ -24,6 +24,7 @@ def test_scenario_run_structured(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "outcome=SAT" in out and "expectation_met=True" in out
+    assert "external=skipped(not requested)" in out
 
 
 def test_scenario_run_unknown_name(capsys):

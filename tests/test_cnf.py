@@ -117,6 +117,10 @@ def test_dimacs_parse_errors():
         cnf.parse_dimacs("1 0\n")  # clause before header
     with pytest.raises(TextFormatError):
         cnf.parse_dimacs("p cnf 2 5\n1 0\n")  # count mismatch
+    with pytest.raises(TextFormatError, match="'a' at line 1"):
+        cnf.parse_dimacs("p cnf a 1\n")
+    with pytest.raises(TextFormatError, match="'x' at line 3"):
+        cnf.parse_dimacs("c comment\np cnf 1 1\n1 x 0\n")
 
 
 def test_import_model():
@@ -128,6 +132,8 @@ def test_import_model():
         cnf.import_model("v 1 0\n", f)  # incomplete
     with pytest.raises(TextFormatError):
         cnf.import_model("v 1 -2 9 0\n", f)  # out of range
+    with pytest.raises(TextFormatError, match="'two' at line 2"):
+        cnf.import_model("s SATISFIABLE\nv 1 two 0\n", f)
 
 
 def test_varmap_sidecar(base33, np33):

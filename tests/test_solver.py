@@ -4,11 +4,19 @@ from hypothesis import strategies as st
 
 import oracles
 from npverify import cnf, satcore, solver, verify
-from npverify.errors import ContractError, SolverCapError
+from npverify.errors import ContractError, SolverCapError, TextFormatError
+
+
+def clause_formula(num_vars, clauses):
+    """A formula over bare variables: one "profile" per variable."""
+    return cnf.CnfFormula(num_vars=num_vars,
+                          clauses=tuple(tuple(c) for c in clauses),
+                          n=1, m=1, domain_size=num_vars)
 
 
 def run_pure(num_vars, clauses, **kw):
-    return solver.solve_clauses(num_vars, clauses, backend="pure", **kw)
+    return solver.solve_formula(clause_formula(num_vars, clauses),
+                                backend="pure", **kw)
 
 
 def test_trivial_sat():
@@ -63,8 +71,8 @@ def test_pure_against_brute_force(clauses):
 def test_backends_identical(clauses):
     if "compiled" not in solver.available_backends():
         pytest.skip("compiled backend not built")
-    a = solver.solve_clauses(7, clauses, backend="pure")
-    b = solver.solve_clauses(7, clauses, backend="compiled")
+    a = solver.solve_formula(clause_formula(7, clauses), backend="pure")
+    b = solver.solve_formula(clause_formula(7, clauses), backend="compiled")
     assert a.status == b.status
     assert a.model == b.model
     assert a.stats == b.stats
@@ -79,6 +87,118 @@ def test_backends_identical_on_scenarios():
         a = solver.solve_formula(instance.formula, backend="pure")
         b = solver.solve_formula(instance.formula, backend="compiled")
         assert (a.status, a.model, a.stats) == (b.status, b.model, b.stats)
+
+
+literal6 = st.integers(min_value=1, max_value=6).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+incremental_calls = st.lists(
+    st.tuples(st.lists(literal6, max_size=4),
+              st.none() | st.lists(literal6, max_size=3)),
+    min_size=1, max_size=6)
+
+
+class CountingSolver(satcore.Solver):
+    """Counts the search work of each `solve()` at its own boundaries,
+    independently of the core's counters."""
+
+    def solve(self):
+        self.work = dict.fromkeys(
+            ("decisions", "conflicts", "propagations", "learned"), 0)
+        return super().solve()
+
+    def _propagate(self):
+        before = self.qhead
+        confl = super()._propagate()
+        self.work["propagations"] += self.qhead - before
+        self.work["conflicts"] += confl != satcore.UNDEF
+        return confl
+
+    def _pick_branch_var(self):
+        self.work["decisions"] += 1
+        return super()._pick_branch_var()
+
+    def _record(self, learnt):
+        self.work["learned"] += 1
+        return super()._record(learnt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(literal6, min_size=1, max_size=3), min_size=1,
+                max_size=25),
+       incremental_calls, st.integers(min_value=0, max_value=3))
+def test_incremental_matches_fresh_solves(clauses, calls, seed):
+    """One core answering a sequence of assumption sets (with clauses
+    added between calls) agrees with a fresh solve of the formula plus
+    the assumptions as unit clauses."""
+    core = CountingSolver(6, clauses, order=solver.branching_order(6, seed))
+    formula = [list(c) for c in clauses]
+    for assumptions, added in calls:
+        if added is not None:
+            core.add_clause(added)
+            formula.append(list(added))
+        core.assume(assumptions)
+        status = core.solve()
+        units = [[lit] for lit in assumptions]
+        assert status == run_pure(6, formula + units).status
+        assert core.stats() == core.work
+        if status:
+            model = core.model()
+            assert oracles.eval_clauses(formula + units, model)
+        else:
+            failed = core.failed()
+            assert set(failed) <= set(assumptions)
+            assert oracles.brute_sat(6, formula
+                                     + [[lit] for lit in failed]) is None
+
+
+def test_incremental_core_details():
+    core = satcore.Solver(3, [[1, 2], [-1, 3]])
+    core.assume([1, -3])
+    assert core.solve() is False
+    assert sorted(core.failed()) == [-3, 1]
+    core.assume([2, 2, -1])  # a repeated assumption opens an empty level
+    assert core.solve() is True
+    assert core.stats()["decisions"] == 1  # variable 3; assumptions free
+    core.add_clause([-2])
+    core.assume([-1])
+    assert core.solve() is False and core.failed() == [-1]
+    assert core.solve() is True  # assumptions last one call
+    core.add_clause([-1])
+    assert core.solve() is False and core.failed() == []
+    core.assume([3])
+    assert core.solve() is False and core.failed() == []
+    with pytest.raises(ValueError):
+        core.assume([4])
+
+    # Literals fixed at level 0 are not propagated again, so an added
+    # clause must not watch them.
+    fixed = satcore.Solver(3, [[-1], [-2]])
+    assert fixed.solve() is True
+    fixed.add_clause([1, 2, 3])
+    fixed.assume([-3])
+    assert fixed.solve() is False and fixed.failed() == [-3]
+    fixed.add_clause([1, 2])
+    assert fixed.solve() is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(literal6, min_size=1, max_size=3), min_size=1,
+                max_size=25),
+       incremental_calls)
+def test_backends_identical_under_assumptions(clauses, calls):
+    if "compiled" not in solver.available_backends():
+        pytest.skip("compiled backend not built")
+    pure = satcore.Solver(6, clauses)
+    compiled = solver._satcore.Solver(6, clauses)
+    for assumptions, added in calls:
+        if added is not None:
+            pure.add_clause(added)
+            compiled.add_clause(added)
+        pure.assume(assumptions)
+        compiled.assume(assumptions)
+        assert ((pure.solve(), pure.model(), pure.stats(), pure.failed())
+                == (compiled.solve(), compiled.model(), compiled.stats(),
+                    compiled.failed()))
 
 
 def test_unsat_stable_across_seeds():
@@ -131,3 +251,5 @@ def test_external_model_is_checked(tmp_path):
     assert answer("1 -2").model == {1: True, 2: False}
     with pytest.raises(ContractError):
         answer("-1 2")
+    with pytest.raises(TextFormatError, match="'two' at line 1"):
+        answer("1 two")

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from npverify import cnf, profiles, rules, solver, strategyproof, verify
-from npverify.errors import ParameterError, ScenarioError
+from npverify.errors import ContractError, ParameterError, ScenarioError
 
 X, Y, Z = 0, 1, 2
 XYZ, XZY, YXZ, YZX, ZXY, ZYX = ((0, 1, 2), (0, 2, 1), (1, 0, 2),
@@ -126,6 +126,43 @@ def test_lemma_sweeps_iterate_qualifying_profiles(np43):
         assert not solver.solve_formula(inst.formula).status
 
 
+@pytest.mark.parametrize("name", ["lemma4_4", "lemma4_5"])
+def test_lemma_session_verdicts_match_full_formulas(name):
+    """The runner answers a sweep on one session under assumptions; each
+    verdict equals a fresh solve of the instance's complete formula."""
+    scn = verify.scenario(name)
+    report = verify.run_scenario(scn, differential=False)
+    instances = list(scn.instances())
+    assert [r.tag for r in report.instances] == [i.tag for i in instances]
+    assert len({id(i.base) for i in instances}) == 1
+    for record, inst in zip(report.instances, instances):
+        assert record.outcome == "UNSAT"
+        assert record.stats["decisions"] == 0
+        assert not solver.solve_formula(inst.formula, seed=3).status
+        assert len(inst.formula.clauses) == (len(inst.base.clauses)
+                                             + len(inst.assumptions))
+
+
+def test_witness_is_checked_against_assumptions(np43):
+    """Lifting lemma4_4's refuted assumption gives a SAT instance whose
+    witness must honour the remaining assumptions."""
+    inst = next(iter(verify.scenario("lemma4_4").instances()))
+    fixed, target = (abs(lit) for lit in inst.assumptions)
+    sat = verify.Instance(tag="x-at-both", base=inst.base,
+                          assumptions=(fixed, target),
+                          constraints=inst.constraints)
+    res = solver.Session(sat.base).solve(sat.assumptions)
+    assert res.status
+    rule = verify._verify_witness(sat, res.model, np43)
+    i, alt = sat.base.profile_alt(target)
+    assert rule.table[i] == alt == X
+    wrong = verify.Instance(tag="x-not-at-target", base=inst.base,
+                            assumptions=inst.assumptions,
+                            constraints=inst.constraints)
+    with pytest.raises(ContractError, match="assumption"):
+        verify._verify_witness(wrong, res.model, np43)
+
+
 def test_relabel_symmetry_preserves_status(np33, star33):
     """Relabeling the alternatives consistently leaves every scenario's
     satisfiability unchanged."""
@@ -160,6 +197,10 @@ def test_enumerate_models(np33):
         assert strategyproof.find_manipulation(g) is None
         assert rules.range_of(g).attained == {X, Y, Z}
     assert verify.enumerate_models("sanity_sat", k=0) == []
+    # The dictators are the only ones: enumeration stops at UNSAT.
+    everything = verify.enumerate_models("sanity_sat", k=10, seed=5)
+    assert ({g.table for g in everything}
+            == {rules.dictator(np33, v).table for v in range(3)})
     with pytest.raises(ScenarioError):
         verify.enumerate_models("nrange_full", k=1)
 
@@ -190,6 +231,22 @@ def test_report_cache_round_trip(tmp_path):
     assert second.cached
     assert second.outcome == first.outcome
     assert second.expectation_met is True
+
+
+def test_report_names_external_check(monkeypatch, external_solver):
+    off = verify.run_scenario("sanity_sat", differential=False)
+    assert off.external == "skipped(not requested)"
+    assert "external=skipped(not requested)" in off.render()
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "find_external_solver", lambda: None)
+        missing = verify.run_scenario("sanity_sat")
+    assert missing.structured()["external"] == "skipped(not found)"
+    assert "external=skipped(not found)" in missing.render()
+    if external_solver is None:
+        pytest.skip("no external solver")
+    checked = verify.run_scenario("nrange_full", differential=True)
+    assert checked.structured()["external"] == "agree 3/3"
+    assert "external=agree 3/3" in checked.render()
 
 
 def test_report_structured_keys():
