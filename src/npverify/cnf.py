@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import orders, profiles
 from .errors import (
@@ -268,11 +268,6 @@ def import_model(text: str, f: CnfFormula) -> Model:
         missing = f.num_vars - len(model)
         raise TextFormatError(f"model leaves {missing} variables unassigned")
     return model
-
-
-def model_from_assignment(values: Sequence[bool], f: CnfFormula) -> Model:
-    """Adapt a solver's dense assignment (index 0 unused) to a Model."""
-    return {var: bool(values[var]) for var in range(1, f.num_vars + 1)}
 
 
 def decode_model(model: Model, f: CnfFormula, domain: Domain) -> Rule:

@@ -26,14 +26,6 @@ _XYZ = "xyz"
 _ABC = "abcdefghijklmnopqrstuvwxyz"
 
 
-def validate_ordering(order: Ordering, m: int | None = None) -> None:
-    """Raise unless `order` is a permutation of 0..m-1."""
-    size = len(order) if m is None else m
-    if len(order) != size or sorted(order) != list(range(size)):
-        raise InvalidAlternativeError(
-            f"not a permutation of 0..{size - 1}: {order!r}")
-
-
 def all_orderings(m: int) -> tuple[Ordering, ...]:
     """All m! strict orderings, in lexicographic order."""
     if m < 1:

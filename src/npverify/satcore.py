@@ -3,11 +3,6 @@ activity-free branching (lowest unassigned variable in a fixed order),
 incremental solving under assumptions in the MiniSat style (Een &
 Sorensson, "An Extensible SAT-solver", SAT 2003).
 
-This is the fallback backend; `npverify._satcore` is a compiled port with
-identical semantics (same decision order, same learned clauses, same
-models).  Keep the two in lockstep: any algorithmic change here must be
-mirrored there.
-
 Literals are encoded as ``2*v`` (positive) / ``2*v + 1`` (negative) over
 1-based variables.  No restarts and no clause deletion: the instances this
 workbench produces are small and highly propagating, and determinism is

@@ -1,14 +1,9 @@
-"""Solver backend selection and the external differential check.
+"""Solver sessions over the CDCL core and the external differential check.
 
-The compiled CDCL core (`npverify._satcore`, Cython) is preferred when
-importable; otherwise the pure-Python `npverify.satcore` is used.  Both
-implement the same deterministic algorithm and produce identical models.
-Set ``NPVERIFY_SOLVER=pure`` or ``compiled`` to force a backend.
-
-A `Session` holds one core loaded with one formula and answers a sequence
-of questions about it, each a set of assumed literals; learned clauses
-carry over, and `add_clause` strengthens the formula between calls.  The
-lemma sweeps load their shared base once this way instead of once per
+A `Session` holds one `satcore.Solver` loaded with one formula and answers
+a sequence of questions about it, each a set of assumed literals; learned
+clauses carry over, and `add_clause` strengthens the formula between calls.
+The lemma sweeps load their shared base once this way instead of once per
 instance, and `solve_formula` is a one-shot session.  Each result's
 statistics cover its own call only.
 
@@ -34,29 +29,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import cnf, satcore
-from .errors import ContractError, ParameterError, TextFormatError
+from .errors import ContractError, TextFormatError
 
-try:
-    from . import _satcore  # type: ignore[attr-defined]
-except ImportError:
-    _satcore = None
-
+# Read only by perfbench (run metadata and tracer); npverify never uses it.
+_satcore = None
 PURE = "pure"
 COMPILED = "compiled"
 
 
-def available_backends() -> tuple[str, ...]:
-    return (PURE, COMPILED) if _satcore is not None else (PURE,)
-
-
 def default_backend() -> str:
-    forced = os.environ.get("NPVERIFY_SOLVER")
-    if forced:
-        if forced not in (PURE, COMPILED):
-            raise ParameterError(f"unknown solver backend {forced!r}")
-        if forced == COMPILED and _satcore is None:
-            raise ParameterError("compiled solver backend is not built")
-        return forced
     return COMPILED if _satcore is not None else PURE
 
 
@@ -65,7 +46,6 @@ class SolveResult:
     status: bool
     model: cnf.Model | None
     stats: dict[str, int]
-    backend: str
 
 
 def branching_order(num_vars: int, seed: int | None) -> list[int]:
@@ -80,24 +60,13 @@ class Session:
     """One solver core loaded with `formula`, solved repeatedly."""
 
     def __init__(self, formula: cnf.CnfFormula, seed: int | None = None,
-                 max_conflicts: int = 5_000_000,
-                 backend: str | None = None):
+                 max_conflicts: int = 5_000_000):
         self.formula = formula
-        self.backend = default_backend() if backend is None else backend
-        num_vars = formula.num_vars
-        order = branching_order(num_vars, seed)
-        # The core classes are looked up at call time: tracing rebinds them.
-        if self.backend == COMPILED:
-            if _satcore is None:
-                raise ParameterError("compiled solver backend is not built")
-            self._core = _satcore.Solver(num_vars, formula.clauses, order,
-                                         max_conflicts)
-        elif self.backend == PURE:
-            self._core = satcore.Solver(num_vars, formula.clauses,
-                                        order=order,
-                                        max_conflicts=max_conflicts)
-        else:
-            raise ParameterError(f"unknown solver backend {self.backend!r}")
+        # The core class is looked up at call time: tracing rebinds it.
+        self._core = satcore.Solver(
+            formula.num_vars, formula.clauses,
+            order=branching_order(formula.num_vars, seed),
+            max_conflicts=max_conflicts)
 
     def add_clause(self, clause) -> None:
         """Strengthen the formula for every later call."""
@@ -113,14 +82,12 @@ class Session:
             model = {var: values[var]
                      for var in range(1, self.formula.num_vars + 1)}
         return SolveResult(status=status, model=model,
-                           stats=self._core.stats(), backend=self.backend)
+                           stats=self._core.stats())
 
 
 def solve_formula(formula: cnf.CnfFormula, seed: int | None = None,
-                  max_conflicts: int = 5_000_000,
-                  backend: str | None = None) -> SolveResult:
-    return Session(formula, seed=seed, max_conflicts=max_conflicts,
-                   backend=backend).solve()
+                  max_conflicts: int = 5_000_000) -> SolveResult:
+    return Session(formula, seed=seed, max_conflicts=max_conflicts).solve()
 
 
 # -- external solver -------------------------------------------------------
@@ -159,16 +126,14 @@ def solve_external(formula: cnf.CnfFormula, binary: str,
         os.unlink(path)
     out = proc.stdout
     if "s UNSATISFIABLE" in out:
-        return SolveResult(status=False, model=None, stats={},
-                           backend=f"external:{binary}")
+        return SolveResult(status=False, model=None, stats={})
     if "s SATISFIABLE" in out:
         model = cnf.import_model(out, formula)
         if not cnf.satisfies(model, formula):
             raise ContractError(
                 f"external solver {binary} reported SAT with a model that "
                 "falsifies the formula")
-        return SolveResult(status=True, model=model, stats={},
-                           backend=f"external:{binary}")
+        return SolveResult(status=True, model=model, stats={})
     raise TextFormatError(
         f"external solver produced no verdict (exit {proc.returncode}): "
         f"{out[:200]!r} {proc.stderr[:200]!r}")

@@ -17,13 +17,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
 from . import cnf, profiles, solver, strategyproof
-from .errors import ContractError, ParameterError, ScenarioError
+from .errors import (
+    ContractError,
+    ParameterError,
+    ScenarioError,
+    TextFormatError,
+)
 from .profiles import Domain, Profile
 from .rules import Rule
 
@@ -563,17 +569,22 @@ def _cache_path(cache_dir: str, scn: Scenario, seed: int | None) -> Path:
 def _cache_load(path: Path, scn: Scenario) -> Report | None:
     if not path.exists():
         return None
-    data = json.loads(path.read_text())
-    return Report(
-        scenario=scn,
-        outcome=data["outcome"],
-        expectation_met=data["expectation_met"],
-        instances=[InstanceResult(tag=t, outcome=o)
-                   for t, o in data["instances"]],
-        domain_size=data["domain_size"],
-        wall_time=data["wall_time"],
-        cached=True,
-        external=data["external"])
+    try:
+        data = json.loads(path.read_text())
+        return Report(
+            scenario=scn,
+            outcome=data["outcome"],
+            expectation_met=data["expectation_met"],
+            instances=[InstanceResult(tag=t, outcome=o)
+                       for t, o in data["instances"]],
+            domain_size=data["domain_size"],
+            wall_time=data["wall_time"],
+            cached=True,
+            external=data["external"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise TextFormatError(
+            f"malformed cache file {path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _cache_store(path: Path, report: Report) -> None:
@@ -586,4 +597,11 @@ def _cache_store(path: Path, report: Report) -> None:
         "wall_time": report.wall_time,
         "external": report.external,
     }
-    path.write_text(json.dumps(payload))
+    # Write through a rename, so an interrupted run leaves no partial file.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

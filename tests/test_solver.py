@@ -15,8 +15,7 @@ def clause_formula(num_vars, clauses):
 
 
 def run_pure(num_vars, clauses, **kw):
-    return solver.solve_formula(clause_formula(num_vars, clauses),
-                                backend="pure", **kw)
+    return solver.solve_formula(clause_formula(num_vars, clauses), **kw)
 
 
 def test_trivial_sat():
@@ -64,29 +63,6 @@ def test_pure_against_brute_force(clauses):
     assert res.status == (brute is not None)
     if res.status:
         assert oracles.eval_clauses(clauses, res.model)
-
-
-@settings(max_examples=200, deadline=None)
-@given(clause_strategy)
-def test_backends_identical(clauses):
-    if "compiled" not in solver.available_backends():
-        pytest.skip("compiled backend not built")
-    a = solver.solve_formula(clause_formula(7, clauses), backend="pure")
-    b = solver.solve_formula(clause_formula(7, clauses), backend="compiled")
-    assert a.status == b.status
-    assert a.model == b.model
-    assert a.stats == b.stats
-
-
-def test_backends_identical_on_scenarios():
-    if "compiled" not in solver.available_backends():
-        pytest.skip("compiled backend not built")
-    for name in ("sanity_sat", "gs_np", "nrange_part1"):
-        scn = verify.scenario(name)
-        instance = next(iter(scn.instances()))
-        a = solver.solve_formula(instance.formula, backend="pure")
-        b = solver.solve_formula(instance.formula, backend="compiled")
-        assert (a.status, a.model, a.stats) == (b.status, b.model, b.stats)
 
 
 literal6 = st.integers(min_value=1, max_value=6).flatmap(
@@ -179,26 +155,6 @@ def test_incremental_core_details():
     assert fixed.solve() is False and fixed.failed() == [-3]
     fixed.add_clause([1, 2])
     assert fixed.solve() is False
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(literal6, min_size=1, max_size=3), min_size=1,
-                max_size=25),
-       incremental_calls)
-def test_backends_identical_under_assumptions(clauses, calls):
-    if "compiled" not in solver.available_backends():
-        pytest.skip("compiled backend not built")
-    pure = satcore.Solver(6, clauses)
-    compiled = solver._satcore.Solver(6, clauses)
-    for assumptions, added in calls:
-        if added is not None:
-            pure.add_clause(added)
-            compiled.add_clause(added)
-        pure.assume(assumptions)
-        compiled.assume(assumptions)
-        assert ((pure.solve(), pure.model(), pure.stats(), pure.failed())
-                == (compiled.solve(), compiled.model(), compiled.stats(),
-                    compiled.failed()))
 
 
 def test_unsat_stable_across_seeds():

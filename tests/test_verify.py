@@ -1,9 +1,16 @@
 
+import json
+
 import pytest
 
 import oracles
-from npverify import cnf, profiles, rules, solver, strategyproof, verify
-from npverify.errors import ContractError, ParameterError, ScenarioError
+from npverify import cli, cnf, profiles, rules, solver, strategyproof, verify
+from npverify.errors import (
+    ContractError,
+    ParameterError,
+    ScenarioError,
+    TextFormatError,
+)
 
 X, Y, Z = 0, 1, 2
 XYZ, XZY, YXZ, YZX, ZXY, ZYX = ((0, 1, 2), (0, 2, 1), (1, 0, 2),
@@ -231,6 +238,34 @@ def test_report_cache_round_trip(tmp_path):
     assert second.cached
     assert second.outcome == first.outcome
     assert second.expectation_met is True
+
+
+def _truncate(text):
+    return text[:len(text) // 2]
+
+
+def _drop_outcome(text):
+    data = json.loads(text)
+    del data["outcome"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _drop_outcome],
+                         ids=["truncated", "missing_key"])
+def test_malformed_cache_file_is_an_operational_error(tmp_path, capsys,
+                                                      damage):
+    verify.run_scenario("sanity_sat", differential=False,
+                        cache_dir=str(tmp_path))
+    [path] = tmp_path.iterdir()
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(TextFormatError, match="malformed cache file"):
+        verify.run_scenario("sanity_sat", differential=False,
+                            cache_dir=str(tmp_path))
+    code = cli.main(["scenario", "run", "sanity_sat", "--no-differential",
+                     "--cache", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "malformed cache file" in err and path.name in err
 
 
 def test_report_names_external_check(monkeypatch, external_solver):
