@@ -30,7 +30,7 @@ def _cmd_domain_enum(args) -> int:
     if args.np_star:
         domain = profiles.np_star(domain)
     if args.wz:
-        w, z = (orders.letters_for(args.m).index(ch) for ch in args.wz)
+        w, z = (orders.decode_letter(ch, args.m) for ch in args.wz)
         domain = collapse.contiguous_domain(args.n, args.m, w, z, source=domain)
     if args.format == "structured":
         print(f"kind={domain.kind}")
@@ -108,8 +108,7 @@ def _cmd_scenario_run(args) -> int:
 
 def _cmd_collapse_run(args) -> int:
     source = profiles.enumerate_np(args.n, args.m)
-    letters = orders.letters_for(args.m)
-    w, z = letters.index(args.w), letters.index(args.z)
+    w, z = (orders.decode_letter(ch, args.m) for ch in (args.w, args.z))
     spec = collapse.make_spec(source, w, z)
     rule = rules.builtin(args.rule, source)
     collapsed, report = collapse.collapse_rule(rule, spec)
@@ -145,9 +144,8 @@ def _cmd_collapse_run(args) -> int:
 def _cmd_decisive_report(args) -> int:
     domain = profiles.enumerate_np(args.n, args.m)
     rule = _load_rule(args, domain)
-    letters = orders.letters_for(args.m)
     try:
-        a, b = (letters.index(ch) for ch in args.pair.split(","))
+        a, b = (orders.decode_letter(ch, args.m) for ch in args.pair.split(","))
     except ValueError:
         raise WorkbenchError(f"bad --pair {args.pair!r}; expected e.g. y,z")
     import warnings

@@ -8,9 +8,10 @@ walks any profile down to the contiguous subdomain without changing the
 selected alternative (or, when the winner is w or z itself, keeping the
 winner inside {w, z}).
 
-The descent follows a fixed case ladder; every emitted step is verified
-from scratch (domain membership, strictly smaller sigma, value condition),
-so a wrong branch can only cause a reported failure, never a wrong result.
+The descent follows a fixed case ladder.  The ladder only proposes
+candidate steps; each step is checked once, in `reduce_to_contiguous`
+(domain membership, strictly smaller sigma, value condition), so a wrong
+branch can only cause a reported failure, never a wrong result.
 """
 
 from __future__ import annotations
@@ -149,14 +150,20 @@ class CollapseReport:
         return not self.disagreements and not self.no_extension
 
 
+def _check_source(rule: Rule, spec: CollapseSpec) -> None:
+    # Identity first: comparing the profiles costs a pass over the domain.
+    if (rule.domain is not spec.source
+            and rule.domain.profiles != spec.source.profiles):
+        raise ParameterError("rule domain does not match the collapse source")
+
+
 def collapse_rule(rule: Rule, spec: CollapseSpec) -> tuple[Rule | None, CollapseReport]:
     """Evaluate the rule on every extension of every target profile; when
     all extensions agree (after mapping w, z to the fused alternative) the
     collapsed rule is defined there.  Disagreements are reported, not
     raised: their absence is exactly the well-definedness property under
     test."""
-    if rule.domain.profiles != spec.source.profiles:
-        raise ParameterError("rule domain does not match the collapse source")
+    _check_source(rule, spec)
     table = []
     disagreements = []
     missing = []
@@ -343,7 +350,11 @@ class DescentResult:
 
 
 class _Descent:
-    """One run of the sigma-descent for a fixed rule and (w, z) pair."""
+    """The case ladder of one sigma-descent for a fixed rule and (w, z)
+    pair.  Every handler is a generator of `(profile, move)` candidates in
+    ladder order.  Handlers test only the profiles they build further
+    candidates from; `reduce_to_contiguous` alone decides which candidate
+    is the step."""
 
     def __init__(self, rule: Rule, w: int, z: int):
         self.rule = rule
@@ -361,22 +372,28 @@ class _Descent:
     def stotal(self, p: Profile) -> int:
         return sigma_total(p, self.w, self.z)
 
-    def _verified(self, r: Profile, u: Profile, want_value, move: str):
-        """Accept a candidate next profile only if it is in the domain,
-        strictly decreases sigma and keeps the value condition."""
-        if u not in self.domain:
-            return None
-        if self.stotal(u) >= self.stotal(r):
-            return None
-        if not want_value(self.value(u)):
-            return None
-        return u, move
+    def want(self, x: int):
+        """The value condition of a step away from a profile selecting x:
+        keep x, or stay within {w, z} when x is w or z."""
+        if x in (self.w, self.z):
+            return lambda v: v == self.w or v == self.z
+        return lambda v: v == x
 
-    def _search(self, r, voter, a, b, part, want_value, move):
-        u = _search_reduction(self.rule, r, voter, a, b, part, want_value)
-        if u is not None and self.stotal(u) < self.stotal(r):
-            return u, move
-        return None
+    def _search(self, r, voter, a, b, part, x, move):
+        u = _search_reduction(self.rule, r, voter, a, b, part, self.want(x))
+        if u is not None:
+            yield u, move
+
+    def _ends(self, r, voter, top, bot, x, label):
+        """Raise `bot`, then lower `top`, inside the voter's bracket."""
+        yield from self._search(r, voter, top, bot, 1, x,
+                                f"{label} raise {self.letters[bot]} voter {voter + 1}")
+        yield from self._search(r, voter, top, bot, 2, x,
+                                f"{label} lower {self.letters[top]} voter {voter + 1}")
+
+    @staticmethod
+    def _swap(r: Profile, voter: int, a: int, b: int) -> Profile:
+        return _with_voter(r, voter, orders.apply_move(r[voter], orders.Swap(a, b)))
 
     def snapshot(self, r: Profile) -> ReductionContext:
         """Working sets at r, for the failure report."""
@@ -404,55 +421,44 @@ class _Descent:
 
     # case handlers -------------------------------------------------------
 
-    def step(self, r: Profile):
-        x = self.value(r)
+    def candidates(self, r: Profile, x: int):
+        """Every candidate next step from r, which selects x, in ladder
+        order."""
         if x in (self.w, self.z):
-            return self._case3(r, x)
+            yield from self._case3(r, x)
+            return
         per = [len(orders.between(v, self.w, self.z)) for v in r]
         smax = max(per)
         max_pivots = [j for j, s in enumerate(per) if s == smax]
         for j in max_pivots:
             if x not in orders.between(r[j], self.w, self.z):
-                out = self._case1(r, j, x)
-                if out:
-                    return out
+                yield from self._case1(r, j, x)
         case2_pivots = [j for j in max_pivots
                         if x in orders.between(r[j], self.w, self.z)]
         case2_pivots += [j for j in range(self.domain.n)
                          if j not in max_pivots
                          and x in orders.between(r[j], self.w, self.z)]
         for rank, j in enumerate(case2_pivots):
-            out = self._case2(r, j, x, fallback=rank > 0 or j not in max_pivots)
-            if out:
-                return out
+            yield from self._case2(r, j, x, fallback=rank > 0 or j not in max_pivots)
         for j in range(self.domain.n):
             if j in max_pivots or per[j] == 0:
                 continue
             if x not in orders.between(r[j], self.w, self.z):
-                out = self._case1(r, j, x, fallback=True)
-                if out:
-                    return out
-        return None
+                yield from self._case1(r, j, x, fallback=True)
 
     def _case1(self, r: Profile, j: int, x: int, fallback: bool = False):
         tag = "case1-fallback" if fallback else "case1"
         top, bot = ((self.w, self.z)
                     if orders.ranks_above(r[j], self.w, self.z)
                     else (self.z, self.w))
-        want = lambda v: v == x
-        out = (self._search(r, j, top, bot, 1, want,
-                            f"{tag} raise {self.letters[bot]} voter {j + 1}")
-               or self._search(r, j, top, bot, 2, want,
-                               f"{tag} lower {self.letters[top]} voter {j + 1}"))
-        if out:
-            return out
+        yield from self._ends(r, j, top, bot, x, tag)
         interior = orders.between(r[j], top, bot)
         others = [i for i in range(self.domain.n) if i != j]
         certified = all(
             orders.ranks_above(r[i], bot, y) and orders.ranks_above(r[i], y, top)
             for i in others for y in interior)
         if not certified:
-            return None
+            return
         for h in others:
             pos_top = r[h].index(top)
             if pos_top == 0:
@@ -460,14 +466,9 @@ class _Descent:
             y_star = r[h][pos_top - 1]
             if y_star not in interior:
                 continue
-            u = _with_voter(r, h, orders.apply_move(r[h], orders.Swap(y_star, top)))
-            out = self._verified(
-                r, u, want,
-                f"{tag} swap {self.letters[y_star]},{self.letters[top]} "
-                f"voter {h + 1}")
-            if out:
-                return out
-        return None
+            yield (self._swap(r, h, y_star, top),
+                   f"{tag} swap {self.letters[y_star]},{self.letters[top]} "
+                   f"voter {h + 1}")
 
     def _orientation(self, ordering: Ordering, x: int) -> tuple[int, int] | None:
         """(top, bot) of the pair around x, or None when x is outside."""
@@ -483,12 +484,13 @@ class _Descent:
         tag = "case2-fallback" if fallback else "case2"
         oriented = self._orientation(r[j], x)
         if oriented is None:
-            return None
+            return
         top, bot = oriented
         work = self._normalize_x_up(r, j, x, top)
         if orders.between(work[j], top, x):
-            return self._case2_part1(r, work, j, x, top, bot, tag)
-        return self._case2_part2(r, work, j, x, tag)
+            yield from self._case2_part1(work, j, x, top, bot, tag)
+        else:
+            yield from self._case2_part2(work, j, x, tag)
 
     def _normalize_x_up(self, r: Profile, j: int, x: int, top: int) -> Profile:
         """Raise the selected alternative in the pivot's ordering as far as
@@ -498,110 +500,80 @@ class _Descent:
             pos = work[j].index(x)
             if pos == 0 or work[j][pos - 1] == top:
                 return work
-            cand = _with_voter(
-                work, j,
-                orders.apply_move(work[j], orders.Swap(x, work[j][pos - 1])))
+            cand = self._swap(work, j, x, work[j][pos - 1])
             if cand not in self.domain or self.value(cand) != x:
                 return work
             work = cand
 
-    def _case2_part1(self, r0: Profile, r: Profile, j: int, x: int,
-                     top: int, bot: int, tag: str):
+    def _case2_part1(self, r: Profile, j: int, x: int, top: int, bot: int,
+                     tag: str):
         """Nonempty bracket above x for the pivot: direct endpoint moves,
         then the per-voter statement ladder."""
-        want = lambda v: v == x
         a_set = orders.between(r[j], top, x)
-        out = self._search(r, j, top, x, 2, want,
-                           f"{tag}p1 lower {self.letters[top]} voter {j + 1}")
-        if out:
-            return self._vs(r0, out, want)
-        out = self._search(r, j, x, bot, 1, want,
-                           f"{tag}p1 raise {self.letters[bot]} voter {j + 1}")
-        if out:
-            return self._vs(r0, out, want)
+        yield from self._search(r, j, top, x, 2, x,
+                                f"{tag}p1 lower {self.letters[top]} voter {j + 1}")
+        yield from self._search(r, j, x, bot, 1, x,
+                                f"{tag}p1 raise {self.letters[bot]} voter {j + 1}")
         others = [i for i in range(self.domain.n) if i != j]
         if not all(orders.ranks_above(r[i], x, a) and orders.ranks_above(r[i], a, top)
                    for i in others for a in a_set):
-            return None
+            return
         b_set = orders.between(r[j], x, bot)
         for h in others:
-            if not orders.ranks_above(r[h], bot, top):
-                continue
-            out = self._part1_ladder(r0, r, j, h, x, top, bot, a_set, b_set, tag)
-            if out:
-                return out
-        return None
+            if orders.ranks_above(r[h], bot, top):
+                yield from self._part1_ladder(r, j, h, x, top, bot, a_set,
+                                              b_set, tag)
 
-    def _part1_ladder(self, r0: Profile, r: Profile, j: int, h: int, x: int,
+    def _part1_ladder(self, r: Profile, j: int, h: int, x: int,
                       top: int, bot: int, a_set, b_set, tag: str):
-        want = lambda v: v == x
         a_h = max(a_set, key=r[h].index)
         if not orders.ranks_above(r[h], a_h, top):
-            return None
+            return
         c_set = orders.between(r[h], a_h, top)
         if not c_set:
-            u = _with_voter(r, h, orders.apply_move(r[h], orders.Swap(a_h, top)))
-            return self._vs(
-                r0,
-                self._verified(r, u, want,
-                               f"{tag}p1.I swap {self.letters[a_h]},"
-                               f"{self.letters[top]} voter {h + 1}"),
-                want)
+            yield (self._swap(r, h, a_h, top),
+                   f"{tag}p1.I swap {self.letters[a_h]},"
+                   f"{self.letters[top]} voter {h + 1}")
+            return
         if orders.ranks_above(r[h], bot, a_h):
-            out = self._search(r, h, a_h, top, 1, want,
-                               f"{tag}p1.II raise {self.letters[top]} voter {h + 1}")
-            if out:
-                return self._vs(r0, out, want)
+            yield from self._search(r, h, a_h, top, 1, x,
+                                    f"{tag}p1.II raise {self.letters[top]} voter {h + 1}")
             others_h = [i for i in range(self.domain.n) if i != h]
             if not all(orders.ranks_above(r[i], top, c)
                        for i in others_h for c in c_set):
-                return None
-            lifted = self._lift_above(r[h], c_set, a_h)
-            r2 = _with_voter(r, h, lifted)
+                return
+            r2 = _with_voter(r, h, self._lift_above(r[h], c_set, a_h))
             if (r2 not in self.domain or self.value(r2) != x
                     or self.stotal(r2) != self.stotal(r)):
-                return None
-            u = _with_voter(r2, h, orders.apply_move(r2[h], orders.Swap(a_h, top)))
-            return self._vs(
-                r0,
-                self._verified(r, u, want,
-                               f"{tag}p1.II lift+swap voter {h + 1}"),
-                want)
+                return
+            yield (self._swap(r2, h, a_h, top),
+                   f"{tag}p1.II lift+swap voter {h + 1}")
+            return
         # bot sits inside the interval between a_h and top
-        c2 = orders.between(r[h], bot, top)
-        if c2:
-            out = (self._search(r, h, bot, top, 1, want,
-                                f"{tag}p1.III raise {self.letters[top]} voter {h + 1}")
-                   or self._search(r, h, bot, top, 2, want,
-                                   f"{tag}p1.III lower {self.letters[bot]} voter {h + 1}"))
-            return self._vs(r0, out, want) if out else None
+        if orders.between(r[h], bot, top):
+            yield from self._ends(r, h, bot, top, x, f"{tag}p1.III")
+            return
         if not b_set:
-            return None
+            return
         b_h = min(b_set, key=r[h].index)
         if not orders.ranks_above(r[h], top, b_h):
-            return None
+            return
         work = r
-        while True:
-            d_set = orders.between(work[h], top, b_h)
-            if not d_set:
-                break
-            moved = None
+        while orders.between(work[h], top, b_h):
             for cand in bracket_moves(work[h], top, b_h, 1):
-                candidate = _with_voter(work, h, cand)
-                if candidate in self.domain and self.value(candidate) == x:
-                    moved = candidate
+                moved = _with_voter(work, h, cand)
+                if moved in self.domain and self.value(moved) == x:
                     break
-            if moved is None:
-                return None
+            else:
+                return
             work = moved
-        return self._part1_statement_iv(r0, work, j, h, x, top, bot, b_set, b_h, tag)
+        yield from self._part1_statement_iv(work, j, h, x, top, bot, b_set,
+                                            b_h, tag)
 
-    def _part1_statement_iv(self, r0: Profile, r: Profile, j: int, h: int,
-                            x: int, top: int, bot: int, b_set, b_h, tag: str):
-        want = lambda v: v == x
+    def _part1_statement_iv(self, r: Profile, j: int, h: int, x: int,
+                            top: int, bot: int, b_set, b_h, tag: str):
         # put the j-side block of b's into the reverse of their h-side order
-        h_order = [b for b in r[h] if b in set(b_set)]
-        target_order = list(reversed(h_order))
+        target_order = [b for b in reversed(r[h]) if b in set(b_set)]
         positions = [i for i, a in enumerate(r[j]) if a in set(b_set)]
         qj = list(r[j])
         for pos, b in zip(positions, target_order):
@@ -609,20 +581,16 @@ class _Descent:
         q = _with_voter(r, j, tuple(qj))
         if (q not in self.domain or self.value(q) != x
                 or self.stotal(q) != self.stotal(r)):
-            return None
+            return
         # move b_h just above bot for voter h
         sh = list(q[h])
         sh.remove(b_h)
         sh.insert(sh.index(bot), b_h)
         s = _with_voter(q, h, tuple(sh))
         if s not in self.domain or self.value(s) != x:
-            return None
-        u = _with_voter(s, j, orders.apply_move(s[j], orders.Swap(bot, b_h)))
-        return self._vs(
-            r0,
-            self._verified(r, u, want,
-                           f"{tag}p1.IV reorder+swap voters {j + 1},{h + 1}"),
-            want)
+            return
+        yield (self._swap(s, j, bot, b_h),
+               f"{tag}p1.IV reorder+swap voters {j + 1},{h + 1}")
 
     @staticmethod
     def _lift_above(ordering: Ordering, members, anchor: int) -> Ordering:
@@ -633,8 +601,7 @@ class _Descent:
         at = keep.index(anchor)
         return tuple(keep[:at] + lifted + keep[at:])
 
-    def _case2_part2(self, r0: Profile, r: Profile, j: int, x: int, tag: str):
-        want = lambda v: v == x
+    def _case2_part2(self, r: Profile, j: int, x: int, tag: str):
         n = self.domain.n
         # re-pivot: a voter with alternatives between its upper pair member
         # and x reopens the part-1 argument, without normalizing that voter
@@ -644,35 +611,26 @@ class _Descent:
                 continue
             top_i, bot_i = oriented
             if i != j and orders.between(r[i], top_i, x):
-                out = self._case2_part1(r0, r, i, x, top_i, bot_i,
-                                        tag + "-repivot")
-                if out:
-                    return out
+                yield from self._case2_part1(r, i, x, top_i, bot_i,
+                                             tag + "-repivot")
         J = [i for i in range(n) if orders.ranks_above(r[i], self.w, self.z)]
         H = [i for i in range(n) if orders.ranks_above(r[i], self.z, self.w)]
-        # endpoint moves on every voter's pair bracket; the searches verify
-        # the selected alternative themselves, so the x-in-the-bracket
+        sides = ((J, (self.w, self.z)), (H, (self.z, self.w)))
+        # endpoint moves on every voter's pair bracket; the acceptor checks
+        # the selected alternative itself, so the x-in-the-bracket
         # restriction of the certified lemma version is not needed here
-        for side, (near, far) in ((J, (self.w, self.z)), (H, (self.z, self.w))):
+        for side, (near, far) in sides:
             for i in side:
                 if orders.between(r[i], near, far):
-                    out = (self._search(r, i, near, far, 1, want,
-                                        f"{tag}p2 raise {self.letters[far]} voter {i + 1}")
-                           or self._search(r, i, near, far, 2, want,
-                                           f"{tag}p2 lower {self.letters[near]} voter {i + 1}"))
-                    if out:
-                        return self._vs(r0, out, want)
-        for side, (near, far) in ((J, (self.w, self.z)), (H, (self.z, self.w))):
+                    yield from self._ends(r, i, near, far, x, f"{tag}p2")
+        for side, (near, far) in sides:
             for i in side:
-                if x not in orders.between(r[i], near, far):
-                    continue
-                b_i = orders.between(r[i], x, far)
-                if b_i:
-                    out = self._search(r, i, x, far, 1, want,
-                                       f"{tag}p2 raise {self.letters[far]} voter {i + 1}")
-                    if out:
-                        return self._vs(r0, out, want)
-        for side, (near, far) in ((J, (self.w, self.z)), (H, (self.z, self.w))):
+                if (x in orders.between(r[i], near, far)
+                        and orders.between(r[i], x, far)):
+                    yield from self._search(
+                        r, i, x, far, 1, x,
+                        f"{tag}p2 raise {self.letters[far]} voter {i + 1}")
+        for side, (near, far) in sides:
             for i in side:
                 if x not in orders.between(r[i], near, far):
                     continue
@@ -682,60 +640,37 @@ class _Descent:
                 b_star = max(b_i, key=r[i].index)
                 if any(k != i and orders.ranks_above(r[k], b_star, far)
                        for k in side):
-                    u = _with_voter(
-                        r, i, orders.apply_move(r[i], orders.Swap(far, b_star)))
-                    out = self._verified(
-                        r, u, want,
-                        f"{tag}p2 swap {self.letters[far]},{self.letters[b_star]} "
-                        f"voter {i + 1}")
-                    if out:
-                        return self._vs(r0, out, want)
+                    yield (self._swap(r, i, far, b_star),
+                           f"{tag}p2 swap {self.letters[far]},"
+                           f"{self.letters[b_star]} voter {i + 1}")
         # The source text justifies the endgame only for a side with two
         # or more voters, where its swaps stay in the domain automatically;
-        # every candidate is verified here, so both sides are worth trying.
+        # every candidate is checked, so both sides are worth trying.
         if H:
-            out = self._part2_endgame(r0, r, j, x, J, H, self.w, self.z, tag)
-            if out:
-                return out
+            yield from self._part2_endgame(r, x, J, H, self.w, self.z, tag)
         if J:
-            out = self._part2_endgame(r0, r, j, x, H, J, self.z, self.w, tag)
-            if out:
-                return out
-        return None
+            yield from self._part2_endgame(r, x, H, J, self.z, self.w, tag)
 
-    def _part2_endgame(self, r0: Profile, r: Profile, j: int, x: int,
-                       other, side, far, near, tag: str):
+    def _part2_endgame(self, r: Profile, x: int, other, side, far, near,
+                       tag: str):
         """The three-swap trial and the dictatorial fallback on the
         three-alternative restriction.  `side` voters rank `near` directly
         above x; `other` voters rank `far` above x."""
-        want = lambda v: v == x
         for h0 in side:
-            u = _with_voter(r, h0,
-                            orders.apply_move(r[h0], orders.Swap(x, near)))
+            u = self._swap(r, h0, x, near)
             if u not in self.domain:
                 continue
-            out = self._verified(r, u, want,
-                                 f"{tag}p2 swap x,{self.letters[near]} voter {h0 + 1}")
-            if out:
-                return self._vs(r0, out, want)
+            yield u, f"{tag}p2 swap x,{self.letters[near]} voter {h0 + 1}"
             if self.value(u) != x:
                 continue
             for j0 in other:
-                s = _with_voter(
-                    u, j0, orders.apply_move(u[j0], orders.Swap(x, near)))
-                out = self._verified(r, s, want,
-                                     f"{tag}p2 double swap voters {h0 + 1},{j0 + 1}")
-                if out:
-                    return self._vs(r0, out, want)
-            t = _with_voter(
-                u, h0, orders.apply_move(u[h0], orders.Swap(x, far)))
-            out = self._verified(r, t, want,
-                                 f"{tag}p2 swap x,{self.letters[far]} voter {h0 + 1}")
-            if out:
-                return self._vs(r0, out, want)
-        return self._mu_fallback(r0, r, x, tag)
+                yield (self._swap(u, j0, x, near),
+                       f"{tag}p2 double swap voters {h0 + 1},{j0 + 1}")
+            yield (self._swap(u, h0, x, far),
+                   f"{tag}p2 swap x,{self.letters[far]} voter {h0 + 1}")
+        yield from self._mu_fallback(r, x, tag)
 
-    def _mu_fallback(self, r0: Profile, r: Profile, x: int, tag: str):
+    def _mu_fallback(self, r: Profile, x: int, tag: str):
         """Materialize the rule induced on the {w, x, z} restriction,
         locate its dictator, and pull the dictator's profile back.
 
@@ -744,7 +679,6 @@ class _Descent:
         extensions stay in the domain).  Absent that structure this branch
         simply does not apply.
         """
-        want = lambda v: v == x
         triple = sorted((self.w, x, self.z))
         to_small = {a: i for i, a in enumerate(triple)}
         if self._small_domain is None:
@@ -753,7 +687,7 @@ class _Descent:
         slots = [[i for i, a in enumerate(voter) if a in to_small]
                  for voter in r]
         if any(s[2] - s[0] != 2 for s in slots):
-            return None
+            return
 
         def extend(rho: Profile) -> Profile:
             out = []
@@ -790,65 +724,52 @@ class _Descent:
         rho_prime = tuple(top_order if i == d else orders.invert(top_order)
                           for i in range(self.domain.n))
         small.index_of(rho_prime)
-        u = extend(rho_prime)
-        out = self._verified(r, u, want,
-                             f"{tag}p2 dictator-restriction voter {d + 1}")
-        return self._vs(r0, out, want)
-
-    def _vs(self, r0: Profile, out, want):
-        """Re-verify a candidate step against the original (pre-
-        normalization) profile."""
-        if out is None:
-            return None
-        u, move = out
-        if self.stotal(u) >= self.stotal(r0) or not want(self.value(u)):
-            return None
-        return u, move
+        yield extend(rho_prime), f"{tag}p2 dictator-restriction voter {d + 1}"
 
     def _case3(self, r: Profile, winner: int):
         loser = self.z if winner == self.w else self.w
-        want = lambda v: v in (self.w, self.z)
         for j in range(self.domain.n):
             if (orders.ranks_above(r[j], winner, loser)
                     and orders.between(r[j], winner, loser)):
-                out = self._search(r, j, winner, loser, 1, want,
-                                   f"case3 raise {self.letters[loser]} voter {j + 1}")
-                if out:
-                    return out
+                yield from self._search(
+                    r, j, winner, loser, 1, winner,
+                    f"case3 raise {self.letters[loser]} voter {j + 1}")
         for k in range(self.domain.n):
             if (orders.ranks_above(r[k], loser, winner)
                     and orders.between(r[k], loser, winner)):
-                out = (self._search(r, k, loser, winner, 1, want,
-                                    f"case3 raise {self.letters[winner]} voter {k + 1}")
-                       or self._search(r, k, loser, winner, 2, want,
-                                       f"case3 lower {self.letters[loser]} voter {k + 1}"))
-                if out:
-                    return out
-        return None
+                yield from self._ends(r, k, loser, winner, winner, "case3")
 
 
 def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentResult:
     """Walk `r` down to the contiguous-pair subdomain with sigma strictly
     decreasing at every step; the selected alternative is preserved
-    exactly while it is not w or z, and stays within {w, z} otherwise."""
-    if rule.domain.profiles != spec.source.profiles:
-        raise ParameterError("rule domain does not match the collapse source")
-    rule.domain.index_of(r)
+    exactly while it is not w or z, and stays within {w, z} otherwise.
+
+    Each step is the first ladder candidate that is in the domain, has
+    strictly smaller sigma and meets the value condition; this loop is
+    the only place a step is checked."""
+    _check_source(rule, spec)
+    domain = rule.domain
+    domain.index_of(r)
     descent = _Descent(rule, spec.w, spec.z)
-    steps = [DescentStep(r, descent.stotal(r), descent.value(r), "start")]
-    current = r
-    while descent.stotal(current) > 0:
-        found = descent.step(current)
-        if found is None:
+    last = DescentStep(r, descent.stotal(r), descent.value(r), "start")
+    steps = [last]
+    while last.sigma > 0:
+        want = descent.want(last.value)
+        for u, move in descent.candidates(last.profile, last.value):
+            if u not in domain:
+                continue
+            sigma_u = descent.stotal(u)
+            if sigma_u >= last.sigma:
+                continue
+            value = descent.value(u)
+            if want(value):
+                break
+        else:
             return DescentResult(tuple(steps), ok=False,
                                  failure="no case of the descent ladder "
                                          "applies; see the last step",
-                                 context=descent.snapshot(current))
-        u, move = found
-        new_sigma = descent.stotal(u)
-        if new_sigma >= descent.stotal(current):
-            raise ContractError(f"descent step did not decrease sigma: {move}")
-        value = descent.value(u)
-        steps.append(DescentStep(u, new_sigma, value, move))
-        current = u
+                                 context=descent.snapshot(last.profile))
+        last = DescentStep(u, sigma_u, value, move)
+        steps.append(last)
     return DescentResult(tuple(steps), ok=True)

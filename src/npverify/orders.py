@@ -171,6 +171,16 @@ def encode_ordering(order: Ordering) -> str:
     return "".join(letters[a] for a in order)
 
 
+def decode_letter(text: str, m: int) -> int:
+    """The alternative named by exactly one letter, e.g. ``y`` -> 1 for m=3."""
+    letters = letters_for(m)
+    idx = letters.find(text) if len(text) == 1 else -1
+    if idx < 0:
+        raise TextFormatError(
+            f"{text!r} is not one of the letters {', '.join(letters)}")
+    return idx
+
+
 def decode_ordering(text: str, m: int) -> Ordering:
     letters = letters_for(m)
     if len(text) != m:

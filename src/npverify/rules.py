@@ -113,12 +113,14 @@ def builtin(name: str, domain: Domain) -> Rule:
     or ``constant:x`` (voters 1-based, alternatives by letter)."""
     head, _, arg = name.partition(":")
     if head == "dictator":
-        return dictator(domain, int(arg) - 1)
+        try:
+            voter = int(arg)
+        except ValueError:
+            raise ParameterError(
+                f"dictator needs a voter number, got {arg!r}") from None
+        return dictator(domain, voter - 1)
     if head == "constant":
-        letters = orders.letters_for(domain.m)
-        if arg not in letters:
-            raise InvalidAlternativeError(f"unknown alternative letter {arg!r}")
-        return constant(domain, letters.index(arg))
+        return constant(domain, orders.decode_letter(arg, domain.m))
     if head == "example1":
         return example1(domain)
     raise ParameterError(f"unknown builtin rule {name!r}")
@@ -201,7 +203,6 @@ def load_rule(text: str, domain: Domain) -> Rule:
         raise TextFormatError(
             f"rule file header {lines[0]!r} does not match domain "
             f"(n={domain.n}, m={domain.m})")
-    letters = orders.letters_for(domain.m)
     table: list[int | None] = [None] * len(domain)
     for line in lines[1:]:
         try:
@@ -211,9 +212,7 @@ def load_rule(text: str, domain: Domain) -> Rule:
         profile = profiles.decode_profile(enc, domain.n, domain.m)
         if profile not in domain:
             raise MembershipError(f"unknown profile in rule file: {enc}")
-        if letter not in letters:
-            raise TextFormatError(f"unknown alternative letter {letter!r}")
-        table[domain.index_of(profile)] = letters.index(letter)
+        table[domain.index_of(profile)] = orders.decode_letter(letter, domain.m)
     missing = table.count(None)
     if missing:
         raise TextFormatError(f"rule file leaves {missing} profiles unassigned")

@@ -467,13 +467,6 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
     if isinstance(scn, str):
         scn = scenario(scn, n)
     start = time.monotonic()
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = _cache_path(cache_dir, scn, seed)
-        cached = _cache_load(cache_path, scn)
-        if cached is not None:
-            return cached
-
     external = None
     if differential is not False:
         external = solver.find_external_solver()
@@ -481,6 +474,20 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
             raise ScenarioError(
                 "differential check requested but no external solver found; "
                 "build tools/extsolver or set NPVERIFY_EXT_SOLVER")
+    if external is not None:
+        external_check = "run"
+    elif differential is False:
+        external_check = EXTERNAL_NOT_REQUESTED
+    else:
+        external_check = EXTERNAL_NOT_FOUND
+    # A cached report stands in only for a run making the same external
+    # check, and never for an export, which must write its files.
+    cache_path = None
+    if cache_dir is not None:
+        cache_path = _cache_path(cache_dir, scn, seed, external_check)
+        cached = None if export_dimacs else _cache_load(cache_path, scn)
+        if cached is not None:
+            return cached
 
     domain = scn.domain()
     results = []
@@ -514,13 +521,10 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
     met = None if scn.expected is None else overall == scn.expected
     if any(r.external_agrees is False for r in results):
         met = False
+    external_status = external_check
     if external is not None:
         agreed = sum(bool(r.external_agrees) for r in results)
         external_status = f"agree {agreed}/{len(results)}"
-    elif differential is False:
-        external_status = EXTERNAL_NOT_REQUESTED
-    else:
-        external_status = EXTERNAL_NOT_FOUND
     report = Report(scenario=scn, outcome=overall, expectation_met=met,
                     instances=results, domain_size=len(domain),
                     wall_time=time.monotonic() - start,
@@ -559,10 +563,12 @@ def enumerate_models(scn: Scenario | str, k: int, n: int | None = None,
 # -- result cache ------------------------------------------------------------
 
 
-def _cache_path(cache_dir: str, scn: Scenario, seed: int | None) -> Path:
+def _cache_path(cache_dir: str, scn: Scenario, seed: int | None,
+                external_check: str) -> Path:
     digest = hashlib.sha256()
     digest.update(_CODE_VERSION.encode())
-    digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}".encode())
+    digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
+                  f"{external_check}".encode())
     return Path(cache_dir) / f"{scn.name}-{digest.hexdigest()[:16]}.json"
 
 

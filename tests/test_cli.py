@@ -1,3 +1,5 @@
+import pytest
+
 from npverify import cli, profiles, rules
 
 
@@ -93,7 +95,21 @@ def test_decisive_report(capsys):
     assert "{1} x>y : decisive" in out
 
 
-def test_bad_pair_is_operational_error(capsys):
-    code = run(["decisive", "report", "--rule", "constant:x",
-                "--n", "3", "--m", "3", "--pair", "xy"])
-    assert code == 1
+_DECISIVE = ["decisive", "report", "--rule", "constant:x",
+             "--n", "3", "--m", "3", "--pair"]
+_CHECK = ["rule", "check", "--n", "3", "--m", "3", "--builtin"]
+
+
+@pytest.mark.parametrize("argv", [
+    _DECISIVE + ["xy"],
+    _DECISIVE + ["xy,z"],
+    ["collapse", "run", "--n", "3", "--m", "4", "--w", "bc", "--z", "a"],
+    _CHECK + ["constant:xy"],
+    _CHECK + ["dictator:x"],
+    ["domain", "enum", "--n", "3", "--m", "4", "--wz", "a", "q"],
+], ids=["pair_xy", "pair_xy_z", "collapse_w_bc", "constant_xy",
+        "dictator_x", "wz_a_q"])
+def test_bad_letter_is_operational_error(capsys, argv):
+    """Each letter argument names exactly one alternative."""
+    assert run(argv) == 1
+    assert "error:" in capsys.readouterr().err

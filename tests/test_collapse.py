@@ -1,4 +1,6 @@
 
+import hashlib
+
 import pytest
 
 from npverify import collapse, orders, profiles, rules
@@ -197,6 +199,25 @@ def test_descent_dictators_single_pair(np34, spec):
                 collapse.collapse_profile(final, spec)) == mapped
 
 
+def test_descent_golden_digest(np34, spec):
+    """Pins the ladder's order: every step (profile, sigma, value and move
+    label) of every descent of the dictators and constants on NP(3,4)."""
+    digest = hashlib.sha256()
+    moves = 0
+    for g in ([rules.dictator(np34, v) for v in range(3)]
+              + [rules.constant(np34, a) for a in range(4)]):
+        for r in np34:
+            result = collapse.reduce_to_contiguous(g, r, spec)
+            assert result.ok
+            moves += len(result.steps) - 1
+            for step in result.steps:
+                digest.update(f"{profiles.encode_profile(step.profile)} "
+                              f"{step.sigma} {step.value} {step.move}\n"
+                              .encode())
+    assert moves == 44546
+    assert digest.hexdigest().startswith("9adacf289d8022bb")
+
+
 def test_descent_trace_rendering(np34, spec):
     g = rules.dictator(np34, 2)
     r = next(p for p in np34 if collapse.sigma(p, A, B).total > 1)
@@ -221,7 +242,7 @@ def test_dictator_restriction_fallback(np34):
     assert r in np34
     assert g.evaluate(r) == C
     assert collapse.sigma(r, A, B).total == 2
-    out = descent._mu_fallback(r, r, C, "test")
+    out = next(descent._mu_fallback(r, C, "test"), None)
     assert out is not None
     u, move = out
     assert "dictator-restriction" in move
@@ -235,4 +256,4 @@ def test_dictator_restriction_fallback(np34):
         and any(sorted(v.index(a) for a in (A, B, C))[2]
                 - sorted(v.index(a) for a in (A, B, C))[0] != 2
                 for v in p))
-    assert descent._mu_fallback(scattered, scattered, C, "test") is None
+    assert next(descent._mu_fallback(scattered, C, "test"), None) is None

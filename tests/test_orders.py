@@ -173,3 +173,11 @@ def test_decode_rejects_malformed():
 @given(orderings)
 def test_letter_round_trip(o):
     assert orders.decode_ordering(orders.encode_ordering(o), len(o)) == o
+
+
+def test_decode_letter():
+    assert orders.decode_letter("y", 3) == 1
+    assert orders.decode_letter("d", 4) == 3
+    for text in ("", "xy", "q", "a"):
+        with pytest.raises(TextFormatError):
+            orders.decode_letter(text, 3)

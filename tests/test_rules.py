@@ -127,6 +127,10 @@ def test_rule_file_rejects_unknown_profile(np33):
         rules.load_rule(text + "xyz|xyz|xyz -> x\n", np33)
     with pytest.raises(TextFormatError):
         rules.load_rule(text.rsplit("\n", 2)[0] + "\n", np33)
+    # a rule line names exactly one alternative
+    for letter in ("xy", ""):
+        with pytest.raises(TextFormatError):
+            rules.load_rule(text.replace(" -> x\n", f" -> {letter}\n", 1), np33)
 
 
 def test_two_valued_weak_dictatorship(np33):

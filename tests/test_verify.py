@@ -268,6 +268,44 @@ def test_malformed_cache_file_is_an_operational_error(tmp_path, capsys,
     assert "malformed cache file" in err and path.name in err
 
 
+def _stand_in_solver(tmp_path):
+    """A /bin/sh external solver that answers UNSAT and logs each call."""
+    log = tmp_path / "calls.log"
+    log.write_text("")
+    stand_in = tmp_path / "stand-in-solver"
+    stand_in.write_text(f"#!/bin/sh\necho call >> '{log}'\n"
+                        "echo 's UNSATISFIABLE'\nexit 20\n")
+    stand_in.chmod(0o755)
+    return str(stand_in), log
+
+
+def test_cache_hit_never_skips_the_external_check(tmp_path, monkeypatch):
+    binary, log = _stand_in_solver(tmp_path)
+    monkeypatch.setattr(solver, "find_external_solver", lambda: binary)
+    cache = str(tmp_path / "cache")
+    verify.run_scenario("gs_np", differential=False, cache_dir=cache)
+    assert log.read_text() == ""
+    checked = verify.run_scenario("gs_np", cache_dir=cache)
+    calls = len(checked.instances)
+    assert not checked.cached
+    assert checked.external == f"agree {calls}/{calls}"
+    assert log.read_text().count("call") == calls
+    again = verify.run_scenario("gs_np", cache_dir=cache)
+    assert again.cached and again.external == checked.external
+    assert log.read_text().count("call") == calls
+
+
+def test_cache_hit_never_skips_the_export(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    path = tmp_path / "out.cnf"
+    argv = ["scenario", "run", "sanity_sat", "--no-differential",
+            "--cache", cache]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--export-dimacs", str(path)]) == 0
+    assert path.read_text().startswith("p cnf ")
+    assert "(cached)" not in capsys.readouterr().out
+
+
 def test_report_names_external_check(monkeypatch, external_solver):
     off = verify.run_scenario("sanity_sat", differential=False)
     assert off.external == "skipped(not requested)"
