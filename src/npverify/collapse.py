@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from . import orders, profiles, rules
+from . import orders, profiles
 from .errors import ContractError, InvalidPairError, MembershipError, ParameterError
 from .orders import Ordering
 from .profiles import Domain, Profile
@@ -362,7 +362,6 @@ class _Descent:
         self.w = w
         self.z = z
         self.letters = orders.letters_for(self.domain.m)
-        self._small_domain: Domain | None = None
 
     # small helpers -------------------------------------------------------
 
@@ -440,18 +439,12 @@ class _Descent:
                          and x in orders.between(r[j], self.w, self.z)]
         for rank, j in enumerate(case2_pivots):
             yield from self._case2(r, j, x, fallback=rank > 0 or j not in max_pivots)
-        for j in range(self.domain.n):
-            if j in max_pivots or per[j] == 0:
-                continue
-            if x not in orders.between(r[j], self.w, self.z):
-                yield from self._case1(r, j, x, fallback=True)
 
-    def _case1(self, r: Profile, j: int, x: int, fallback: bool = False):
-        tag = "case1-fallback" if fallback else "case1"
+    def _case1(self, r: Profile, j: int, x: int):
         top, bot = ((self.w, self.z)
                     if orders.ranks_above(r[j], self.w, self.z)
                     else (self.z, self.w))
-        yield from self._ends(r, j, top, bot, x, tag)
+        yield from self._ends(r, j, top, bot, x, "case1")
         interior = orders.between(r[j], top, bot)
         others = [i for i in range(self.domain.n) if i != j]
         certified = all(
@@ -467,7 +460,7 @@ class _Descent:
             if y_star not in interior:
                 continue
             yield (self._swap(r, h, y_star, top),
-                   f"{tag} swap {self.letters[y_star]},{self.letters[top]} "
+                   f"case1 swap {self.letters[y_star]},{self.letters[top]} "
                    f"voter {h + 1}")
 
     def _orientation(self, ordering: Ordering, x: int) -> tuple[int, int] | None:
@@ -538,16 +531,6 @@ class _Descent:
         if orders.ranks_above(r[h], bot, a_h):
             yield from self._search(r, h, a_h, top, 1, x,
                                     f"{tag}p1.II raise {self.letters[top]} voter {h + 1}")
-            others_h = [i for i in range(self.domain.n) if i != h]
-            if not all(orders.ranks_above(r[i], top, c)
-                       for i in others_h for c in c_set):
-                return
-            r2 = _with_voter(r, h, self._lift_above(r[h], c_set, a_h))
-            if (r2 not in self.domain or self.value(r2) != x
-                    or self.stotal(r2) != self.stotal(r)):
-                return
-            yield (self._swap(r2, h, a_h, top),
-                   f"{tag}p1.II lift+swap voter {h + 1}")
             return
         # bot sits inside the interval between a_h and top
         if orders.between(r[h], bot, top):
@@ -592,15 +575,6 @@ class _Descent:
         yield (self._swap(s, j, bot, b_h),
                f"{tag}p1.IV reorder+swap voters {j + 1},{h + 1}")
 
-    @staticmethod
-    def _lift_above(ordering: Ordering, members, anchor: int) -> Ordering:
-        """Move `members` (preserving their order) to sit just above
-        `anchor`; everything else keeps its relative order."""
-        keep = [a for a in ordering if a not in set(members)]
-        lifted = [a for a in ordering if a in set(members)]
-        at = keep.index(anchor)
-        return tuple(keep[:at] + lifted + keep[at:])
-
     def _case2_part2(self, r: Profile, j: int, x: int, tag: str):
         n = self.domain.n
         # re-pivot: a voter with alternatives between its upper pair member
@@ -623,108 +597,6 @@ class _Descent:
             for i in side:
                 if orders.between(r[i], near, far):
                     yield from self._ends(r, i, near, far, x, f"{tag}p2")
-        for side, (near, far) in sides:
-            for i in side:
-                if (x in orders.between(r[i], near, far)
-                        and orders.between(r[i], x, far)):
-                    yield from self._search(
-                        r, i, x, far, 1, x,
-                        f"{tag}p2 raise {self.letters[far]} voter {i + 1}")
-        for side, (near, far) in sides:
-            for i in side:
-                if x not in orders.between(r[i], near, far):
-                    continue
-                b_i = orders.between(r[i], x, far)
-                if not b_i:
-                    continue
-                b_star = max(b_i, key=r[i].index)
-                if any(k != i and orders.ranks_above(r[k], b_star, far)
-                       for k in side):
-                    yield (self._swap(r, i, far, b_star),
-                           f"{tag}p2 swap {self.letters[far]},"
-                           f"{self.letters[b_star]} voter {i + 1}")
-        # The source text justifies the endgame only for a side with two
-        # or more voters, where its swaps stay in the domain automatically;
-        # every candidate is checked, so both sides are worth trying.
-        if H:
-            yield from self._part2_endgame(r, x, J, H, self.w, self.z, tag)
-        if J:
-            yield from self._part2_endgame(r, x, H, J, self.z, self.w, tag)
-
-    def _part2_endgame(self, r: Profile, x: int, other, side, far, near,
-                       tag: str):
-        """The three-swap trial and the dictatorial fallback on the
-        three-alternative restriction.  `side` voters rank `near` directly
-        above x; `other` voters rank `far` above x."""
-        for h0 in side:
-            u = self._swap(r, h0, x, near)
-            if u not in self.domain:
-                continue
-            yield u, f"{tag}p2 swap x,{self.letters[near]} voter {h0 + 1}"
-            if self.value(u) != x:
-                continue
-            for j0 in other:
-                yield (self._swap(u, j0, x, near),
-                       f"{tag}p2 double swap voters {h0 + 1},{j0 + 1}")
-            yield (self._swap(u, h0, x, far),
-                   f"{tag}p2 swap x,{self.letters[far]} voter {h0 + 1}")
-        yield from self._mu_fallback(r, x, tag)
-
-    def _mu_fallback(self, r: Profile, x: int, tag: str):
-        """Materialize the rule induced on the {w, x, z} restriction,
-        locate its dictator, and pull the dictator's profile back.
-
-        Needs w, x, z in consecutive slots for every voter (then swapping
-        the three among themselves cannot touch any other pair relation, so
-        extensions stay in the domain).  Absent that structure this branch
-        simply does not apply.
-        """
-        triple = sorted((self.w, x, self.z))
-        to_small = {a: i for i, a in enumerate(triple)}
-        if self._small_domain is None:
-            self._small_domain = profiles.enumerate_np(self.domain.n, 3)
-        small = self._small_domain
-        slots = [[i for i, a in enumerate(voter) if a in to_small]
-                 for voter in r]
-        if any(s[2] - s[0] != 2 for s in slots):
-            return
-
-        def extend(rho: Profile) -> Profile:
-            out = []
-            for voter_idx, voter in enumerate(r):
-                seq = list(voter)
-                ordered = [triple[a] for a in rho[voter_idx]]
-                for pos, alt in zip(slots[voter_idx], ordered):
-                    seq[pos] = alt
-                out.append(tuple(seq))
-            return tuple(out)
-
-        table = []
-        for rho in small:
-            p = extend(rho)
-            if p not in self.domain:
-                raise ContractError(
-                    "restriction extension left the domain despite "
-                    "consecutive slots; this indicates a bug")
-            value = self.value(p)
-            if value not in to_small:
-                raise ContractError(
-                    "restriction rule selected outside {w, x, z}")
-            table.append(to_small[value])
-        mu = Rule(small, table, label="restriction")
-        report = rules.is_dictatorial(mu)
-        if report is None or report.degenerate:
-            raise ContractError(
-                "three-alternative restriction is not dictatorial; this "
-                "contradicts the dictatorship theorem for m=3")
-        d = report.voter
-        x_small = to_small[x]
-        rest = [a for a in range(3) if a != x_small]
-        top_order = (x_small, rest[0], rest[1])
-        rho_prime = tuple(top_order if i == d else orders.invert(top_order)
-                          for i in range(self.domain.n))
-        small.index_of(rho_prime)
-        yield extend(rho_prime), f"{tag}p2 dictator-restriction voter {d + 1}"
 
     def _case3(self, r: Profile, winner: int):
         loser = self.z if winner == self.w else self.w

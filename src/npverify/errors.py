@@ -58,6 +58,11 @@ class EncodingViolationError(WorkbenchError):
     """A model violates structural guarantees of the CNF encoding."""
 
 
+class ExternalSolverError(WorkbenchError):
+    """The external solver is not where NPVERIFY_EXT_SOLVER says, cannot
+    be started, or gave no verdict within its time limit."""
+
+
 class SolverCapError(WorkbenchError):
     """The solver exceeded its resource cap before reaching a verdict."""
 

@@ -75,7 +75,7 @@ def from_function(domain: Domain, fn, label: str) -> Rule:
 def dictator(domain: Domain, voter: int) -> Rule:
     """Voter's top alternative is always chosen (full-range on NP)."""
     if not 0 <= voter < domain.n:
-        raise ParameterError(f"voter {voter} out of range for n={domain.n}")
+        raise ParameterError(f"voter {voter + 1} out of range 1..{domain.n}")
     return from_function(domain, lambda p: p[voter][0], label=f"dictator({voter + 1})")
 
 

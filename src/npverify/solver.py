@@ -14,8 +14,9 @@ exported DIMACS files.  Any binary speaking the conventional interface
 DPLL solver that shares no code with the CDCL core and needs only a Rust
 toolchain (``cargo build --release --offline``, no network).  Discovery
 order: ``NPVERIFY_EXT_SOLVER``, an ``extsolver`` on PATH, then the in-repo
-build location.  A SAT model from the external solver is checked against
-every clause before it is accepted.
+build location; a set ``NPVERIFY_EXT_SOLVER`` that names no file is an
+error, never skipped over.  A SAT model from the external solver is
+checked against every clause before it is accepted.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import cnf, satcore
-from .errors import ContractError, TextFormatError
+from .errors import ContractError, ExternalSolverError, TextFormatError
 
 # Read only by perfbench (run metadata and tracer); npverify never uses it.
 _satcore = None
@@ -98,7 +99,10 @@ _REPO_BUILD = Path(__file__).resolve().parents[2] / "tools" / "extsolver" \
 
 def find_external_solver() -> str | None:
     env = os.environ.get("NPVERIFY_EXT_SOLVER")
-    if env and Path(env).exists():
+    if env:
+        if not Path(env).is_file():
+            raise ExternalSolverError(
+                f"NPVERIFY_EXT_SOLVER={env!r} names no file")
         return env
     on_path = shutil.which("extsolver")
     if on_path:
@@ -112,9 +116,10 @@ def solve_external(formula: cnf.CnfFormula, binary: str,
                    timeout: float = 600.0) -> SolveResult:
     """Run an external DIMACS solver on the exported formula.
 
-    Raises TextFormatError when the output carries no verdict or no
-    complete model, and ContractError when a claimed model falsifies a
-    clause."""
+    Raises ExternalSolverError when the binary cannot be started or runs
+    past `timeout` seconds, TextFormatError when the output carries no
+    verdict or no complete model, and ContractError when a claimed model
+    falsifies a clause."""
     text = cnf.export_dimacs(formula)
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
         fh.write(text)
@@ -122,6 +127,14 @@ def solve_external(formula: cnf.CnfFormula, binary: str,
     try:
         proc = subprocess.run([binary, path], capture_output=True, text=True,
                               timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise ExternalSolverError(
+            f"external solver {binary} gave no verdict within "
+            f"{timeout:g} s") from None
+    except OSError as exc:
+        raise ExternalSolverError(
+            f"external solver {binary} could not be started: "
+            f"{exc.strerror or exc}") from None
     finally:
         os.unlink(path)
     out = proc.stdout

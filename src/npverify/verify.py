@@ -357,8 +357,14 @@ def scenario(name: str, n: int | None = None) -> Scenario:
         raise ScenarioError(
             f"unknown scenario {name!r}; known: {', '.join(sorted(_BUILDERS))}")
     n = _DEFAULT_N[name] if n is None else n
+    if n < 3:
+        # The theorems assume n >= 3; on NP(2, 3) a non-dictatorial
+        # strategy-proof rule exists, so gs_np would report a false
+        # counterexample.
+        raise ParameterError(
+            f"scenario {name!r} needs n >= 3 voters, got n={n}")
     expected = _EXPECTED[name]
-    if name == "example1_exists" and n is not None and n <= 3:
+    if name == "example1_exists" and n <= 3:
         expected = None  # stated for n > 3 only; run and record
     return Scenario(name=name, n=n, m=3, expected=expected,
                     description=_DESCRIPTIONS[name])

@@ -59,6 +59,11 @@ def np34():
 
 
 @pytest.fixture(scope="session")
+def np35():
+    return profiles.enumerate_np(3, 5)
+
+
+@pytest.fixture(scope="session")
 def star33(np33):
     return profiles.np_star(np33)
 

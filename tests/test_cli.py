@@ -34,6 +34,23 @@ def test_scenario_run_unknown_name(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_scenario_run_below_three_voters(capsys):
+    """The theorems assume n >= 3; NP(2, 3) has a non-dictatorial
+    strategy-proof rule, which must not be reported as a counterexample."""
+    assert run(["scenario", "run", "gs_np", "--n", "2",
+                "--no-differential"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_scenario_run_unstartable_solver(tmp_path, monkeypatch, capsys):
+    not_executable = tmp_path / "solver"
+    not_executable.write_text("#!/bin/sh\necho 's SATISFIABLE'\n")
+    not_executable.chmod(0o644)
+    monkeypatch.setenv("NPVERIFY_EXT_SOLVER", str(not_executable))
+    assert run(["scenario", "run", "sanity_sat"]) == 1
+    assert "could not be started" in capsys.readouterr().err
+
+
 def test_scenario_export_dimacs(tmp_path, capsys):
     path = tmp_path / "out.cnf"
     code = run(["scenario", "run", "sanity_sat", "--no-differential",
@@ -106,9 +123,10 @@ _CHECK = ["rule", "check", "--n", "3", "--m", "3", "--builtin"]
     ["collapse", "run", "--n", "3", "--m", "4", "--w", "bc", "--z", "a"],
     _CHECK + ["constant:xy"],
     _CHECK + ["dictator:x"],
+    _CHECK + ["dictator:0"],
     ["domain", "enum", "--n", "3", "--m", "4", "--wz", "a", "q"],
 ], ids=["pair_xy", "pair_xy_z", "collapse_w_bc", "constant_xy",
-        "dictator_x", "wz_a_q"])
+        "dictator_x", "dictator_0", "wz_a_q"])
 def test_bad_letter_is_operational_error(capsys, argv):
     """Each letter argument names exactly one alternative."""
     assert run(argv) == 1

@@ -1,9 +1,10 @@
 
 import hashlib
+import itertools
 
 import pytest
 
-from npverify import collapse, orders, profiles, rules
+from npverify import collapse, orders, profiles, rules, strategyproof
 from npverify.collapse import make_spec
 from npverify.errors import ContractError, InvalidPairError, MembershipError
 
@@ -232,28 +233,56 @@ def test_collapse_profile_requires_contiguity(np34, spec):
         collapse.collapse_profile(r, spec)
 
 
-def test_dictator_restriction_fallback(np34):
-    """Drive the three-alternative restriction branch directly: with w, x,
-    z in consecutive slots for every voter, the restriction of a dictator
-    is dictatorial and the pulled-back profile drops sigma to zero."""
-    g = rules.dictator(np34, 0)
-    descent = collapse._Descent(g, A, B)
-    r = ((C, A, B, D), (D, A, C, B), (B, C, A, D))
-    assert r in np34
-    assert g.evaluate(r) == C
-    assert collapse.sigma(r, A, B).total == 2
-    out = next(descent._mu_fallback(r, C, "test"), None)
-    assert out is not None
-    u, move = out
-    assert "dictator-restriction" in move
-    assert u in np34
-    assert g.evaluate(u) == C
-    assert collapse.sigma(u, A, B).total == 0
-    # without consecutive slots the branch declines to apply
-    scattered = next(
-        p for p in np34
-        if g.evaluate(p) == C and collapse.sigma(p, A, B).total > 0
-        and any(sorted(v.index(a) for a in (A, B, C))[2]
-                - sorted(v.index(a) for a in (A, B, C))[0] != 2
-                for v in p))
-    assert next(descent._mu_fallback(scattered, C, "test"), None) is None
+def _top_among(domain, voter, alts):
+    """Voter's favourite among `alts`: a dictator restricted to a range."""
+    return rules.from_function(domain, lambda p: min(alts, key=p[voter].index),
+                               label=f"top of voter {voter + 1}")
+
+
+def _coalition(domain, a, b, coalition):
+    """b when some voter of `coalition` ranks b above a, else a."""
+    return rules.from_function(
+        domain, lambda p: b if any(orders.ranks_above(p[i], b, a)
+                                   for i in coalition) else a,
+        label="coalition")
+
+
+def test_descent_non_dictatorial_rules(np34):
+    """Strategy-proof rules that are not dictators or constants descend
+    for every pair: sigma falls strictly to zero and the value condition
+    holds at every step."""
+    candidates = [_top_among(np34, 0, (A, B)), _top_among(np34, 1, (B, C, D)),
+                  _coalition(np34, A, B, (0, 1)), _coalition(np34, D, C, (2,))]
+    sample = np34.profiles[::37]
+    for g in candidates:
+        assert strategyproof.find_manipulation(g) is None
+        for w, z in itertools.permutations(range(4), 2):
+            spec = make_spec(np34, w, z)
+            for r in sample:
+                result = collapse.reduce_to_contiguous(g, r, spec)
+                assert result.ok, result.render(4)
+                sigmas = [s.sigma for s in result.steps]
+                assert sigmas[-1] == 0
+                assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
+                start = result.steps[0].value
+                allowed = {w, z} if start in (w, z) else {start}
+                assert all(s.value in allowed for s in result.steps)
+
+
+@pytest.mark.parametrize("pair,start,label", [
+    ("ac", "baecd|cebda|dabec", "case2p1 raise a voter 2"),
+    ("ac", "bdcae|ecdba|adbec", "case2-repivotp1.II raise c voter 3"),
+    ("ac", "becda|cbead|adebc", "case2-repivotp1.III raise a voter 1"),
+    ("ac", "cdeba|dbeac|abedc", "case2-fallbackp2 raise c voter 3"),
+    ("ae", "edcba|bdaec|acbde", "case2p1.IV reorder+swap voters 1,2"),
+], ids=["case2p1_raise", "p1_II", "p1_III", "case2_fallback", "p1_IV"])
+def test_descent_branches_reached_at_m5(np35, np34, pair, start, label):
+    """Ladder branches that no descent on NP(3,4) takes, each reached on
+    NP(3,5) by the dictator of voter 1 restricted to {a, b}."""
+    g = _top_among(np35, 0, (A, B))
+    spec = make_spec(np35, *(orders.decode_letter(c, 5) for c in pair),
+                     target=np34)
+    result = collapse.reduce_to_contiguous(
+        g, profiles.decode_profile(start, 3, 5), spec)
+    assert result.ok, result.render(5)
+    assert label in [step.move for step in result.steps]

@@ -151,3 +151,6 @@ def test_builtin_names(np33, np43):
     assert rules.builtin("example1", np43).label == "example1"
     with pytest.raises(ParameterError):
         rules.builtin("borda", np33)
+    # voters are numbered from 1 in messages as in names
+    with pytest.raises(ParameterError, match=r"voter 0 out of range 1\.\.3"):
+        rules.builtin("dictator:0", np33)

@@ -4,7 +4,12 @@ from hypothesis import strategies as st
 
 import oracles
 from npverify import cnf, satcore, solver, verify
-from npverify.errors import ContractError, SolverCapError, TextFormatError
+from npverify.errors import (
+    ContractError,
+    ExternalSolverError,
+    SolverCapError,
+    TextFormatError,
+)
 
 
 def clause_formula(num_vars, clauses):
@@ -209,3 +214,27 @@ def test_external_model_is_checked(tmp_path):
         answer("-1 2")
     with pytest.raises(TextFormatError, match="'two' at line 1"):
         answer("1 two")
+
+
+def test_external_solver_that_cannot_run(tmp_path):
+    """A solver that cannot start, or runs past its time limit, is an
+    operational error that names the binary."""
+    f = clause_formula(1, [[1]])
+    not_executable = tmp_path / "not-executable"
+    not_executable.write_text("#!/bin/sh\necho 's SATISFIABLE'\n")
+    not_executable.chmod(0o644)
+    with pytest.raises(ExternalSolverError, match="not-executable"):
+        solver.solve_external(f, str(not_executable))
+    sleeper = tmp_path / "sleeper"
+    sleeper.write_text("#!/bin/sh\nexec sleep 30\n")
+    sleeper.chmod(0o755)
+    with pytest.raises(ExternalSolverError, match="sleeper.*within 0.2 s"):
+        solver.solve_external(f, str(sleeper), timeout=0.2)
+
+
+def test_external_solver_setting_must_name_a_file(tmp_path, monkeypatch):
+    """A set NPVERIFY_EXT_SOLVER is never silently replaced by another
+    solver."""
+    monkeypatch.setenv("NPVERIFY_EXT_SOLVER", str(tmp_path / "missing"))
+    with pytest.raises(ExternalSolverError, match="missing"):
+        solver.find_external_solver()
