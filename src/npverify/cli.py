@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 = expectations met, 2 = an expectation was violated,
-1 = operational error (bad arguments, malformed files, caps).
+1 = operational error (usage errors, unreadable or malformed files, caps).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _cmd_scenario_run(args) -> int:
     differential = None
     if args.differential:
         differential = True
-    if args.no_differential:
+    elif args.no_differential:
         differential = False
     report = verify.run_scenario(
         args.name, n=args.n, seed=args.seed,
@@ -157,8 +157,17 @@ def _cmd_decisive_report(args) -> int:
     return OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2, which here means an
+    expectation was violated.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(OPERATIONAL_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="npverify",
         description="verification workbench for strategy-proof rules on "
                     "the Non-Paretian domain")
@@ -194,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--n", type=int)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--export-dimacs", metavar="PATH")
-    p_run.add_argument("--differential", action="store_true",
+    check = p_run.add_mutually_exclusive_group()
+    check.add_argument("--differential", action="store_true",
                        help="require external solver agreement")
-    p_run.add_argument("--no-differential", action="store_true",
+    check.add_argument("--no-differential", action="store_true",
                        help="skip the external solver even if available")
     p_run.add_argument("--cache", metavar="DIR",
                        help="cache scenario outcomes under DIR")
@@ -231,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WorkbenchError as exc:
+    except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OPERATIONAL_ERROR
 

@@ -181,8 +181,11 @@ class NotDictator:
 ScenarioConstraint = Fix | Attains | Excludes | RangeSubset | NotDictator
 
 
-def add_scenario(f: CnfFormula, constraint: ScenarioConstraint) -> CnfFormula:
-    return f.extended(constraint.clauses(f))
+def add_scenario(f: CnfFormula,
+                 *constraints: ScenarioConstraint) -> CnfFormula:
+    """`f` plus the clauses of each constraint, in order: one copy of the
+    clause tuple however many constraints there are."""
+    return f.extended(clause for c in constraints for clause in c.clauses(f))
 
 
 # -- DIMACS interchange ----------------------------------------------------

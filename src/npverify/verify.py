@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -49,6 +50,7 @@ def np_star_domain(n: int, m: int) -> Domain:
     return profiles.np_star(np_domain(n, m))
 
 
+@lru_cache(maxsize=None)
 def np_star_indices(n: int, m: int) -> tuple[int, ...]:
     base = np_domain(n, m)
     return tuple(base.index_of(p) for p in np_star_domain(n, m))
@@ -141,30 +143,20 @@ class Scenario:
     expected: str | None  # "SAT", "UNSAT", or None for exploratory
     description: str
 
-    def instances(self):
+    def instances(self) -> Iterable[Instance]:
         """Iterable of CNF instances (lazy for the big lemma sweeps)."""
-        return _BUILDERS[self.name](self)
+        return _CATALOGUE[self.name].recipe(self)
 
     def domain(self) -> Domain:
         return np_domain(self.n, self.m)
 
 
-def _base_formula(scn: Scenario) -> cnf.CnfFormula:
-    return _encoded_base(scn.n, scn.m)
+Recipe = Callable[[Scenario], Iterable[Instance]]
 
 
 @lru_cache(maxsize=None)
 def _encoded_base(n: int, m: int) -> cnf.CnfFormula:
     return cnf.encode_base(np_domain(n, m))
-
-
-def _with(formula: cnf.CnfFormula,
-          constraints: list[cnf.ScenarioConstraint],
-          tag: str) -> Instance:
-    for c in constraints:
-        formula = cnf.add_scenario(formula, c)
-    return Instance(tag=tag, base=formula, assumptions=(),
-                    constraints=tuple(constraints))
 
 
 def _all_indices(scn: Scenario) -> tuple[int, ...]:
@@ -176,202 +168,158 @@ def _full_range(scn: Scenario) -> list[cnf.ScenarioConstraint]:
     return [cnf.Attains(a, idx) for a in range(scn.m)]
 
 
-def _build_gs_np(scn: Scenario) -> list[Instance]:
-    domain = scn.domain()
-    constraints = _full_range(scn)
-    constraints += [cnf.NotDictator(v, frozenset(range(scn.m)), domain)
-                    for v in range(scn.n)]
-    return [_with(_base_formula(scn), constraints, "gs")]
+def _constrained(scn: Scenario, tag: str,
+                 constraints: Iterable[cnf.ScenarioConstraint]) -> Instance:
+    """The base with `constraints` added as clauses, in order."""
+    constraints = tuple(constraints)
+    return Instance(tag=tag,
+                    base=cnf.add_scenario(_encoded_base(scn.n, scn.m),
+                                          *constraints),
+                    assumptions=(), constraints=constraints)
 
 
-def _build_sanity_sat(scn: Scenario) -> list[Instance]:
-    return [_with(_base_formula(scn), _full_range(scn), "full-range")]
+def _single(tag: str, constraints) -> Recipe:
+    """A one-instance scenario: `constraints(scn, star, every)` gives its
+    constraints, where `star` indexes NP* and `every` the whole domain."""
+    def recipe(scn: Scenario) -> list[Instance]:
+        star = np_star_indices(scn.n, scn.m)
+        return [_constrained(scn, tag,
+                             constraints(scn, star, _all_indices(scn)))]
+    return recipe
 
 
-def _build_nrange_part1(scn: Scenario) -> list[Instance]:
-    star = np_star_indices(scn.n, scn.m)
-    constraints = [
-        cnf.RangeSubset(frozenset({Y, Z}), star),
-        cnf.Attains(Y, star),
-        cnf.Attains(Z, star),
-        cnf.Attains(X, _all_indices(scn)),
-    ]
-    return [_with(_base_formula(scn), constraints, "range-yz")]
-
-
-def _build_nrange_part2(scn: Scenario) -> list[Instance]:
-    star = np_star_indices(scn.n, scn.m)
-    idx = _all_indices(scn)
-    constraints = [
-        cnf.RangeSubset(frozenset({X}), star),
-        cnf.Attains(Y, idx),
-        cnf.Attains(Z, idx),
-    ]
-    return [_with(_base_formula(scn), constraints, "range-x")]
-
-
-def _build_nrange_full(scn: Scenario) -> list[Instance]:
+def _nrange_full(scn: Scenario) -> list[Instance]:
     # Three formulas, not one shared base with an assumption per NP*
     # profile: as assumptions the exclusions are not level-0 facts, and the
     # search more than triples (80 -> 261 conflicts at n=4, no seed).
     star = np_star_indices(scn.n, scn.m)
-    letters = "xyz"
-    out = []
-    for alt in range(scn.m):
-        constraints = _full_range(scn) + [cnf.Excludes(alt, star)]
-        out.append(_with(_base_formula(scn), constraints,
-                         f"never-{letters[alt]}-on-star"))
-    return out
+    return [_constrained(scn, f"never-{'xyz'[alt]}-on-star",
+                         _full_range(scn) + [cnf.Excludes(alt, star)])
+            for alt in range(scn.m)]
 
 
-def _build_example1_exists(scn: Scenario) -> list[Instance]:
-    star = np_star_indices(scn.n, scn.m)
-    constraints = [
-        cnf.RangeSubset(frozenset({X}), star),
-        cnf.Attains(Y, _all_indices(scn)),
-    ]
-    return [_with(_base_formula(scn), constraints, "two-valued")]
+def _sweep(qualifies, alt: int, sign: int) -> Recipe:
+    """One instance per profile where some head voter's ordering
+    `qualifies`, over the base with range {x} on NP*, assuming the profile
+    picks `alt` (sign 1) or does not (sign -1); all must be UNSAT."""
+    def recipe(scn: Scenario):
+        star = np_star_indices(scn.n, scn.m)
+        range_x = cnf.RangeSubset(frozenset({X}), star)
+        base = cnf.add_scenario(_encoded_base(scn.n, scn.m), range_x)
+        head = range(scn.n - 2)
+        found = False
+        for i, p in enumerate(scn.domain()):
+            if any(qualifies(p[v]) for v in head):
+                found = True
+                fix = (cnf.Fix(i, alt),) if sign > 0 else ()
+                yield Instance(
+                    tag=f"u={profiles.encode_profile(p)}", base=base,
+                    assumptions=(sign * base.var(i, alt),),
+                    constraints=(range_x,) + fix)
+        if not found:
+            raise ScenarioError(f"no qualifying profile for {scn.name}")
+    return recipe
 
 
-def _build_lemma4_2(scn: Scenario):
-    """One instance per qualifying profile (a head voter ranks x on top),
-    assuming the profile does not pick x (under exactly-one: it picks y or
-    z); all must be UNSAT."""
-    domain = scn.domain()
-    star = np_star_indices(scn.n, scn.m)
-    range_x = cnf.RangeSubset(frozenset({X}), star)
-    base = cnf.add_scenario(_base_formula(scn), range_x)
-    head = range(scn.n - 2)
-    found = False
-    for i, p in enumerate(domain):
-        if any(p[v][0] == X for v in head):
-            found = True
-            yield Instance(
-                tag=f"u={profiles.encode_profile(p)}", base=base,
-                assumptions=(-base.var(i, X),), constraints=(range_x,))
-    if not found:
-        raise ScenarioError("no qualifying profile for lemma4_2")
+def _carries_x(triples: tuple[tuple[str, str, str], ...]) -> Recipe:
+    """For each (tag, fixed, target) of the twelve-profile list: x at
+    `fixed` but not at `target`, as assumptions over the plain base."""
+    def recipe(scn: Scenario) -> list[Instance]:
+        lists = build_list_part2(scn.n)
+        domain = scn.domain()
+        base = _encoded_base(scn.n, scn.m)
+        out = []
+        for tag, fixed, target in triples:
+            i = domain.index_of(lists[fixed])
+            k = domain.index_of(lists[target])
+            out.append(Instance(tag=tag, base=base,
+                                assumptions=(base.var(i, X), -base.var(k, X)),
+                                constraints=(cnf.Fix(i, X),)))
+        return out
+    return recipe
 
 
-def _build_lemma4_3(scn: Scenario):
-    """One instance per profile where a head voter ranks y at the bottom,
-    asserting y is picked there; all must be UNSAT."""
-    domain = scn.domain()
-    star = np_star_indices(scn.n, scn.m)
-    range_x = cnf.RangeSubset(frozenset({X}), star)
-    base = cnf.add_scenario(_base_formula(scn), range_x)
-    head = range(scn.n - 2)
-    found = False
-    for i, p in enumerate(domain):
-        if any(p[v][-1] == Y for v in head):
-            found = True
-            yield Instance(
-                tag=f"u={profiles.encode_profile(p)}", base=base,
-                assumptions=(base.var(i, Y),),
-                constraints=(range_x, cnf.Fix(i, Y)))
-    if not found:
-        raise ScenarioError("no qualifying profile for lemma4_3")
+@dataclass(frozen=True)
+class _Entry:
+    n: int  # the default voter count
+    expected: str
+    description: str
+    recipe: Recipe
 
 
-def _carries_x(scn: Scenario, tag: str, fixed: Profile,
-               target: Profile) -> Instance:
-    """x at `fixed` but not at `target`, as assumptions over the plain
-    base."""
-    domain = scn.domain()
-    base = _base_formula(scn)
-    i, k = domain.index_of(fixed), domain.index_of(target)
-    return Instance(tag=tag, base=base,
-                    assumptions=(base.var(i, X), -base.var(k, X)),
-                    constraints=(cnf.Fix(i, X),))
-
-
-def _build_lemma4_4(scn: Scenario) -> list[Instance]:
-    lists = build_list_part2(scn.n)
-    return [_carries_x(scn, f"j={j}", lists[f"L{j}**"], lists[f"L{j}*"])
-            for j in (1, 2, 3, 4)]
-
-
-def _build_lemma4_5(scn: Scenario) -> list[Instance]:
-    lists = build_list_part2(scn.n)
-    return [_carries_x(scn, "L3**->L2**", lists["L3**"], lists["L2**"])]
-
-
-_BUILDERS = {
-    "gs_np": _build_gs_np,
-    "sanity_sat": _build_sanity_sat,
-    "nrange_part1": _build_nrange_part1,
-    "nrange_part2": _build_nrange_part2,
-    "nrange_full": _build_nrange_full,
-    "example1_exists": _build_example1_exists,
-    "lemma4_2": _build_lemma4_2,
-    "lemma4_3": _build_lemma4_3,
-    "lemma4_4": _build_lemma4_4,
-    "lemma4_5": _build_lemma4_5,
-}
-
-_DEFAULT_N = {
-    "gs_np": 3,
-    "sanity_sat": 3,
-    "nrange_part1": 3,
-    "nrange_part2": 4,
-    "nrange_full": 3,
-    "example1_exists": 4,
-    "lemma4_2": 4,
-    "lemma4_3": 4,
-    "lemma4_4": 4,
-    "lemma4_5": 4,
-}
-
-_EXPECTED = {
-    "gs_np": "UNSAT",
-    "sanity_sat": "SAT",
-    "nrange_part1": "UNSAT",
-    "nrange_part2": "UNSAT",
-    "nrange_full": "UNSAT",
-    "example1_exists": "SAT",
-    "lemma4_2": "UNSAT",
-    "lemma4_3": "UNSAT",
-    "lemma4_4": "UNSAT",
-    "lemma4_5": "UNSAT",
-}
-
-_DESCRIPTIONS = {
-    "gs_np": "no strategy-proof full-range rule avoids dictatorship",
-    "sanity_sat": "strategy-proof full-range rules exist (dictators)",
-    "nrange_part1": "two-alternative range on the agreeing subdomain "
-                    "excludes full range",
-    "nrange_part2": "one-alternative range on the agreeing subdomain "
-                    "excludes full range",
-    "nrange_full": "full range passes down to the agreeing subdomain",
-    "example1_exists": "a two-valued rule collapsing to one value on the "
-                       "agreeing subdomain exists",
-    "lemma4_2": "a head voter with x on top forces x",
-    "lemma4_3": "y is never chosen while a head voter has y at bottom",
-    "lemma4_4": "x carries from each double-starred to its starred profile",
-    "lemma4_5": "x carries from L3** to L2**",
+_CATALOGUE: dict[str, _Entry] = {
+    "gs_np": _Entry(
+        3, "UNSAT", "no strategy-proof full-range rule avoids dictatorship",
+        _single("gs", lambda scn, star, every: _full_range(scn) + [
+            cnf.NotDictator(v, frozenset(range(scn.m)), scn.domain())
+            for v in range(scn.n)])),
+    "sanity_sat": _Entry(
+        3, "SAT", "strategy-proof full-range rules exist (dictators)",
+        _single("full-range", lambda scn, star, every: _full_range(scn))),
+    "nrange_part1": _Entry(
+        3, "UNSAT",
+        "two-alternative range on the agreeing subdomain excludes full range",
+        _single("range-yz", lambda scn, star, every: [
+            cnf.RangeSubset(frozenset({Y, Z}), star),
+            cnf.Attains(Y, star),
+            cnf.Attains(Z, star),
+            cnf.Attains(X, every)])),
+    "nrange_part2": _Entry(
+        4, "UNSAT",
+        "one-alternative range on the agreeing subdomain excludes full range",
+        _single("range-x", lambda scn, star, every: [
+            cnf.RangeSubset(frozenset({X}), star),
+            cnf.Attains(Y, every),
+            cnf.Attains(Z, every)])),
+    "nrange_full": _Entry(
+        3, "UNSAT", "full range passes down to the agreeing subdomain",
+        _nrange_full),
+    "example1_exists": _Entry(
+        4, "SAT",
+        "a two-valued rule collapsing to one value on the agreeing "
+        "subdomain exists",
+        _single("two-valued", lambda scn, star, every: [
+            cnf.RangeSubset(frozenset({X}), star),
+            cnf.Attains(Y, every)])),
+    "lemma4_2": _Entry(
+        4, "UNSAT", "a head voter with x on top forces x",
+        _sweep(lambda ordering: ordering[0] == X, X, -1)),
+    "lemma4_3": _Entry(
+        4, "UNSAT", "y is never chosen while a head voter has y at bottom",
+        _sweep(lambda ordering: ordering[-1] == Y, Y, 1)),
+    "lemma4_4": _Entry(
+        4, "UNSAT",
+        "x carries from each double-starred to its starred profile",
+        _carries_x(tuple((f"j={j}", f"L{j}**", f"L{j}*")
+                         for j in (1, 2, 3, 4)))),
+    "lemma4_5": _Entry(
+        4, "UNSAT", "x carries from L3** to L2**",
+        _carries_x((("L3**->L2**", "L3**", "L2**"),))),
 }
 
 
 def scenario(name: str, n: int | None = None) -> Scenario:
-    if name not in _BUILDERS:
+    if name not in _CATALOGUE:
         raise ScenarioError(
-            f"unknown scenario {name!r}; known: {', '.join(sorted(_BUILDERS))}")
-    n = _DEFAULT_N[name] if n is None else n
+            f"unknown scenario {name!r}; "
+            f"known: {', '.join(sorted(_CATALOGUE))}")
+    entry = _CATALOGUE[name]
+    n = entry.n if n is None else n
     if n < 3:
         # The theorems assume n >= 3; on NP(2, 3) a non-dictatorial
         # strategy-proof rule exists, so gs_np would report a false
         # counterexample.
         raise ParameterError(
             f"scenario {name!r} needs n >= 3 voters, got n={n}")
-    expected = _EXPECTED[name]
+    expected = entry.expected
     if name == "example1_exists" and n <= 3:
         expected = None  # stated for n > 3 only; run and record
     return Scenario(name=name, n=n, m=3, expected=expected,
-                    description=_DESCRIPTIONS[name])
+                    description=entry.description)
 
 
 def list_scenarios() -> list[Scenario]:
-    return [scenario(name) for name in sorted(_BUILDERS)]
+    return [scenario(name) for name in sorted(_CATALOGUE)]
 
 
 # -- runner ------------------------------------------------------------------
@@ -490,6 +438,8 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
     # check, and never for an export, which must write its files.
     cache_path = None
     if cache_dir is not None:
+        # Made before solving, so an unusable directory fails at once.
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
         cache_path = _cache_path(cache_dir, scn, seed, external_check)
         cached = None if export_dimacs else _cache_load(cache_path, scn)
         if cached is not None:
@@ -568,13 +518,25 @@ def enumerate_models(scn: Scenario | str, k: int, n: int | None = None,
 
 # -- result cache ------------------------------------------------------------
 
+# The Report fields a cache file holds; `instances` as (tag, outcome) pairs.
+_CACHED_FIELDS = ("outcome", "expectation_met", "instances", "domain_size",
+                  "wall_time", "external")
+
 
 def _cache_path(cache_dir: str, scn: Scenario, seed: int | None,
                 external_check: str) -> Path:
+    """Keyed on content: the DIMACS text of every base formula and each
+    instance's tag and assumptions, so a changed encoding misses."""
     digest = hashlib.sha256()
     digest.update(_CODE_VERSION.encode())
     digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
                   f"{external_check}".encode())
+    base = None
+    for instance in scn.instances():
+        if instance.base is not base:  # a sweep shares one base
+            base = instance.base
+            digest.update(cnf.export_dimacs(base).encode())
+        digest.update(f"|{instance.tag}|{instance.assumptions}".encode())
     return Path(cache_dir) / f"{scn.name}-{digest.hexdigest()[:16]}.json"
 
 
@@ -583,16 +545,10 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
         return None
     try:
         data = json.loads(path.read_text())
-        return Report(
-            scenario=scn,
-            outcome=data["outcome"],
-            expectation_met=data["expectation_met"],
-            instances=[InstanceResult(tag=t, outcome=o)
-                       for t, o in data["instances"]],
-            domain_size=data["domain_size"],
-            wall_time=data["wall_time"],
-            cached=True,
-            external=data["external"])
+        fields = {key: data[key] for key in _CACHED_FIELDS}
+        fields["instances"] = [InstanceResult(tag=t, outcome=o)
+                               for t, o in fields["instances"]]
+        return Report(scenario=scn, cached=True, **fields)
     except (ValueError, KeyError, TypeError) as exc:
         raise TextFormatError(
             f"malformed cache file {path}: {type(exc).__name__}: {exc}"
@@ -600,15 +556,8 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
 
 
 def _cache_store(path: Path, report: Report) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "outcome": report.outcome,
-        "expectation_met": report.expectation_met,
-        "instances": [(r.tag, r.outcome) for r in report.instances],
-        "domain_size": report.domain_size,
-        "wall_time": report.wall_time,
-        "external": report.external,
-    }
+    payload = {key: getattr(report, key) for key in _CACHED_FIELDS}
+    payload["instances"] = [(r.tag, r.outcome) for r in report.instances]
     # Write through a rename, so an interrupted run leaves no partial file.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:

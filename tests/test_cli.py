@@ -1,6 +1,6 @@
 import pytest
 
-from npverify import cli, profiles, rules
+from npverify import cli, profiles, rules, solver
 
 
 def run(argv):
@@ -131,3 +131,51 @@ def test_bad_letter_is_operational_error(capsys, argv):
     """Each letter argument names exactly one alternative."""
     assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rule", "check", "--n", "3"],
+    ["rule", "check", "--n", "x", "--m", "3", "--builtin", "dictator:1"],
+    ["scenario", "explain", "gs_np"],
+], ids=["missing_m", "non_integer_n", "unknown_subcommand"])
+def test_usage_error_is_operational_error(capsys, argv):
+    """argparse's own exit code 2 would read as "expectation violated"."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error:" in err
+
+
+def test_differential_flags_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["scenario", "run", "sanity_sat", "--differential",
+             "--no-differential"])
+    assert exc.value.code == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    _CHECK[:-1] + ["--file", "{tmp}/missing.txt"],
+    _DECISIVE[:-1] + ["--pair", "x,y", "--file", "{tmp}/missing.txt"],
+    ["scenario", "run", "sanity_sat", "--no-differential",
+     "--export-dimacs", "{tmp}/missing/out.cnf"],
+], ids=["rule_check_file", "decisive_report_file", "export_dimacs"])
+def test_file_error_is_operational_error(tmp_path, capsys, argv):
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_cache_under_a_file_fails_before_solving(tmp_path, monkeypatch,
+                                                 capsys):
+    def no_solving(*args, **kwargs):
+        raise AssertionError("solved before the cache directory was made")
+
+    monkeypatch.setattr(solver, "Session", no_solving)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert run(["scenario", "run", "sanity_sat", "--no-differential",
+                "--cache", str(plain / "cache")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(plain) in err

@@ -180,6 +180,7 @@ def test_descent_dictators_single_pair(np34, spec):
     sigma strictly decreasing and the winner preserved."""
     for voter in (0, 2):
         g = rules.dictator(np34, voter)
+        collapsed, _ = collapse.collapse_rule(g, spec)
         for r in np34:
             result = collapse.reduce_to_contiguous(g, r, spec)
             assert result.ok, result.render(4)
@@ -193,7 +194,6 @@ def test_descent_dictators_single_pair(np34, spec):
             else:
                 assert all(v in (A, B) for v in values)
             final = result.final
-            collapsed, _ = collapse.collapse_rule(g, spec)
             mapped = (spec.x_star if values[-1] in (A, B)
                       else spec.to_target[values[-1]])
             assert collapsed.evaluate(

@@ -1,4 +1,5 @@
 
+import dataclasses
 import json
 
 import pytest
@@ -238,6 +239,19 @@ def test_report_cache_round_trip(tmp_path):
     assert second.cached
     assert second.outcome == first.outcome
     assert second.expectation_met is True
+
+
+def test_cache_misses_when_the_encoding_changes(tmp_path, monkeypatch):
+    """The key covers the formulas: a base one clause short is a miss."""
+    assert not verify.run_scenario("gs_np", differential=False,
+                                   cache_dir=str(tmp_path)).cached
+    base = verify._encoded_base(3, 3)
+    shorter = dataclasses.replace(base, clauses=base.clauses[:-1])
+    monkeypatch.setattr(verify, "_encoded_base", lambda n, m: shorter)
+    again = verify.run_scenario("gs_np", differential=False,
+                                cache_dir=str(tmp_path))
+    assert not again.cached
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def _truncate(text):
