@@ -18,6 +18,21 @@ Learned clauses and level-0 facts carry over from call to call, and
 `add_clause` adds a clause between calls; a conflict at level 0 makes the
 solver unsatisfiable for good.  `stats()` and the conflict cap cover the
 last `solve()` call only.
+
+Almost every clause of an NP encoding is binary (33,174 of the 34,080
+base clauses of NP(4, 3)), so binary clauses are implicit, as in MiniSat:
+each lives only as two entries of the per-literal implication lists
+`binaries`, indexed like `watches` (``binaries[p]`` holds the other
+literal of every binary clause containing ``p``), and never gets a clause
+id or a watch.  `_propagate` scans the implication list of a falsified
+literal before its long-clause watches.  A literal implied by a binary
+clause whose other literal ``q`` is false has the reason code
+``BINARY - q``; a falsified binary clause is reported as
+`BINARY_CONFLICT` with its literals in `_conflict`; `_clause` turns any
+reason or conflict back into its literals for the analyses.  Learned
+binary clauses take the same path.  Each list keeps its clauses in load
+order and long clauses keep theirs, so the search is a fixed function of
+the formula, its clause order and the branching order.
 """
 
 from __future__ import annotations
@@ -25,6 +40,8 @@ from __future__ import annotations
 from .errors import SolverCapError
 
 UNDEF = -1
+BINARY_CONFLICT = -2  # the binary clause `_conflict` is false
+BINARY = -3  # reason code BINARY - q: a binary clause with q false
 
 
 class Solver:
@@ -42,6 +59,8 @@ class Solver:
         self.start: list[int] = []
         self.size: list[int] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
+        # binaries[p]: the other literal of every binary clause holding p.
+        self.binaries: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
         self.order = list(range(1, num_vars + 1)) if order is None else list(order)
         self.decisions = 0
         self.conflicts = 0
@@ -50,11 +69,29 @@ class Solver:
         self.ok = True
         self._assumptions: list[int] = []
         self._failed: list[int] = []
+        self._conflict = [0, 0]  # the last falsified binary clause
         self._seen = [False] * (num_vars + 1)
+        binaries = self.binaries
+        limit = 2 * num_vars + 2  # encoded literals in range are 2..limit-1
         for clause in clauses:
-            if not self._add_clause(clause):
-                self.ok = False
-                break
+            if len(clause) != 2:
+                if not self._add_clause(clause):
+                    self.ok = False
+                    break
+                continue
+            x, y = clause
+            a = 2 * x if x > 0 else 1 - 2 * x
+            b = 2 * y if y > 0 else 1 - 2 * y
+            if not (1 < a < limit and 1 < b < limit):
+                bad = y if 1 < a < limit else x
+                raise ValueError(f"literal {bad} out of range")
+            if a == b:
+                if not self._enqueue(a, UNDEF):
+                    self.ok = False
+                    break
+            elif a != b ^ 1:  # a tautology is dropped
+                binaries[a].append(b)
+                binaries[b].append(a)
 
     def _add_clause(self, clause) -> bool:
         out = []
@@ -73,13 +110,24 @@ class Solver:
             return False
         if len(out) == 1:
             return self._enqueue(out[0], UNDEF)
+        self._store(out)
+        return True
+
+    def _store(self, out: list[int]) -> int:
+        """Install a clause of two or more literals: a binary one in the
+        implication lists, a longer one watched on its first two literals.
+        Returns the reason code that makes it imply `out[0]`."""
+        if len(out) == 2:
+            self.binaries[out[0]].append(out[1])
+            self.binaries[out[1]].append(out[0])
+            return BINARY - out[1]
         ci = len(self.start)
         self.start.append(len(self.lits))
         self.size.append(len(out))
         self.lits.extend(out)
         self.watches[out[0]].append(ci)
         self.watches[out[1]].append(ci)
-        return True
+        return ci
 
     def add_clause(self, clause) -> None:
         """Add a clause between `solve()` calls.  It is simplified against
@@ -137,72 +185,119 @@ class Solver:
     # -- search ----------------------------------------------------------
 
     def _propagate(self) -> int:
-        """Exhaust pending implications; return a conflicting clause id or
-        UNDEF."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            false_lit = lit ^ 1
-            ws = self.watches[false_lit]
+        """Exhaust pending implications; return a conflicting clause id,
+        BINARY_CONFLICT (the clause is in `_conflict`) or UNDEF."""
+        trail = self.trail
+        assigns = self.assigns
+        level = self.level
+        reason = self.reason
+        lits = self.lits
+        start = self.start
+        size = self.size
+        watches = self.watches
+        binaries = self.binaries
+        current = self.current_level
+        qhead = first = self.qhead
+        confl = UNDEF
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            code = BINARY - false_lit
+            for other in binaries[false_lit]:
+                value = assigns[other >> 1]
+                if value == UNDEF:
+                    var = other >> 1
+                    assigns[var] = (other & 1) ^ 1
+                    level[var] = current
+                    reason[var] = code
+                    trail.append(other)
+                elif value == other & 1:
+                    self._conflict = [other, false_lit]
+                    confl = BINARY_CONFLICT
+                    break
+            if confl != UNDEF:
+                break
+            ws = watches[false_lit]
+            if not ws:
+                continue
             kept = []
             i = 0
-            while i < len(ws):
+            end = len(ws)
+            while i < end:
                 ci = ws[i]
                 i += 1
-                s = self.start[ci]
-                if self.lits[s] == false_lit:
-                    self.lits[s] = self.lits[s + 1]
-                    self.lits[s + 1] = false_lit
-                other = self.lits[s]
-                if self._lit_true(other):
+                s = start[ci]
+                other = lits[s]
+                if other == false_lit:
+                    other = lits[s + 1]
+                    lits[s] = other
+                    lits[s + 1] = false_lit
+                value = assigns[other >> 1]
+                if value == (other & 1) ^ 1:
                     kept.append(ci)
                     continue
-                found = False
-                for k in range(s + 2, s + self.size[ci]):
-                    if not self._lit_false(self.lits[k]):
-                        self.lits[s + 1] = self.lits[k]
-                        self.lits[k] = false_lit
-                        self.watches[self.lits[s + 1]].append(ci)
-                        found = True
+                for k in range(s + 2, s + size[ci]):
+                    q = lits[k]
+                    if assigns[q >> 1] != q & 1:
+                        lits[s + 1] = q
+                        lits[k] = false_lit
+                        watches[q].append(ci)
                         break
-                if found:
-                    continue
-                kept.append(ci)
-                if self._lit_false(other):
-                    kept.extend(ws[i:])
-                    self.watches[false_lit] = kept
-                    return ci
-                self._enqueue(other, ci)
-            self.watches[false_lit] = kept
-        return UNDEF
+                else:
+                    kept.append(ci)
+                    if value != UNDEF:
+                        kept.extend(ws[i:])
+                        confl = ci
+                        break
+                    var = other >> 1
+                    assigns[var] = (other & 1) ^ 1
+                    level[var] = current
+                    reason[var] = ci
+                    trail.append(other)
+            watches[false_lit] = kept
+            if confl != UNDEF:
+                break
+        self.propagations += qhead - first
+        self.qhead = qhead
+        return confl
+
+    def _clause(self, ci: int, implied: int) -> list[int]:
+        """The literals of reason or conflict `ci`; `implied` is the
+        literal it implied, needed only for a binary reason."""
+        if ci >= 0:
+            s = self.start[ci]
+            return self.lits[s:s + self.size[ci]]
+        if ci == BINARY_CONFLICT:
+            return self._conflict
+        return [implied, BINARY - ci]
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First-UIP conflict analysis; returns (learnt, backjump level)
         with the asserting literal first."""
         learnt = [0]
         seen = self._seen
+        level = self.level
+        trail = self.trail
+        current = self.current_level
         touched = []
         counter = 0
         p = UNDEF
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         while True:
-            s = self.start[confl]
-            for k in range(s, s + self.size[confl]):
-                q = self.lits[k]
+            for q in self._clause(confl, p):
                 if q == p:
                     continue
                 var = q >> 1
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     touched.append(var)
-                    if self.level[var] == self.current_level:
+                    if level[var] == current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
             var = p >> 1
             seen[var] = False
@@ -217,31 +312,33 @@ class Solver:
             return learnt, 0
         max_k = 1
         for k in range(2, len(learnt)):
-            if self.level[learnt[k] >> 1] > self.level[learnt[max_k] >> 1]:
+            if level[learnt[k] >> 1] > level[learnt[max_k] >> 1]:
                 max_k = k
         learnt[1], learnt[max_k] = learnt[max_k], learnt[1]
-        return learnt, self.level[learnt[1] >> 1]
+        return learnt, level[learnt[1] >> 1]
 
     def _backjump(self, blevel: int) -> None:
-        while self.trail and self.level[self.trail[-1] >> 1] > blevel:
-            var = self.trail.pop() >> 1
-            self.assigns[var] = UNDEF
-            self.reason[var] = UNDEF
-        self.qhead = len(self.trail)
+        trail = self.trail
+        level = self.level
+        assigns = self.assigns
+        reason = self.reason
+        cut = len(trail)  # the trail is ordered by level
+        while cut and level[trail[cut - 1] >> 1] > blevel:
+            cut -= 1
+        for lit in trail[cut:]:
+            assigns[lit >> 1] = UNDEF
+            reason[lit >> 1] = UNDEF
+        del trail[cut:]
+        self.qhead = cut
         self.current_level = blevel
 
     def _record(self, learnt: list[int]) -> int:
-        """Install a learnt clause; returns its id (UNDEF for units)."""
+        """Install a learnt clause; returns the reason code of its first
+        literal (UNDEF for units)."""
         self.learned += 1
         if len(learnt) == 1:
             return UNDEF
-        ci = len(self.start)
-        self.start.append(len(self.lits))
-        self.size.append(len(learnt))
-        self.lits.extend(learnt)
-        self.watches[learnt[0]].append(ci)
-        self.watches[learnt[1]].append(ci)
-        return ci
+        return self._store(learnt)
 
     def _analyze_final(self, lit: int) -> list[int]:
         """The assumption `lit` is false: collect it and the assumptions
@@ -263,9 +360,8 @@ class Solver:
                 if ci == UNDEF:
                     core.append(q)
                     continue
-                s = self.start[ci]
-                for k in range(s, s + self.size[ci]):
-                    other = self.lits[k] >> 1
+                for other in self._clause(ci, q):
+                    other >>= 1
                     if other != var and self.level[other] > 0:
                         seen[other] = True
         return [-(c >> 1) if c & 1 else c >> 1 for c in core]

@@ -15,6 +15,7 @@ scratch.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ from .rules import Rule
 X, Y, Z = 0, 1, 2
 
 # Part of the cache key: change it whenever the cached payload changes.
-_CODE_VERSION = "npverify-0.1.0-cache2"
+_CODE_VERSION = "npverify-0.1.0-cache3"
 
 
 @lru_cache(maxsize=None)
@@ -434,6 +435,12 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
         external_check = EXTERNAL_NOT_REQUESTED
     else:
         external_check = EXTERNAL_NOT_FOUND
+    if export_dimacs:
+        # Checked before solving, so a missing directory fails at once.
+        export_dir = Path(export_dimacs).parent
+        if not export_dir.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory",
+                                    str(export_dir))
     # A cached report stands in only for a run making the same external
     # check, and never for an export, which must write its files.
     cache_path = None
@@ -518,7 +525,8 @@ def enumerate_models(scn: Scenario | str, k: int, n: int | None = None,
 
 # -- result cache ------------------------------------------------------------
 
-# The Report fields a cache file holds; `instances` as (tag, outcome) pairs.
+# The Report fields a cache file holds; `instances` as (tag, outcome,
+# stats) triples.
 _CACHED_FIELDS = ("outcome", "expectation_met", "instances", "domain_size",
                   "wall_time", "external")
 
@@ -546,8 +554,8 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
     try:
         data = json.loads(path.read_text())
         fields = {key: data[key] for key in _CACHED_FIELDS}
-        fields["instances"] = [InstanceResult(tag=t, outcome=o)
-                               for t, o in fields["instances"]]
+        fields["instances"] = [InstanceResult(tag=t, outcome=o, stats=dict(s))
+                               for t, o, s in fields["instances"]]
         return Report(scenario=scn, cached=True, **fields)
     except (ValueError, KeyError, TypeError) as exc:
         raise TextFormatError(
@@ -557,7 +565,8 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
 
 def _cache_store(path: Path, report: Report) -> None:
     payload = {key: getattr(report, key) for key in _CACHED_FIELDS}
-    payload["instances"] = [(r.tag, r.outcome) for r in report.instances]
+    payload["instances"] = [(r.tag, r.outcome, r.stats)
+                            for r in report.instances]
     # Write through a rename, so an interrupted run leaves no partial file.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:

@@ -179,3 +179,32 @@ def test_cache_under_a_file_fails_before_solving(tmp_path, monkeypatch,
                 "--cache", str(plain / "cache")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(plain) in err
+
+
+def test_export_into_a_missing_directory_fails_before_solving(
+        tmp_path, monkeypatch, capsys):
+    def no_solving(*args, **kwargs):
+        raise AssertionError("solved before the export directory was checked")
+
+    monkeypatch.setattr(solver, "Session", no_solving)
+    missing = tmp_path / "missing"
+    assert run(["scenario", "run", "sanity_sat", "--no-differential",
+                "--export-dimacs", str(missing / "out.cnf")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
+def test_cached_report_keeps_the_solver_counters(tmp_path, capsys):
+    argv = ["scenario", "run", "gs_np", "--no-differential",
+            "--cache", str(tmp_path)]
+
+    def counters():
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        return out, [line for line in out.splitlines()
+                     if line.strip().startswith("conflicts=")]
+
+    first, line = counters()
+    again, cached_line = counters()
+    assert "(cached)" not in first and "(cached)" in again
+    assert cached_line == line and line != ["  conflicts=0 decisions=0"]

@@ -162,6 +162,82 @@ def test_incremental_core_details():
     assert fixed.solve() is False
 
 
+binary_clause = st.lists(literal6, min_size=1, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(binary_clause, min_size=1, max_size=25),
+       st.lists(literal6, max_size=4))
+def test_binary_formulas_against_brute_force(clauses, assumptions):
+    """Formulas of binary and unit clauses only: every clause lives in the
+    implication lists, and the verdict, the model and the refuted
+    assumptions are checked by exhaustion."""
+    core = CountingSolver(6, clauses)
+    assert core.start == []
+    core.assume(assumptions)
+    status = core.solve()
+    units = [[lit] for lit in assumptions]
+    assert status == (oracles.brute_sat(6, clauses + units) is not None)
+    assert core.stats() == core.work
+    if status:
+        assert oracles.eval_clauses(clauses + units, core.model())
+    else:
+        failed = core.failed()
+        assert set(failed) <= set(assumptions)
+        assert oracles.brute_sat(6, clauses
+                                 + [[lit] for lit in failed]) is None
+
+
+def test_binary_clause_loading():
+    repeated = satcore.Solver(2, [[1, 1]])  # (x, x) is the unit x
+    assert not any(repeated.binaries)
+    assert repeated.solve() is True and repeated.model()[1] is True
+    repeated.assume([-1])
+    assert repeated.solve() is False and repeated.failed() == [-1]
+
+    tautology = satcore.Solver(1, [[1, -1]])  # (x, -x) is dropped
+    assert not any(tautology.binaries)
+    for lit in (1, -1):
+        tautology.assume([lit])
+        assert tautology.solve() is True
+
+    for clauses in ([[1, 3]], [[-3, 1]], [[0, 1]], [[1, -1], [2, 3]]):
+        with pytest.raises(ValueError, match="out of range"):
+            satcore.Solver(2, clauses)
+    core = satcore.Solver(2, [[1, 2]])
+    with pytest.raises(ValueError, match="out of range"):
+        core.add_clause([1, -3])
+    core.add_clause([-1, -2])
+    # Encoded literals: 1 is 2, -1 is 3, 2 is 4, -2 is 5.
+    assert core.binaries == [[], [], [4], [5], [2], [3]]
+    core.assume([1])
+    assert core.solve() is True and core.model()[1:] == [True, False]
+
+
+def test_binary_conflict_at_level_zero_is_final():
+    core = satcore.Solver(2, [[1, 2], [1, -2], [-1]])
+    assert core.solve() is False and core.failed() == []
+    assert core.stats()["conflicts"] == 1
+    core.add_clause([2])
+    core.assume([2])
+    assert core.solve() is False and core.failed() == []
+    assert core.solve() is False
+
+
+def test_learned_binary_clause_as_a_reason_in_analyze_final():
+    """Deciding 1 then 2 falsifies a ternary clause; the conflict teaches
+    the binary clause (-1, -2), which later implies -2 from the assumption
+    1 and so names 1 in the refuted set of the assumptions [1, 2]."""
+    core = satcore.Solver(3, [[-1, -2, 3], [-1, -2, -3]])
+    assert core.solve() is True
+    assert core.stats()["learned"] == 1
+    assert len(core.start) == 2  # the learned clause is no long clause
+    core.assume([1, 2])
+    assert core.solve() is False
+    assert core.reason[2] == satcore.BINARY - core._encode(-1)
+    assert sorted(core.failed()) == [1, 2]
+
+
 def test_unsat_stable_across_seeds():
     scn = verify.scenario("gs_np")
     instance = next(iter(scn.instances()))
