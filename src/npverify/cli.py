@@ -46,9 +46,7 @@ def _cmd_domain_enum(args) -> int:
 def _load_rule(args, domain) -> rules.Rule:
     if args.file:
         return rules.load_rule(Path(args.file).read_text(), domain)
-    if args.builtin:
-        return rules.builtin(args.builtin, domain)
-    raise WorkbenchError("need --file or --builtin")
+    return rules.builtin(args.builtin, domain)
 
 
 def _cmd_rule_check(args) -> int:
@@ -188,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rule = sub.add_parser("rule", help="rule inspection")
     sub_rule = p_rule.add_subparsers(dest="subcommand", required=True)
     p_check = sub_rule.add_parser("check")
-    p_check.add_argument("--file")
-    p_check.add_argument("--builtin")
+    source = p_check.add_mutually_exclusive_group(required=True)
+    source.add_argument("--file")
+    source.add_argument("--builtin")
     p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--m", type=int, required=True)
     p_check.set_defaults(func=_cmd_rule_check)
@@ -226,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decisive", help="decisive coalition reports")
     sub_dec = p_dec.add_subparsers(dest="subcommand", required=True)
     p_rep = sub_dec.add_parser("report")
-    p_rep.add_argument("--rule", dest="builtin", required=False)
-    p_rep.add_argument("--file")
+    source = p_rep.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rule", dest="builtin")
+    source.add_argument("--file")
     p_rep.add_argument("--n", type=int, required=True)
     p_rep.add_argument("--m", type=int, required=True)
     p_rep.add_argument("--pair", required=True, metavar="A,B")

@@ -68,20 +68,18 @@ def encode_base(domain: Domain) -> CnfFormula:
             for b in range(a + 1, m):
                 clauses.append((-var(i, a), -var(i, b)))
 
-    seen: set[Clause] = set()
+    # No clause recurs across pairs: its two variables name the pair.
     for i, j, voter in profiles.variant_pairs(domain):
-        p = domain.profiles[i]
-        q = domain.profiles[j]
-        for side_i, side_j, ordering in ((i, j, p[voter]), (j, i, q[voter])):
+        p = domain.profiles[i][voter]
+        for side_i, side_j, ordering in ((i, j, p), (j, i, domain.profiles[j][voter])):
             # voter would deviate from side_i to side_j to trade a for b
             for pos_b in range(m):
                 for pos_a in range(pos_b + 1, m):
-                    clause = (-var(side_i, ordering[pos_a]),
-                              -var(side_j, ordering[pos_b]))
-                    key = (min(clause), max(clause))
-                    if key not in seen:
-                        seen.add(key)
-                        clauses.append(clause)
+                    a, b = ordering[pos_a], ordering[pos_b]
+                    # from j to i, this repeats the i-to-j clause for (b, a)
+                    # exactly when p ranks a above b
+                    if side_i == i or p.index(b) < p.index(a):
+                        clauses.append((-var(side_i, a), -var(side_j, b)))
     return CnfFormula(num_vars=len(domain) * m, clauses=tuple(clauses),
                       n=domain.n, m=domain.m, domain_size=len(domain))
 
@@ -242,6 +240,8 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             if lit == 0:
                 clauses.append(pending)
                 pending = []
+            elif abs(lit) > num_vars:
+                raise TextFormatError(f"literal {lit} out of range at line {lineno}")
             else:
                 pending.append(lit)
     if pending:

@@ -10,7 +10,7 @@ winner inside {w, z}).
 
 The descent follows a fixed case ladder.  The ladder only proposes
 candidate steps; each step is checked once, in `reduce_to_contiguous`
-(domain membership, strictly smaller sigma, value condition), so a wrong
+(domain membership, value condition, strictly smaller sigma), so a wrong
 branch can only cause a reported failure, never a wrong result.
 """
 
@@ -226,11 +226,11 @@ def _with_voter(p: Profile, voter: int, ordering: Ordering) -> Profile:
 
 
 def _search_reduction(rule: Rule, r: Profile, voter: int, a: int, b: int,
-                      part: int, value_ok) -> Profile | None:
+                      part: int, value: int) -> Profile | None:
     domain = rule.domain
     for candidate in bracket_moves(r[voter], a, b, part):
         u = _with_voter(r, voter, candidate)
-        if u in domain and value_ok(rule.evaluate(u)):
+        if u in domain and rule.evaluate(u) == value:
             return u
     return None
 
@@ -264,8 +264,7 @@ def reduce_sigma_step(rule: Rule, r: Profile, voter: int, a: int, b: int,
     if not interior:
         return ReductionOutcome(kind="certified", condition="empty bracket",
                                 trivial=True)
-    found = _search_reduction(rule, r, voter, a, b, part,
-                              value_ok=lambda v: v == value)
+    found = _search_reduction(rule, r, voter, a, b, part, value)
     if found is not None:
         return ReductionOutcome(kind="found", profile=found)
     if part == 1:
@@ -378,16 +377,15 @@ class _Descent:
             return lambda v: v == self.w or v == self.z
         return lambda v: v == x
 
-    def _search(self, r, voter, a, b, part, x, move):
-        u = _search_reduction(self.rule, r, voter, a, b, part, self.want(x))
-        if u is not None:
-            yield u, move
+    def _search(self, r, voter, a, b, part, move):
+        for ordering in bracket_moves(r[voter], a, b, part):
+            yield _with_voter(r, voter, ordering), move
 
-    def _ends(self, r, voter, top, bot, x, label):
+    def _ends(self, r, voter, top, bot, label):
         """Raise `bot`, then lower `top`, inside the voter's bracket."""
-        yield from self._search(r, voter, top, bot, 1, x,
+        yield from self._search(r, voter, top, bot, 1,
                                 f"{label} raise {self.letters[bot]} voter {voter + 1}")
-        yield from self._search(r, voter, top, bot, 2, x,
+        yield from self._search(r, voter, top, bot, 2,
                                 f"{label} lower {self.letters[top]} voter {voter + 1}")
 
     @staticmethod
@@ -431,7 +429,7 @@ class _Descent:
         max_pivots = [j for j, s in enumerate(per) if s == smax]
         for j in max_pivots:
             if x not in orders.between(r[j], self.w, self.z):
-                yield from self._case1(r, j, x)
+                yield from self._case1(r, j)
         case2_pivots = [j for j in max_pivots
                         if x in orders.between(r[j], self.w, self.z)]
         case2_pivots += [j for j in range(self.domain.n)
@@ -440,11 +438,11 @@ class _Descent:
         for rank, j in enumerate(case2_pivots):
             yield from self._case2(r, j, x, fallback=rank > 0 or j not in max_pivots)
 
-    def _case1(self, r: Profile, j: int, x: int):
+    def _case1(self, r: Profile, j: int):
         top, bot = ((self.w, self.z)
                     if orders.ranks_above(r[j], self.w, self.z)
                     else (self.z, self.w))
-        yield from self._ends(r, j, top, bot, x, "case1")
+        yield from self._ends(r, j, top, bot, "case1")
         interior = orders.between(r[j], top, bot)
         others = [i for i in range(self.domain.n) if i != j]
         certified = all(
@@ -503,9 +501,9 @@ class _Descent:
         """Nonempty bracket above x for the pivot: direct endpoint moves,
         then the per-voter statement ladder."""
         a_set = orders.between(r[j], top, x)
-        yield from self._search(r, j, top, x, 2, x,
+        yield from self._search(r, j, top, x, 2,
                                 f"{tag}p1 lower {self.letters[top]} voter {j + 1}")
-        yield from self._search(r, j, x, bot, 1, x,
+        yield from self._search(r, j, x, bot, 1,
                                 f"{tag}p1 raise {self.letters[bot]} voter {j + 1}")
         others = [i for i in range(self.domain.n) if i != j]
         if not all(orders.ranks_above(r[i], x, a) and orders.ranks_above(r[i], a, top)
@@ -529,12 +527,12 @@ class _Descent:
                    f"{self.letters[top]} voter {h + 1}")
             return
         if orders.ranks_above(r[h], bot, a_h):
-            yield from self._search(r, h, a_h, top, 1, x,
+            yield from self._search(r, h, a_h, top, 1,
                                     f"{tag}p1.II raise {self.letters[top]} voter {h + 1}")
             return
         # bot sits inside the interval between a_h and top
         if orders.between(r[h], bot, top):
-            yield from self._ends(r, h, bot, top, x, f"{tag}p1.III")
+            yield from self._ends(r, h, bot, top, f"{tag}p1.III")
             return
         if not b_set:
             return
@@ -596,7 +594,7 @@ class _Descent:
         for side, (near, far) in sides:
             for i in side:
                 if orders.between(r[i], near, far):
-                    yield from self._ends(r, i, near, far, x, f"{tag}p2")
+                    yield from self._ends(r, i, near, far, f"{tag}p2")
 
     def _case3(self, r: Profile, winner: int):
         loser = self.z if winner == self.w else self.w
@@ -604,12 +602,12 @@ class _Descent:
             if (orders.ranks_above(r[j], winner, loser)
                     and orders.between(r[j], winner, loser)):
                 yield from self._search(
-                    r, j, winner, loser, 1, winner,
+                    r, j, winner, loser, 1,
                     f"case3 raise {self.letters[loser]} voter {j + 1}")
         for k in range(self.domain.n):
             if (orders.ranks_above(r[k], loser, winner)
                     and orders.between(r[k], loser, winner)):
-                yield from self._ends(r, k, loser, winner, winner, "case3")
+                yield from self._ends(r, k, loser, winner, "case3")
 
 
 def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentResult:
@@ -617,9 +615,9 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
     decreasing at every step; the selected alternative is preserved
     exactly while it is not w or z, and stays within {w, z} otherwise.
 
-    Each step is the first ladder candidate that is in the domain, has
-    strictly smaller sigma and meets the value condition; this loop is
-    the only place a step is checked."""
+    Each step is the first ladder candidate that is in the domain, meets
+    the value condition and has strictly smaller sigma; this loop is the
+    only place a step is checked."""
     _check_source(rule, spec)
     domain = rule.domain
     domain.index_of(r)
@@ -631,11 +629,11 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
         for u, move in descent.candidates(last.profile, last.value):
             if u not in domain:
                 continue
-            sigma_u = descent.stotal(u)
-            if sigma_u >= last.sigma:
-                continue
             value = descent.value(u)
-            if want(value):
+            if not want(value):
+                continue
+            sigma_u = descent.stotal(u)
+            if sigma_u < last.sigma:
                 break
         else:
             return DescentResult(tuple(steps), ok=False,

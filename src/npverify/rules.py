@@ -212,7 +212,10 @@ def load_rule(text: str, domain: Domain) -> Rule:
         profile = profiles.decode_profile(enc, domain.n, domain.m)
         if profile not in domain:
             raise MembershipError(f"unknown profile in rule file: {enc}")
-        table[domain.index_of(profile)] = orders.decode_letter(letter, domain.m)
+        index = domain.index_of(profile)
+        if table[index] is not None:
+            raise TextFormatError(f"profile {enc} listed twice in rule file")
+        table[index] = orders.decode_letter(letter, domain.m)
     missing = table.count(None)
     if missing:
         raise TextFormatError(f"rule file leaves {missing} profiles unassigned")

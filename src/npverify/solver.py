@@ -60,14 +60,12 @@ def branching_order(num_vars: int, seed: int | None) -> list[int]:
 class Session:
     """One solver core loaded with `formula`, solved repeatedly."""
 
-    def __init__(self, formula: cnf.CnfFormula, seed: int | None = None,
-                 max_conflicts: int = 5_000_000):
+    def __init__(self, formula: cnf.CnfFormula, seed: int | None = None):
         self.formula = formula
         # The core class is looked up at call time: tracing rebinds it.
         self._core = satcore.Solver(
             formula.num_vars, formula.clauses,
-            order=branching_order(formula.num_vars, seed),
-            max_conflicts=max_conflicts)
+            order=branching_order(formula.num_vars, seed))
 
     def add_clause(self, clause) -> None:
         """Strengthen the formula for every later call."""
@@ -86,9 +84,8 @@ class Session:
                            stats=self._core.stats())
 
 
-def solve_formula(formula: cnf.CnfFormula, seed: int | None = None,
-                  max_conflicts: int = 5_000_000) -> SolveResult:
-    return Session(formula, seed=seed, max_conflicts=max_conflicts).solve()
+def solve_formula(formula: cnf.CnfFormula, seed: int | None = None) -> SolveResult:
+    return Session(formula, seed=seed).solve()
 
 
 # -- external solver -------------------------------------------------------

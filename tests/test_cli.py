@@ -137,7 +137,10 @@ def test_bad_letter_is_operational_error(capsys, argv):
     ["rule", "check", "--n", "3"],
     ["rule", "check", "--n", "x", "--m", "3", "--builtin", "dictator:1"],
     ["scenario", "explain", "gs_np"],
-], ids=["missing_m", "non_integer_n", "unknown_subcommand"])
+    ["decisive", "report", "--n", "3", "--m", "3", "--pair", "x,y"],
+    _CHECK + ["dictator:1", "--file", "rule.txt"],
+], ids=["missing_m", "non_integer_n", "unknown_subcommand",
+        "decisive_no_rule", "rule_check_two_sources"])
 def test_usage_error_is_operational_error(capsys, argv):
     """argparse's own exit code 2 would read as "expectation violated"."""
     with pytest.raises(SystemExit) as exc:
@@ -157,7 +160,8 @@ def test_differential_flags_exclude_each_other(capsys):
 
 @pytest.mark.parametrize("argv", [
     _CHECK[:-1] + ["--file", "{tmp}/missing.txt"],
-    _DECISIVE[:-1] + ["--pair", "x,y", "--file", "{tmp}/missing.txt"],
+    ["decisive", "report", "--n", "3", "--m", "3", "--pair", "x,y",
+     "--file", "{tmp}/missing.txt"],
     ["scenario", "run", "sanity_sat", "--no-differential",
      "--export-dimacs", "{tmp}/missing/out.cnf"],
 ], ids=["rule_check_file", "decisive_report_file", "export_dimacs"])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import oracles
@@ -110,6 +112,17 @@ def test_dimacs_round_trip(base33):
     assert [tuple(c) for c in clauses] == list(base33.clauses)
 
 
+def test_base_encoding_pinned(np33, np43, np34):
+    """The exact base clause sequence, through its DIMACS text."""
+    for domain, prefix in ((np33, "39523c1dbdd815c9"),
+                           (np43, "f3422dfdc596567c"),
+                           (np34, "d0f21be8e9a1901c")):
+        text = cnf.export_dimacs(cnf.encode_base(domain))
+        assert hashlib.sha256(text.encode()).hexdigest().startswith(prefix)
+    clauses = cnf.encode_base(np43).clauses
+    assert len({frozenset(c) for c in clauses}) == len(clauses)
+
+
 def test_dimacs_parse_errors():
     with pytest.raises(TextFormatError):
         cnf.parse_dimacs("p cnf 2 1\n1 2\n")  # missing terminator
@@ -121,6 +134,8 @@ def test_dimacs_parse_errors():
         cnf.parse_dimacs("p cnf a 1\n")
     with pytest.raises(TextFormatError, match="'x' at line 3"):
         cnf.parse_dimacs("c comment\np cnf 1 1\n1 x 0\n")
+    with pytest.raises(TextFormatError, match="at line 2"):
+        cnf.parse_dimacs("p cnf 2 1\n5 -7 0\n")  # beyond the header
 
 
 def test_import_model():

@@ -127,6 +127,9 @@ def test_rule_file_rejects_unknown_profile(np33):
         rules.load_rule(text + "xyz|xyz|xyz -> x\n", np33)
     with pytest.raises(TextFormatError):
         rules.load_rule(text.rsplit("\n", 2)[0] + "\n", np33)
+    # each profile is listed once
+    with pytest.raises(TextFormatError, match=r"xyz\|xyz\|zyx"):
+        rules.load_rule(text + "xyz|xyz|zyx -> z\n", np33)
     # a rule line names exactly one alternative
     for letter in ("xy", ""):
         with pytest.raises(TextFormatError):

@@ -50,8 +50,9 @@ def test_model_is_total():
 def test_cap_error():
     # a small pigeonhole-flavored hard-ish formula cannot finish in 1 conflict
     clauses = [[1, 2], [-1, -2], [1, -2], [-1, 2]]
+    core = satcore.Solver(2, clauses, max_conflicts=0)
     with pytest.raises(SolverCapError):
-        run_pure(2, clauses, max_conflicts=0)
+        core.solve()
 
 
 clause_strategy = st.lists(
