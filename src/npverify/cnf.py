@@ -116,20 +116,6 @@ class Attains:
 
 
 @dataclass(frozen=True)
-class Excludes:
-    """`alt` is never selected among the profile `indices`."""
-
-    alt: int
-    indices: tuple[int, ...]
-
-    def clauses(self, f: CnfFormula) -> list[Clause]:
-        return [(-f.var(i, self.alt),) for i in self.indices]
-
-    def check(self, rule: Rule) -> bool:
-        return all(rule.table[i] != self.alt for i in self.indices)
-
-
-@dataclass(frozen=True)
 class RangeSubset:
     """Selections among the profile `indices` stay inside `alts`."""
 
@@ -176,7 +162,7 @@ class NotDictator:
         return False
 
 
-ScenarioConstraint = Fix | Attains | Excludes | RangeSubset | NotDictator
+ScenarioConstraint = Fix | Attains | RangeSubset | NotDictator
 
 
 def add_scenario(f: CnfFormula,
@@ -230,8 +216,12 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise TextFormatError(f"bad DIMACS header at line {lineno}")
+            if num_vars is not None:
+                raise TextFormatError(f"second DIMACS header at line {lineno}")
             num_vars = _int_token(parts[2], "variable count", lineno)
             num_clauses = _int_token(parts[3], "clause count", lineno)
+            if num_vars < 0 or num_clauses < 0:
+                raise TextFormatError(f"negative count at line {lineno}")
             continue
         if num_vars is None:
             raise TextFormatError(f"clause before header at line {lineno}")

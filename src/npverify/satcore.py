@@ -23,16 +23,19 @@ Almost every clause of an NP encoding is binary (33,174 of the 34,080
 base clauses of NP(4, 3)), so binary clauses are implicit, as in MiniSat:
 each lives only as two entries of the per-literal implication lists
 `binaries`, indexed like `watches` (``binaries[p]`` holds the other
-literal of every binary clause containing ``p``), and never gets a clause
-id or a watch.  `_propagate` scans the implication list of a falsified
-literal before its long-clause watches.  A literal implied by a binary
-clause whose other literal ``q`` is false has the reason code
-``BINARY - q``; a falsified binary clause is reported as
-`BINARY_CONFLICT` with its literals in `_conflict`; `_clause` turns any
-reason or conflict back into its literals for the analyses.  Learned
-binary clauses take the same path.  Each list keeps its clauses in load
-order and long clauses keep theirs, so the search is a fixed function of
-the formula, its clause order and the branching order.
+literal of every binary clause containing ``p``), and never gets a watch.
+`_propagate` scans the implication list of a falsified literal before its
+long-clause watches.  A long clause (three or more literals, base or
+learned) is one list of encoded literals in `clauses`, watched on its
+first two; that list object is what `watches` holds, what `reason` holds
+for the literal it implies, and what `_propagate` returns when it is
+falsified.  A literal implied by a binary clause whose other literal
+``q`` is false has the reason code ``BINARY - q``, and a falsified binary
+clause is returned as a fresh two-literal list.  `_clause` turns any
+reason or conflict into its literals for the analyses.  Learned binary
+clauses take the same path.  Each list keeps its clauses in load order,
+so the search is a fixed function of the formula, its clause order and
+the branching order.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ from __future__ import annotations
 from .errors import SolverCapError
 
 UNDEF = -1
-BINARY_CONFLICT = -2  # the binary clause `_conflict` is false
-BINARY = -3  # reason code BINARY - q: a binary clause with q false
+BINARY = -2  # reason code BINARY - q: a binary clause with q false
 
 
 class Solver:
@@ -55,10 +57,10 @@ class Solver:
         self.trail: list[int] = []
         self.qhead = 0
         self.current_level = 0
-        self.lits: list[int] = []
-        self.start: list[int] = []
-        self.size: list[int] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
+        # clauses: every long clause, base or learned, as one list of
+        # encoded literals; watches[p]: the long clauses watching p.
+        self.clauses: list[list[int]] = []
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 2)]
         # binaries[p]: the other literal of every binary clause holding p.
         self.binaries: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
         self.order = list(range(1, num_vars + 1)) if order is None else list(order)
@@ -69,7 +71,6 @@ class Solver:
         self.ok = True
         self._assumptions: list[int] = []
         self._failed: list[int] = []
-        self._conflict = [0, 0]  # the last falsified binary clause
         self._seen = [False] * (num_vars + 1)
         binaries = self.binaries
         limit = 2 * num_vars + 2  # encoded literals in range are 2..limit-1
@@ -113,21 +114,18 @@ class Solver:
         self._store(out)
         return True
 
-    def _store(self, out: list[int]) -> int:
+    def _store(self, out: list[int]):
         """Install a clause of two or more literals: a binary one in the
         implication lists, a longer one watched on its first two literals.
-        Returns the reason code that makes it imply `out[0]`."""
+        Returns the reason that makes it imply `out[0]`."""
         if len(out) == 2:
             self.binaries[out[0]].append(out[1])
             self.binaries[out[1]].append(out[0])
             return BINARY - out[1]
-        ci = len(self.start)
-        self.start.append(len(self.lits))
-        self.size.append(len(out))
-        self.lits.extend(out)
-        self.watches[out[0]].append(ci)
-        self.watches[out[1]].append(ci)
-        return ci
+        self.clauses.append(out)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
+        return out
 
     def add_clause(self, clause) -> None:
         """Add a clause between `solve()` calls.  It is simplified against
@@ -171,7 +169,7 @@ class Solver:
     def _lit_false(self, lit: int) -> bool:
         return self.assigns[lit >> 1] == lit & 1
 
-    def _enqueue(self, lit: int, reason: int) -> bool:
+    def _enqueue(self, lit: int, reason) -> bool:
         var = lit >> 1
         value = (lit & 1) ^ 1
         if self.assigns[var] != UNDEF:
@@ -184,16 +182,13 @@ class Solver:
 
     # -- search ----------------------------------------------------------
 
-    def _propagate(self) -> int:
-        """Exhaust pending implications; return a conflicting clause id,
-        BINARY_CONFLICT (the clause is in `_conflict`) or UNDEF."""
+    def _propagate(self):
+        """Exhaust pending implications; return the falsified clause as a
+        list of literals, or UNDEF."""
         trail = self.trail
         assigns = self.assigns
         level = self.level
         reason = self.reason
-        lits = self.lits
-        start = self.start
-        size = self.size
         watches = self.watches
         binaries = self.binaries
         current = self.current_level
@@ -212,8 +207,7 @@ class Solver:
                     reason[var] = code
                     trail.append(other)
                 elif value == other & 1:
-                    self._conflict = [other, false_lit]
-                    confl = BINARY_CONFLICT
+                    confl = [other, false_lit]
                     break
             if confl != UNDEF:
                 break
@@ -224,35 +218,34 @@ class Solver:
             i = 0
             end = len(ws)
             while i < end:
-                ci = ws[i]
+                c = ws[i]
                 i += 1
-                s = start[ci]
-                other = lits[s]
+                other = c[0]
                 if other == false_lit:
-                    other = lits[s + 1]
-                    lits[s] = other
-                    lits[s + 1] = false_lit
+                    other = c[1]
+                    c[0] = other
+                    c[1] = false_lit
                 value = assigns[other >> 1]
                 if value == (other & 1) ^ 1:
-                    kept.append(ci)
+                    kept.append(c)
                     continue
-                for k in range(s + 2, s + size[ci]):
-                    q = lits[k]
+                for k in range(2, len(c)):
+                    q = c[k]
                     if assigns[q >> 1] != q & 1:
-                        lits[s + 1] = q
-                        lits[k] = false_lit
-                        watches[q].append(ci)
+                        c[1] = q
+                        c[k] = false_lit
+                        watches[q].append(c)
                         break
                 else:
-                    kept.append(ci)
+                    kept.append(c)
                     if value != UNDEF:
                         kept.extend(ws[i:])
-                        confl = ci
+                        confl = c
                         break
                     var = other >> 1
                     assigns[var] = (other & 1) ^ 1
                     level[var] = current
-                    reason[var] = ci
+                    reason[var] = c
                     trail.append(other)
             watches[false_lit] = kept
             if confl != UNDEF:
@@ -261,17 +254,15 @@ class Solver:
         self.qhead = qhead
         return confl
 
-    def _clause(self, ci: int, implied: int) -> list[int]:
-        """The literals of reason or conflict `ci`; `implied` is the
-        literal it implied, needed only for a binary reason."""
-        if ci >= 0:
-            s = self.start[ci]
-            return self.lits[s:s + self.size[ci]]
-        if ci == BINARY_CONFLICT:
-            return self._conflict
-        return [implied, BINARY - ci]
+    @staticmethod
+    def _clause(reason, implied: int) -> list[int]:
+        """The literals of a reason or conflict; `implied` is the literal
+        it implied, needed only for a binary reason code."""
+        if type(reason) is list:
+            return reason
+        return [implied, BINARY - reason]
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl) -> tuple[list[int], int]:
         """First-UIP conflict analysis; returns (learnt, backjump level)
         with the asserting literal first."""
         learnt = [0]
@@ -332,8 +323,8 @@ class Solver:
         self.qhead = cut
         self.current_level = blevel
 
-    def _record(self, learnt: list[int]) -> int:
-        """Install a learnt clause; returns the reason code of its first
+    def _record(self, learnt: list[int]):
+        """Install a learnt clause; returns the reason of its first
         literal (UNDEF for units)."""
         self.learned += 1
         if len(learnt) == 1:
@@ -356,11 +347,11 @@ class Solver:
                 if not seen[var]:
                     continue
                 seen[var] = False
-                ci = self.reason[var]
-                if ci == UNDEF:
+                reason = self.reason[var]
+                if reason == UNDEF:
                     core.append(q)
                     continue
-                for other in self._clause(ci, q):
+                for other in self._clause(reason, q):
                     other >>= 1
                     if other != var and self.level[other] > 0:
                         seen[other] = True
@@ -387,8 +378,7 @@ class Solver:
                         f"conflict cap {self.max_conflicts} exceeded")
                 learnt, blevel = self._analyze(confl)
                 self._backjump(blevel)
-                ci = self._record(learnt)
-                self._enqueue(learnt[0], ci)
+                self._enqueue(learnt[0], self._record(learnt))
                 continue
             if self.current_level < len(assumptions):
                 lit = assumptions[self.current_level]

@@ -30,17 +30,15 @@ class ManipulationWitness:
                 f"g={letters[self.outcome_at]} -> g={letters[self.outcome_via]}")
 
 
-def find_manipulation(rule: Rule, domain: Domain | None = None) -> ManipulationWitness | None:
+def find_manipulation(rule: Rule) -> ManipulationWitness | None:
     """First manipulation in canonical order (lowest profile index, then
-    voter, then variant), or None iff the rule is strategy-proof on the
+    voter, then variant), or None iff the rule is strategy-proof on its
     domain.  Each unordered variant pair is visited once and checked in
     both directions."""
-    domain = rule.domain if domain is None else domain
-    table = {p: rule.evaluate(p) for p in domain} if domain is not rule.domain else None
-    value = (lambda i: rule.table[i]) if table is None else (
-        lambda i: table[domain.profiles[i]])
+    domain = rule.domain
+    table = rule.table
     for i, j, voter in profiles.variant_pairs(domain):
-        gi, gj = value(i), value(j)
+        gi, gj = table[i], table[j]
         if gi == gj:
             continue
         p, q = domain.profiles[i], domain.profiles[j]

@@ -194,8 +194,10 @@ def _nrange_full(scn: Scenario) -> list[Instance]:
     # profile: as assumptions the exclusions are not level-0 facts, and the
     # search more than triples (80 -> 261 conflicts at n=4, no seed).
     star = np_star_indices(scn.n, scn.m)
+    alts = frozenset(range(scn.m))
     return [_constrained(scn, f"never-{'xyz'[alt]}-on-star",
-                         _full_range(scn) + [cnf.Excludes(alt, star)])
+                         _full_range(scn)
+                         + [cnf.RangeSubset(alts - {alt}, star)])
             for alt in range(scn.m)]
 
 

@@ -90,8 +90,8 @@ def test_scenario_constraint_shapes(base33, np33, star33):
     units = subset.clauses(base33)
     assert len(units) == len(star33)
     assert all(c == (-base33.var(i, X),) for c, i in zip(units, star_idx))
-    excludes = cnf.Excludes(Z, star_idx)
-    assert len(excludes.clauses(base33)) == len(star33)
+    excludes = cnf.RangeSubset(frozenset(range(3)) - {Z}, star_idx)
+    assert excludes.clauses(base33) == [(-base33.var(i, Z),) for i in star_idx]
 
 
 def test_not_dictator_constraint_checks(base33, np33):
@@ -136,6 +136,10 @@ def test_dimacs_parse_errors():
         cnf.parse_dimacs("c comment\np cnf 1 1\n1 x 0\n")
     with pytest.raises(TextFormatError, match="at line 2"):
         cnf.parse_dimacs("p cnf 2 1\n5 -7 0\n")  # beyond the header
+    with pytest.raises(TextFormatError, match="second DIMACS header at line 3"):
+        cnf.parse_dimacs("p cnf 3 1\n3 0\np cnf 1 1\n")
+    with pytest.raises(TextFormatError, match="negative count at line 1"):
+        cnf.parse_dimacs("p cnf -2 0\n")
 
 
 def test_import_model():

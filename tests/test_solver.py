@@ -174,7 +174,7 @@ def test_binary_formulas_against_brute_force(clauses, assumptions):
     implication lists, and the verdict, the model and the refuted
     assumptions are checked by exhaustion."""
     core = CountingSolver(6, clauses)
-    assert core.start == []
+    assert core.clauses == []
     core.assume(assumptions)
     status = core.solve()
     units = [[lit] for lit in assumptions]
@@ -225,6 +225,26 @@ def test_binary_conflict_at_level_zero_is_final():
     assert core.solve() is False
 
 
+def test_long_clause_conflict_at_level_zero_is_final():
+    core = satcore.Solver(3, [[1, 2, 3]])
+    for lit in (-1, -2, -3):
+        core.add_clause([lit])
+    assert core.solve() is False and core.failed() == []
+    assert core.stats()["conflicts"] == 1
+    assert core.solve() is False
+
+
+def test_long_clause_as_a_reason_in_analyze_final():
+    """The assumptions 1 and 2 make the ternary clause imply 3, whose
+    binary clause implies 4 against the assumption -4: the refuted set
+    runs back through the long clause, which is the reason of 3."""
+    core = satcore.Solver(4, [[-1, -2, 3], [-3, 4]])
+    core.assume([1, 2, -4])
+    assert core.solve() is False
+    assert sorted(core.failed()) == [-4, 1, 2]
+    assert core.reason[3] is core.clauses[0]
+
+
 def test_learned_binary_clause_as_a_reason_in_analyze_final():
     """Deciding 1 then 2 falsifies a ternary clause; the conflict teaches
     the binary clause (-1, -2), which later implies -2 from the assumption
@@ -232,7 +252,7 @@ def test_learned_binary_clause_as_a_reason_in_analyze_final():
     core = satcore.Solver(3, [[-1, -2, 3], [-1, -2, -3]])
     assert core.solve() is True
     assert core.stats()["learned"] == 1
-    assert len(core.start) == 2  # the learned clause is no long clause
+    assert len(core.clauses) == 2  # the learned clause is no long clause
     core.assume([1, 2])
     assert core.solve() is False
     assert core.reason[2] == satcore.BINARY - core._encode(-1)
