@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import collapse, decisiveness, orders, profiles, rules, verify
-from .errors import WorkbenchError
+from .errors import ParameterError, WorkbenchError
 
 OK, OPERATIONAL_ERROR, VIOLATED = 0, 1, 2
 
@@ -105,6 +105,12 @@ def _cmd_scenario_run(args) -> int:
 
 
 def _cmd_collapse_run(args) -> int:
+    if args.n < 3:
+        # The theorems assume n >= 3; on NP(2, 3) a strategy-proof rule
+        # has profiles the descent cannot bring down, so a failure there
+        # would be a false counterexample.
+        raise ParameterError(
+            f"collapse run needs n >= 3 voters, got n={args.n}")
     source = profiles.enumerate_np(args.n, args.m)
     w, z = (orders.decode_letter(ch, args.m) for ch in (args.w, args.z))
     spec = collapse.make_spec(source, w, z)

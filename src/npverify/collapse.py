@@ -11,11 +11,15 @@ winner inside {w, z}).
 The descent follows a fixed case ladder.  The ladder only proposes
 candidate steps; each step is checked once, in `reduce_to_contiguous`
 (domain membership, value condition, strictly smaller sigma), so a wrong
-branch can only cause a reported failure, never a wrong result.
+branch can only cause a reported failure, never a wrong result.  Rank
+comparisons and bracket sizes are read from `orders.rank_table`, and the
+candidate orderings of a bracket move are memoised per input, so a descent
+scans no ordering and permutes no segment more than once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -36,12 +40,20 @@ def sigma(profile: Profile, a: int, b: int) -> SigmaStats:
     """Per-voter counts of alternatives strictly between `a` and `b`."""
     if a == b:
         raise InvalidPairError("sigma needs two distinct alternatives")
-    per = tuple(len(orders.between(v, a, b)) for v in profile)
+    rank = orders.rank_table(len(profile[0]))
+    per = tuple(abs(rank[v][a] - rank[v][b]) - 1 for v in profile)
     return SigmaStats(per, sum(per))
 
 
 def sigma_total(profile: Profile, a: int, b: int) -> int:
-    return sum(len(orders.between(v, a, b)) for v in profile)
+    if a == b:
+        raise InvalidPairError("sigma needs two distinct alternatives")
+    rank = orders.rank_table(len(profile[0]))
+    total = 0
+    for v in profile:
+        rv = rank[v]
+        total += abs(rv[a] - rv[b]) - 1
+    return total
 
 
 def contiguous_domain(n: int, m1: int, w: int, z: int,
@@ -192,7 +204,9 @@ def collapse_rule(rule: Rule, spec: CollapseSpec) -> tuple[Rule | None, Collapse
 # -- Lemma-style bracket moves ---------------------------------------------
 
 
-def bracket_moves(ordering: Ordering, a: int, b: int, part: int) -> list[Ordering]:
+@functools.cache
+def bracket_moves(ordering: Ordering, a: int, b: int,
+                  part: int) -> tuple[Ordering, ...]:
     """Candidate single-voter rearrangements within the (a, b) bracket.
 
     `a` must rank above `b`.  Positions above a and below b are untouched.
@@ -200,6 +214,9 @@ def bracket_moves(ordering: Ordering, a: int, b: int, part: int) -> list[Orderin
     part 2 permutes it together with a, a strictly falling.  Candidates are
     ordered by the moved endpoint's new rank (topmost first), then
     lexicographically, so searches are deterministic.
+
+    Memoised on the arguments: there are m! * m(m-1)/2 * 2 valid keys (288
+    at m=4, 2,400 at m=5), and a call that raises is not cached.
     """
     ia, ib = ordering.index(a), ordering.index(b)
     if ia >= ib:
@@ -218,7 +235,7 @@ def bracket_moves(ordering: Ordering, a: int, b: int, part: int) -> list[Orderin
         candidates.sort(key=lambda perm: (perm.index(moved), perm))
     else:
         raise ParameterError(f"part must be 1 or 2, got {part}")
-    return [head + perm + tail for perm in candidates]
+    return tuple(head + perm + tail for perm in candidates)
 
 
 def _with_voter(p: Profile, voter: int, ordering: Ordering) -> Profile:
@@ -353,19 +370,28 @@ class _Descent:
     pair.  Every handler is a generator of `(profile, move)` candidates in
     ladder order.  Handlers test only the profiles they build further
     candidates from; `reduce_to_contiguous` alone decides which candidate
-    is the step."""
+    is the step.  Rank tests read `self.rank`, the position table of the
+    domain's orderings: `rank[v][a] < rank[v][b]` is "v ranks a above b",
+    and `abs(rank[v][a] - rank[v][b]) - 1` is the size of v's (a, b)
+    bracket."""
 
     def __init__(self, rule: Rule, w: int, z: int):
         self.rule = rule
         self.domain = rule.domain
         self.w = w
         self.z = z
+        self.rank = orders.rank_table(self.domain.m)
         self.letters = orders.letters_for(self.domain.m)
 
     # small helpers -------------------------------------------------------
 
     def value(self, p: Profile) -> int:
         return self.rule.evaluate(p)
+
+    def probe(self, p: Profile) -> int | None:
+        """The value at p, or None when p is outside the domain."""
+        i = self.domain.lookup(p)
+        return None if i is None else self.rule.table[i]
 
     def stotal(self, p: Profile) -> int:
         return sigma_total(p, self.w, self.z)
@@ -392,28 +418,41 @@ class _Descent:
     def _swap(r: Profile, voter: int, a: int, b: int) -> Profile:
         return _with_voter(r, voter, orders.apply_move(r[voter], orders.Swap(a, b)))
 
+    def _pair_brackets(self, r: Profile, x: int) -> tuple[list[int], list[bool]]:
+        """Per voter: the size of the (w, z) bracket, and whether x lies
+        strictly inside it."""
+        w, z = self.w, self.z
+        sizes = []
+        inside = []
+        for v in r:
+            rk = self.rank[v]
+            rw, rz, rx = rk[w], rk[z], rk[x]
+            sizes.append(abs(rw - rz) - 1)
+            inside.append(rw < rx < rz or rz < rx < rw)
+        return sizes, inside
+
     def snapshot(self, r: Profile) -> ReductionContext:
         """Working sets at r, for the failure report."""
         x = self.value(r)
-        per = tuple(len(orders.between(v, self.w, self.z)) for v in r)
+        w, z = self.w, self.z
+        ranks = [self.rank[v] for v in r]
+        per = tuple(self._pair_brackets(r, x)[0])
         pivot = None
         sets: dict[str, tuple] = {
-            "J": tuple(i for i in range(self.domain.n)
-                       if orders.ranks_above(r[i], self.w, self.z)),
-            "H": tuple(i for i in range(self.domain.n)
-                       if orders.ranks_above(r[i], self.z, self.w)),
+            "J": tuple(i for i, rk in enumerate(ranks) if rk[w] < rk[z]),
+            "H": tuple(i for i, rk in enumerate(ranks) if rk[z] < rk[w]),
         }
-        if x not in (self.w, self.z):
+        if x not in (w, z):
             candidates = [j for j, s in enumerate(per) if s == max(per)]
             if candidates:
                 pivot = candidates[0]
-                sets["Y"] = orders.between(r[pivot], self.w, self.z)
+                sets["Y"] = orders.between(r[pivot], w, z)
                 oriented = self._orientation(r[pivot], x)
                 if oriented is not None:
                     top, bot = oriented
                     sets["A"] = orders.between(r[pivot], top, x)
                     sets["B"] = orders.between(r[pivot], x, bot)
-        return ReductionContext(pivot=pivot, bracket=(self.w, self.z),
+        return ReductionContext(pivot=pivot, bracket=(w, z),
                                 winner=x, per_voter_sigma=per, sets=sets)
 
     # case handlers -------------------------------------------------------
@@ -421,37 +460,36 @@ class _Descent:
     def candidates(self, r: Profile, x: int):
         """Every candidate next step from r, which selects x, in ladder
         order."""
-        if x in (self.w, self.z):
+        if x == self.w or x == self.z:
             yield from self._case3(r, x)
             return
-        per = [len(orders.between(v, self.w, self.z)) for v in r]
+        per, inside = self._pair_brackets(r, x)
         smax = max(per)
         max_pivots = [j for j, s in enumerate(per) if s == smax]
         for j in max_pivots:
-            if x not in orders.between(r[j], self.w, self.z):
+            if not inside[j]:
                 yield from self._case1(r, j)
-        case2_pivots = [j for j in max_pivots
-                        if x in orders.between(r[j], self.w, self.z)]
+        case2_pivots = [j for j in max_pivots if inside[j]]
         case2_pivots += [j for j in range(self.domain.n)
-                         if j not in max_pivots
-                         and x in orders.between(r[j], self.w, self.z)]
+                         if j not in max_pivots and inside[j]]
         for rank, j in enumerate(case2_pivots):
             yield from self._case2(r, j, x, fallback=rank > 0 or j not in max_pivots)
 
     def _case1(self, r: Profile, j: int):
-        top, bot = ((self.w, self.z)
-                    if orders.ranks_above(r[j], self.w, self.z)
+        rank = self.rank
+        rj = rank[r[j]]
+        top, bot = ((self.w, self.z) if rj[self.w] < rj[self.z]
                     else (self.z, self.w))
         yield from self._ends(r, j, top, bot, "case1")
         interior = orders.between(r[j], top, bot)
         others = [i for i in range(self.domain.n) if i != j]
         certified = all(
-            orders.ranks_above(r[i], bot, y) and orders.ranks_above(r[i], y, top)
+            rank[r[i]][bot] < rank[r[i]][y] < rank[r[i]][top]
             for i in others for y in interior)
         if not certified:
             return
         for h in others:
-            pos_top = r[h].index(top)
+            pos_top = rank[r[h]][top]
             if pos_top == 0:
                 continue
             y_star = r[h][pos_top - 1]
@@ -463,11 +501,11 @@ class _Descent:
 
     def _orientation(self, ordering: Ordering, x: int) -> tuple[int, int] | None:
         """(top, bot) of the pair around x, or None when x is outside."""
-        if (orders.ranks_above(ordering, self.w, x)
-                and orders.ranks_above(ordering, x, self.z)):
+        rk = self.rank[ordering]
+        rw, rz, rx = rk[self.w], rk[self.z], rk[x]
+        if rw < rx < rz:
             return self.w, self.z
-        if (orders.ranks_above(ordering, self.z, x)
-                and orders.ranks_above(ordering, x, self.w)):
+        if rz < rx < rw:
             return self.z, self.w
         return None
 
@@ -478,7 +516,8 @@ class _Descent:
             return
         top, bot = oriented
         work = self._normalize_x_up(r, j, x, top)
-        if orders.between(work[j], top, x):
+        rj = self.rank[work[j]]
+        if abs(rj[top] - rj[x]) > 1:
             yield from self._case2_part1(work, j, x, top, bot, tag)
         else:
             yield from self._case2_part2(work, j, x, tag)
@@ -488,11 +527,11 @@ class _Descent:
         the domain allows, never above `top`; sigma is unchanged."""
         work = r
         while True:
-            pos = work[j].index(x)
+            pos = self.rank[work[j]][x]
             if pos == 0 or work[j][pos - 1] == top:
                 return work
             cand = self._swap(work, j, x, work[j][pos - 1])
-            if cand not in self.domain or self.value(cand) != x:
+            if self.probe(cand) != x:
                 return work
             work = cand
 
@@ -500,50 +539,51 @@ class _Descent:
                      tag: str):
         """Nonempty bracket above x for the pivot: direct endpoint moves,
         then the per-voter statement ladder."""
+        rank = self.rank
         a_set = orders.between(r[j], top, x)
         yield from self._search(r, j, top, x, 2,
                                 f"{tag}p1 lower {self.letters[top]} voter {j + 1}")
         yield from self._search(r, j, x, bot, 1,
                                 f"{tag}p1 raise {self.letters[bot]} voter {j + 1}")
         others = [i for i in range(self.domain.n) if i != j]
-        if not all(orders.ranks_above(r[i], x, a) and orders.ranks_above(r[i], a, top)
+        if not all(rank[r[i]][x] < rank[r[i]][a] < rank[r[i]][top]
                    for i in others for a in a_set):
             return
         b_set = orders.between(r[j], x, bot)
         for h in others:
-            if orders.ranks_above(r[h], bot, top):
+            if rank[r[h]][bot] < rank[r[h]][top]:
                 yield from self._part1_ladder(r, j, h, x, top, bot, a_set,
                                               b_set, tag)
 
     def _part1_ladder(self, r: Profile, j: int, h: int, x: int,
                       top: int, bot: int, a_set, b_set, tag: str):
-        a_h = max(a_set, key=r[h].index)
-        if not orders.ranks_above(r[h], a_h, top):
+        rh = self.rank[r[h]]
+        a_h = max(a_set, key=rh.__getitem__)
+        if not rh[a_h] < rh[top]:
             return
-        c_set = orders.between(r[h], a_h, top)
-        if not c_set:
+        if rh[top] - rh[a_h] == 1:  # nothing between a_h and top
             yield (self._swap(r, h, a_h, top),
                    f"{tag}p1.I swap {self.letters[a_h]},"
                    f"{self.letters[top]} voter {h + 1}")
             return
-        if orders.ranks_above(r[h], bot, a_h):
+        if rh[bot] < rh[a_h]:
             yield from self._search(r, h, a_h, top, 1,
                                     f"{tag}p1.II raise {self.letters[top]} voter {h + 1}")
             return
         # bot sits inside the interval between a_h and top
-        if orders.between(r[h], bot, top):
+        if abs(rh[bot] - rh[top]) > 1:
             yield from self._ends(r, h, bot, top, f"{tag}p1.III")
             return
         if not b_set:
             return
-        b_h = min(b_set, key=r[h].index)
-        if not orders.ranks_above(r[h], top, b_h):
+        b_h = min(b_set, key=rh.__getitem__)
+        if not rh[top] < rh[b_h]:
             return
         work = r
-        while orders.between(work[h], top, b_h):
+        while abs(self.rank[work[h]][b_h] - self.rank[work[h]][top]) > 1:
             for cand in bracket_moves(work[h], top, b_h, 1):
                 moved = _with_voter(work, h, cand)
-                if moved in self.domain and self.value(moved) == x:
+                if self.probe(moved) == x:
                     break
             else:
                 return
@@ -560,21 +600,21 @@ class _Descent:
         for pos, b in zip(positions, target_order):
             qj[pos] = b
         q = _with_voter(r, j, tuple(qj))
-        if (q not in self.domain or self.value(q) != x
-                or self.stotal(q) != self.stotal(r)):
+        if self.probe(q) != x or self.stotal(q) != self.stotal(r):
             return
         # move b_h just above bot for voter h
         sh = list(q[h])
         sh.remove(b_h)
         sh.insert(sh.index(bot), b_h)
         s = _with_voter(q, h, tuple(sh))
-        if s not in self.domain or self.value(s) != x:
+        if self.probe(s) != x:
             return
         yield (self._swap(s, j, bot, b_h),
                f"{tag}p1.IV reorder+swap voters {j + 1},{h + 1}")
 
     def _case2_part2(self, r: Profile, j: int, x: int, tag: str):
         n = self.domain.n
+        ranks = [self.rank[v] for v in r]
         # re-pivot: a voter with alternatives between its upper pair member
         # and x reopens the part-1 argument, without normalizing that voter
         for i in range(n):
@@ -582,31 +622,33 @@ class _Descent:
             if oriented is None:
                 continue
             top_i, bot_i = oriented
-            if i != j and orders.between(r[i], top_i, x):
+            if i != j and abs(ranks[i][top_i] - ranks[i][x]) > 1:
                 yield from self._case2_part1(r, i, x, top_i, bot_i,
                                              tag + "-repivot")
-        J = [i for i in range(n) if orders.ranks_above(r[i], self.w, self.z)]
-        H = [i for i in range(n) if orders.ranks_above(r[i], self.z, self.w)]
-        sides = ((J, (self.w, self.z)), (H, (self.z, self.w)))
+        w, z = self.w, self.z
+        J = [i for i in range(n) if ranks[i][w] < ranks[i][z]]
+        H = [i for i in range(n) if ranks[i][z] < ranks[i][w]]
+        sides = ((J, (w, z)), (H, (z, w)))
         # endpoint moves on every voter's pair bracket; the acceptor checks
         # the selected alternative itself, so the x-in-the-bracket
         # restriction of the certified lemma version is not needed here
         for side, (near, far) in sides:
             for i in side:
-                if orders.between(r[i], near, far):
+                if abs(ranks[i][near] - ranks[i][far]) > 1:
                     yield from self._ends(r, i, near, far, f"{tag}p2")
 
     def _case3(self, r: Profile, winner: int):
         loser = self.z if winner == self.w else self.w
+        ranks = [self.rank[v] for v in r]
+        # a voter ranking one pair member above the other, with a nonempty
+        # bracket between them
         for j in range(self.domain.n):
-            if (orders.ranks_above(r[j], winner, loser)
-                    and orders.between(r[j], winner, loser)):
+            if ranks[j][loser] - ranks[j][winner] > 1:
                 yield from self._search(
                     r, j, winner, loser, 1,
                     f"case3 raise {self.letters[loser]} voter {j + 1}")
         for k in range(self.domain.n):
-            if (orders.ranks_above(r[k], loser, winner)
-                    and orders.between(r[k], loser, winner)):
+            if ranks[k][winner] - ranks[k][loser] > 1:
                 yield from self._ends(r, k, loser, winner, "case3")
 
 
@@ -617,19 +659,22 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
 
     Each step is the first ladder candidate that is in the domain, meets
     the value condition and has strictly smaller sigma; this loop is the
-    only place a step is checked."""
+    only place a step is checked, with one domain lookup per candidate."""
     _check_source(rule, spec)
     domain = rule.domain
     domain.index_of(r)
+    lookup = domain.lookup
+    table = rule.table
     descent = _Descent(rule, spec.w, spec.z)
     last = DescentStep(r, descent.stotal(r), descent.value(r), "start")
     steps = [last]
     while last.sigma > 0:
         want = descent.want(last.value)
         for u, move in descent.candidates(last.profile, last.value):
-            if u not in domain:
+            i = lookup(u)
+            if i is None:
                 continue
-            value = descent.value(u)
+            value = table[i]
             if not want(value):
                 continue
             sigma_u = descent.stotal(u)

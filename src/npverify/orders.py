@@ -9,8 +9,11 @@ and hashing cheap.  For ``m == 3`` the conventional letters are ``x, y, z``
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     EmptyUniverseError,
@@ -31,6 +34,21 @@ def all_orderings(m: int) -> tuple[Ordering, ...]:
     if m < 1:
         raise EmptyUniverseError("need at least one alternative")
     return tuple(itertools.permutations(range(m)))
+
+
+@functools.cache
+def rank_table(m: int) -> Mapping[Ordering, tuple[int, ...]]:
+    """Each of the m! orderings -> its rank tuple, ``rank[a]`` being the
+    0-based position of `a`.  Built once per m and shared read-only; hot
+    loops answer "is a above b" and "how many lie between a and b" from it
+    by subtraction instead of scanning the ordering."""
+    table = {}
+    for order in all_orderings(m):
+        rank = [0] * m
+        for pos, alt in enumerate(order):
+            rank[alt] = pos
+        table[order] = tuple(rank)
+    return MappingProxyType(table)
 
 
 def position(order: Ordering, alt: int) -> int:

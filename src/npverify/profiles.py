@@ -60,6 +60,10 @@ class Domain:
     def __contains__(self, profile: Profile) -> bool:
         return profile in self._index
 
+    def lookup(self, profile: Profile) -> int | None:
+        """The index of `profile`, or None when it is not a member."""
+        return self._index.get(profile)
+
     def index_of(self, profile: Profile) -> int:
         try:
             return self._index[profile]
@@ -184,27 +188,3 @@ def decode_profile(text: str, n: int, m: int) -> Profile:
 def dump_domain(domain: Domain) -> str:
     """One profile per line; line number - 1 is the canonical index."""
     return "".join(encode_profile(p) + "\n" for p in domain)
-
-
-def load_domain(text: str, n: int, m: int, kind: str = CUSTOM) -> Domain:
-    """Parse a domain file.  Indices are reassigned canonically, so files
-    not emitted by this tool still load into a well-formed domain.  With a
-    non-custom kind, every member must satisfy the kind's predicate."""
-    members = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            profile = decode_profile(line, n, m)
-        except TextFormatError as exc:
-            raise TextFormatError(f"line {lineno}: {exc}") from None
-        if kind in (NP, NP_STAR) and not is_np(profile):
-            raise TextFormatError(
-                f"line {lineno}: profile has a Pareto-dominated pair")
-        if kind == NP_STAR and profile[-2] != profile[-1]:
-            raise TextFormatError(
-                f"line {lineno}: last two voters disagree")
-        members.append(profile)
-    members = sorted(set(members))
-    return Domain(tuple(members), n=n, m=m, kind=kind)

@@ -4,10 +4,13 @@ incremental solving under assumptions in the MiniSat style (Een &
 Sorensson, "An Extensible SAT-solver", SAT 2003).
 
 Literals are encoded as ``2*v`` (positive) / ``2*v + 1`` (negative) over
-1-based variables.  No restarts and no clause deletion: the instances this
-workbench produces are small and highly propagating, and determinism is
-worth more than raw speed.  A conflict cap guards against surprises; hitting
-it raises, it is never reported as UNSAT.
+1-based variables, through one table per solver that maps each DIMACS
+literal to its encoded int, so the loaded clauses share those 2n int
+objects instead of holding a fresh int per entry.  No restarts and no
+clause deletion: the instances this workbench produces are small and
+highly propagating, and determinism is worth more than raw speed.  A
+conflict cap guards against surprises; hitting it raises, it is never
+reported as UNSAT.
 
 One solver answers many questions about one formula.  `assume(lits)` sets
 the assumptions (DIMACS literals) of the next `solve()`, which places them
@@ -72,8 +75,13 @@ class Solver:
         self._assumptions: list[int] = []
         self._failed: list[int] = []
         self._seen = [False] * (num_vars + 1)
+        # _lits: DIMACS literal -> encoded literal; anything else, 0
+        # included, is out of range.
+        self._lits = lits = {}
+        for var in range(1, num_vars + 1):
+            lits[var] = 2 * var
+            lits[-var] = 2 * var + 1
         binaries = self.binaries
-        limit = 2 * num_vars + 2  # encoded literals in range are 2..limit-1
         for clause in clauses:
             if len(clause) != 2:
                 if not self._add_clause(clause):
@@ -81,11 +89,11 @@ class Solver:
                     break
                 continue
             x, y = clause
-            a = 2 * x if x > 0 else 1 - 2 * x
-            b = 2 * y if y > 0 else 1 - 2 * y
-            if not (1 < a < limit and 1 < b < limit):
-                bad = y if 1 < a < limit else x
-                raise ValueError(f"literal {bad} out of range")
+            a = lits.get(x)
+            b = lits.get(y)
+            if a is None or b is None:
+                self._encode(x)  # raises for the first unknown literal
+                self._encode(y)
             if a == b:
                 if not self._enqueue(a, UNDEF):
                     self.ok = False
@@ -98,10 +106,7 @@ class Solver:
         out = []
         seen = set()
         for lit in clause:
-            var = abs(lit)
-            if not 1 <= var <= self.num_vars:
-                raise ValueError(f"literal {lit} out of range")
-            enc = 2 * var + (1 if lit < 0 else 0)
+            enc = self._encode(lit)
             if enc ^ 1 in seen:
                 return True  # tautology
             if enc not in seen:
@@ -158,10 +163,10 @@ class Solver:
     # -- assignment primitives ------------------------------------------
 
     def _encode(self, lit: int) -> int:
-        var = abs(lit)
-        if not 1 <= var <= self.num_vars:
+        enc = self._lits.get(lit)
+        if enc is None:
             raise ValueError(f"literal {lit} out of range")
-        return 2 * var + (1 if lit < 0 else 0)
+        return enc
 
     def _lit_true(self, lit: int) -> bool:
         return self.assigns[lit >> 1] == (lit & 1) ^ 1

@@ -117,3 +117,26 @@ def brute_sat(num_vars, clauses):
         if eval_clauses(clauses, assignment):
             return assignment
     return None
+
+
+def bracket_moves(ordering, a, b, part):
+    """Every rearrangement of one voter's (a, b) bracket, `a` above `b`,
+    by enumerating all permutations of the segment: part 1 permutes the
+    interior together with b and keeps those where b strictly rises, part
+    2 permutes a together with the interior and keeps those where a
+    strictly falls.  Sorted by the moved endpoint's new rank, then
+    lexicographically."""
+    top = next(i for i, alt in enumerate(ordering) if alt == a)
+    bottom = next(i for i, alt in enumerate(ordering) if alt == b)
+    if part == 1:
+        lo, hi, moved = top + 1, bottom + 1, b
+    else:
+        lo, hi, moved = top, bottom, a
+    old = next(i for i, alt in enumerate(ordering) if alt == moved)
+    found = []
+    for perm in itertools.permutations(ordering[lo:hi]):
+        candidate = ordering[:lo] + perm + ordering[hi:]
+        new = next(i for i, alt in enumerate(candidate) if alt == moved)
+        if (new < old) if part == 1 else (new > old):
+            found.append((new, candidate))
+    return [candidate for _, candidate in sorted(found)]

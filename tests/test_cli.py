@@ -34,11 +34,15 @@ def test_scenario_run_unknown_name(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_scenario_run_below_three_voters(capsys):
+@pytest.mark.parametrize("argv", [
+    ["scenario", "run", "gs_np", "--n", "2", "--no-differential"],
+    ["collapse", "run", "--n", "2", "--m", "3", "--w", "x", "--z", "y"],
+], ids=["scenario_gs_np", "collapse_xy"])
+def test_scenario_run_below_three_voters(argv, capsys):
     """The theorems assume n >= 3; NP(2, 3) has a non-dictatorial
-    strategy-proof rule, which must not be reported as a counterexample."""
-    assert run(["scenario", "run", "gs_np", "--n", "2",
-                "--no-differential"]) == 1
+    strategy-proof rule, and a dictator's descent fails on two of its
+    profiles, so neither may be reported as a counterexample."""
+    assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
 
 

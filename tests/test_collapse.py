@@ -1,12 +1,19 @@
 
 import hashlib
 import itertools
+import math
 
+import oracles
 import pytest
 
 from npverify import collapse, orders, profiles, rules, strategyproof
 from npverify.collapse import make_spec
-from npverify.errors import ContractError, InvalidPairError, MembershipError
+from npverify.errors import (
+    ContractError,
+    InvalidPairError,
+    MembershipError,
+    ParameterError,
+)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -28,6 +35,59 @@ def test_sigma_examples():
     assert stats.total == sum(stats.per_voter)
     with pytest.raises(InvalidPairError):
         collapse.sigma(p, A, A)
+    with pytest.raises(InvalidPairError):
+        collapse.sigma_total(p, A, A)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_position_tables_against_brute_force(m):
+    """The rank table, the memoised bracket moves and the descent's
+    table-driven bracket tests agree with `orders` and the brute-force
+    oracle on every ordering and every ordered pair."""
+    rank = orders.rank_table(m)
+    assert len(rank) == math.factorial(m)
+    # A one-profile domain is enough to build the ladder's helpers.
+    dummy = profiles.Domain(((tuple(range(m)),),), n=1, m=m)
+    ladders = {(a, b): collapse._Descent(rules.Rule(dummy, [0]), a, b)
+               for a, b in itertools.permutations(range(m), 2)}
+    for ordering in oracles.all_orders(m):
+        for (a, b), ladder in ladders.items():
+            interior = orders.between(ordering, a, b)
+            above = orders.ranks_above(ordering, a, b)
+            assert (rank[ordering][a] < rank[ordering][b]) == above
+            assert collapse.sigma_total((ordering,), a, b) == len(interior)
+            assert collapse.sigma((ordering,), a, b).per_voter == (
+                len(interior),)
+            for x in range(m):
+                sizes, inside = ladder._pair_brackets((ordering,), x)
+                assert sizes == [len(interior)]
+                assert inside == [x in interior]
+                if orders.ranks_above(ordering, a, x) and orders.ranks_above(
+                        ordering, x, b):
+                    expected = (a, b)
+                elif orders.ranks_above(ordering, b, x) and orders.ranks_above(
+                        ordering, x, a):
+                    expected = (b, a)
+                else:
+                    expected = None
+                assert ladder._orientation(ordering, x) == expected
+            if not above:
+                continue
+            for part in (1, 2):
+                moves = collapse.bracket_moves(ordering, a, b, part)
+                assert type(moves) is tuple
+                assert list(moves) == oracles.bracket_moves(
+                    ordering, a, b, part)
+                assert collapse.bracket_moves(ordering, a, b, part) is moves
+
+
+def test_bracket_moves_errors_are_not_cached():
+    before = collapse.bracket_moves.cache_info().currsize
+    with pytest.raises(ContractError):
+        collapse.bracket_moves((A, B, C), C, A, 1)
+    with pytest.raises(ParameterError):
+        collapse.bracket_moves((A, B, C), A, C, 3)
+    assert collapse.bracket_moves.cache_info().currsize == before
 
 
 def test_contiguous_domain(np34):

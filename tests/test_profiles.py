@@ -144,24 +144,10 @@ def test_profile_codec():
 
 
 def test_domain_file_round_trip(star33):
-    text = profiles.dump_domain(star33)
-    loaded = profiles.load_domain(text, 3, 3, kind=profiles.CUSTOM)
-    assert loaded.profiles == star33.profiles
-    # scrambled files get canonical indices back
-    lines = text.strip().splitlines()
-    scrambled = "\n".join(reversed(lines))
-    reloaded = profiles.load_domain(scrambled, 3, 3)
-    assert reloaded.profiles == star33.profiles
-
-
-def test_load_domain_enforces_kind():
-    with pytest.raises(TextFormatError):
-        profiles.load_domain("xyz|xyz|xyz\n", 3, 3, kind=profiles.NP)
-    with pytest.raises(TextFormatError):
-        profiles.load_domain("zyx|xyz|xzy\n", 3, 3, kind=profiles.NP_STAR)
-    loaded = profiles.load_domain("zyx|xyz|xyz\n", 3, 3,
-                                  kind=profiles.NP_STAR)
-    assert len(loaded) == 1
+    lines = profiles.dump_domain(star33).splitlines()
+    assert len(lines) == len(star33)
+    for k, line in enumerate(lines):
+        assert profiles.decode_profile(line, 3, 3) == star33.profiles[k]
 
 
 def test_domain_index_lookup(np33):
