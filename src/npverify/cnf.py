@@ -20,6 +20,7 @@ from .errors import (
     ScenarioError,
     TextFormatError,
 )
+from .orders import Ordering
 from .profiles import Domain
 from .rules import Rule
 
@@ -58,28 +59,42 @@ def encode_base(domain: Domain) -> CnfFormula:
     strategy-proofness constraint for every h-variant pair."""
     m = domain.m
     clauses: list[Clause] = []
+    # Profile i's variables are base + 0 .. base + m - 1, base = i * m + 1.
+    alt_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    for base in range(1, len(domain) * m + 1, m):
+        clauses.append(tuple(range(base, base + m)))
+        clauses.extend([(-base - a, -base - b) for a, b in alt_pairs])
 
-    def var(i: int, a: int) -> int:
-        return i * m + a + 1
+    # A pair's clauses depend only on the deviating voter's two orderings;
+    # each side's template is a list of (a, b) offsets: "this side picks a
+    # while the other picks b" is forbidden.
+    templates: dict[tuple[Ordering, Ordering], tuple[list, list]] = {}
 
-    for i in range(len(domain)):
-        clauses.append(tuple(var(i, a) for a in range(m)))
-        for a in range(m):
-            for b in range(a + 1, m):
-                clauses.append((-var(i, a), -var(i, b)))
-
-    # No clause recurs across pairs: its two variables name the pair.
-    for i, j, voter in profiles.variant_pairs(domain):
-        p = domain.profiles[i][voter]
-        for side_i, side_j, ordering in ((i, j, p), (j, i, domain.profiles[j][voter])):
-            # voter would deviate from side_i to side_j to trade a for b
+    def template(p: Ordering, q: Ordering) -> tuple[list, list]:
+        rank_p = orders.rank_table(m)[p]
+        sides = []
+        for ordering, from_j in ((p, False), (q, True)):
+            # voter would deviate from this side to the other to trade a for b
+            offsets = []
             for pos_b in range(m):
                 for pos_a in range(pos_b + 1, m):
                     a, b = ordering[pos_a], ordering[pos_b]
                     # from j to i, this repeats the i-to-j clause for (b, a)
                     # exactly when p ranks a above b
-                    if side_i == i or p.index(b) < p.index(a):
-                        clauses.append((-var(side_i, a), -var(side_j, b)))
+                    if not from_j or rank_p[b] < rank_p[a]:
+                        offsets.append((a, b))
+            sides.append(offsets)
+        templates[p, q] = tuple(sides)
+        return templates[p, q]
+
+    # No clause recurs across pairs: its two variables name the pair.
+    members = domain.profiles
+    for i, j, voter in profiles.variant_pairs(domain):
+        p, q = members[i][voter], members[j][voter]
+        forward, backward = templates.get((p, q)) or template(p, q)
+        neg_i, neg_j = -(i * m + 1), -(j * m + 1)
+        clauses.extend([(neg_i - a, neg_j - b) for a, b in forward])
+        clauses.extend([(neg_j - a, neg_i - b) for a, b in backward])
     return CnfFormula(num_vars=len(domain) * m, clauses=tuple(clauses),
                       n=domain.n, m=domain.m, domain_size=len(domain))
 

@@ -242,65 +242,6 @@ def _with_voter(p: Profile, voter: int, ordering: Ordering) -> Profile:
     return p[:voter] + (ordering,) + p[voter + 1:]
 
 
-def _search_reduction(rule: Rule, r: Profile, voter: int, a: int, b: int,
-                      part: int, value: int) -> Profile | None:
-    domain = rule.domain
-    for candidate in bracket_moves(r[voter], a, b, part):
-        u = _with_voter(r, voter, candidate)
-        if u in domain and rule.evaluate(u) == value:
-            return u
-    return None
-
-
-@dataclass(frozen=True)
-class ReductionOutcome:
-    kind: str  # "found" or "certified"
-    profile: Profile | None = None
-    condition: str = ""
-    trivial: bool = False
-
-
-def reduce_sigma_step(rule: Rule, r: Profile, voter: int, a: int, b: int,
-                      part: int) -> ReductionOutcome:
-    """One application of the bracket lemma for voter `voter` and bracket
-    (a, b), a above b: either a same-value profile with strictly smaller
-    per-voter bracket count, or a certificate that the lemma's unanimity
-    condition holds at r."""
-    if a == b:
-        raise InvalidPairError("bracket endpoints must differ")
-    domain = rule.domain
-    domain.index_of(r)
-    if not orders.ranks_above(r[voter], a, b):
-        raise ContractError(f"{a} must rank above {b} for voter {voter + 1}")
-    interior = orders.between(r[voter], a, b)
-    value = rule.evaluate(r)
-    forbidden = set(interior) | ({a} if part == 2 else set())
-    if value in forbidden:
-        raise ContractError(
-            f"selected alternative {value} lies in the protected bracket")
-    if not interior:
-        return ReductionOutcome(kind="certified", condition="empty bracket",
-                                trivial=True)
-    found = _search_reduction(rule, r, voter, a, b, part, value)
-    if found is not None:
-        return ReductionOutcome(kind="found", profile=found)
-    if part == 1:
-        holds = all(orders.ranks_above(r[i], b, y)
-                    for i in range(domain.n) if i != voter
-                    for y in interior)
-        condition = "b above the whole interior for every other voter"
-    else:
-        holds = all(orders.ranks_above(r[i], y, a)
-                    for i in range(domain.n) if i != voter
-                    for y in interior)
-        condition = "interior above a for every other voter"
-    if not holds:
-        raise ContractError(
-            "no reducing move exists but the lemma's condition fails; "
-            "the rule is not strategy-proof or the preconditions are violated")
-    return ReductionOutcome(kind="certified", condition=condition)
-
-
 # -- sigma descent ----------------------------------------------------------
 
 

@@ -92,10 +92,11 @@ def is_np(profile: Profile) -> bool:
     m = len(profile[0])
     if len(profile) == 1:
         return m == 1
-    positions = [{a: v.index(a) for a in v} for v in profile]
+    rank = orders.rank_table(m)
+    rows = [rank[v] for v in profile]
     for a in range(m):
         for b in range(a + 1, m):
-            above = {pos[a] < pos[b] for pos in positions}
+            above = {row[a] < row[b] for row in rows}
             if len(above) != 2:
                 return False
     return True
@@ -149,11 +150,29 @@ def variants(domain: Domain, profile: Profile, voter: int) -> tuple[Profile, ...
 
 def variant_pairs(domain: Domain):
     """Yield (p_index, q_index, voter) for every unordered h-variant pair,
-    each exactly once, in canonical order (p_index < q_index)."""
-    for i, p in enumerate(domain.profiles):
-        for voter in range(domain.n):
-            for q in variants(domain, p, voter):
-                j = domain.index_of(q)
+    each exactly once, in canonical order: p_index ascending, then voter,
+    then q's ordering at `voter` in `orders.all_orderings` order, keeping
+    only q_index > p_index.
+
+    One pass per voter buckets the profiles by what the other voters
+    report; a profile's h-variants at that voter are the rest of its
+    bucket, which is sorted by the voter's ordering."""
+    members = domain.profiles
+    # bucket_of[voter][i]: profile i's bucket at `voter`, itself included
+    bucket_of: list[list[list[int]]] = []
+    for voter in range(domain.n):
+        buckets: dict[Profile, list[int]] = {}
+        for i, p in enumerate(members):
+            buckets.setdefault(p[:voter] + p[voter + 1:], []).append(i)
+        row: list = [None] * len(members)  # each profile is in one bucket
+        for bucket in buckets.values():
+            bucket.sort(key=lambda k: members[k][voter])
+            for i in bucket:
+                row[i] = bucket
+        bucket_of.append(row)
+    for i in range(len(members)):
+        for voter, row in enumerate(bucket_of):
+            for j in row[i]:
                 if j > i:
                     yield i, j, voter
 

@@ -140,3 +140,22 @@ def bracket_moves(ordering, a, b, part):
         if (new < old) if part == 1 else (new > old):
             found.append((new, candidate))
     return [candidate for _, candidate in sorted(found)]
+
+
+def variant_pairs(members):
+    """Every unordered pair of members that differ at exactly one voter,
+    as (i, j, voter) with i < j in list order.  Two profiles that agree
+    at all voters but one agree at the first or at the second voter, so
+    only pairs sharing one of those two orderings are compared."""
+    found = set()
+    for shared in (0, 1):
+        groups = {}
+        for i, p in enumerate(members):
+            groups.setdefault(p[shared], []).append(i)
+        for group in groups.values():
+            for i, j in itertools.combinations(group, 2):
+                p, q = members[i], members[j]
+                diff = [h for h in range(len(p)) if p[h] != q[h]]
+                if len(diff) == 1:
+                    found.add((i, j, diff[0]))
+    return found

@@ -108,6 +108,27 @@ def test_collapse_run(capsys):
     assert "descent failures: 0" in out
 
 
+def test_collapse_run_trace_failures(capsys, monkeypatch):
+    """No built-in rule fails a descent, so the rule is swapped for one
+    that is not strategy-proof; each failure is printed with its context."""
+    def not_strategy_proof(name, domain):
+        return rules.from_function(
+            domain, lambda p: p[0][0] if p[1][0] in (0, 1) else p[1][0],
+            label="top unless pair leads")
+
+    monkeypatch.setattr(rules, "builtin", not_strategy_proof)
+    code = run(["collapse", "run", "--n", "3", "--m", "4",
+                "--w", "a", "--z", "b", "--trace-failures"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.count("FAILED: no case of the descent ladder applies") == 254
+    assert "descent failures: 254" in out
+    assert ("σ=3 profile=cadb|bdca|abcd value=c move=start\n"
+            "FAILED: no case of the descent ladder applies; see the last step\n"
+            "context: winner=c sigma=[1, 2, 0] pivot=2 A={d} B={} H=[2] "
+            "J=[1, 3] Y={d,c}\n") in out
+
+
 def test_decisive_report(capsys):
     code = run(["decisive", "report", "--rule", "constant:x",
                 "--n", "3", "--m", "3", "--pair", "x,y"])

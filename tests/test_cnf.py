@@ -112,11 +112,13 @@ def test_dimacs_round_trip(base33):
     assert [tuple(c) for c in clauses] == list(base33.clauses)
 
 
-def test_base_encoding_pinned(np33, np43, np34):
+def test_base_encoding_pinned(np33, np43, np34, star43):
     """The exact base clause sequence, through its DIMACS text."""
     for domain, prefix in ((np33, "39523c1dbdd815c9"),
                            (np43, "f3422dfdc596567c"),
-                           (np34, "d0f21be8e9a1901c")):
+                           (np34, "d0f21be8e9a1901c"),
+                           (star43, "f5247357ed46b127"),
+                           (profiles.enumerate_np(5, 3), "868cfd3dc16da8d1")):
         text = cnf.export_dimacs(cnf.encode_base(domain))
         assert hashlib.sha256(text.encode()).hexdigest().startswith(prefix)
     clauses = cnf.encode_base(np43).clauses

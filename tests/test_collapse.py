@@ -81,6 +81,24 @@ def test_position_tables_against_brute_force(m):
                 assert collapse.bracket_moves(ordering, a, b, part) is moves
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_bracket_moves_keep_upper_contours(m):
+    """A move inside one voter's (a, b) bracket never adds to what that
+    voter ranks above an alternative outside the protected set (the
+    interior, and a too in part 2)."""
+    for ordering in oracles.all_orders(m):
+        for a, b in itertools.permutations(range(m), 2):
+            if not orders.ranks_above(ordering, a, b):
+                continue
+            interior = set(orders.between(ordering, a, b))
+            for part in (1, 2):
+                protected = interior | ({a} if part == 2 else set())
+                for moved in collapse.bracket_moves(ordering, a, b, part):
+                    for x in set(range(m)) - protected:
+                        assert (set(moved[:moved.index(x)])
+                                <= set(ordering[:ordering.index(x)]))
+
+
 def test_bracket_moves_errors_are_not_cached():
     before = collapse.bracket_moves.cache_info().currsize
     with pytest.raises(ContractError):
@@ -168,63 +186,6 @@ def test_collapse_rule_reports_disagreement(np34, spec):
     assert report.disagreements
 
 
-def test_reduce_sigma_step_trivial_certificate(np34):
-    g = rules.dictator(np34, 0)
-    r = next(p for p in np34 if not orders.between(p[1], A, B)
-             and orders.ranks_above(p[1], A, B))
-    outcome = collapse.reduce_sigma_step(g, r, 1, A, B, part=1)
-    assert outcome.kind == "certified" and outcome.trivial
-
-
-def test_reduce_sigma_step_found_for_dictator(np34):
-    g = rules.dictator(np34, 0)
-    found = certified = 0
-    for r in np34:
-        for part in (1, 2):
-            if not orders.ranks_above(r[1], A, B):
-                continue
-            if not orders.between(r[1], A, B):
-                continue
-            if g.evaluate(r) in set(orders.between(r[1], A, B)) | (
-                    {A} if part == 2 else set()):
-                continue
-            outcome = collapse.reduce_sigma_step(g, r, 1, A, B, part)
-            if outcome.kind == "found":
-                found += 1
-                u = outcome.profile
-                assert u in np34
-                assert g.evaluate(u) == g.evaluate(r)
-                assert (len(orders.between(u[1], A, B))
-                        < len(orders.between(r[1], A, B)))
-                # only voter 2 moved, and only inside the bracket:
-                # positions above a and below b are untouched
-                assert all(u[i] == r[i] for i in range(3) if i != 1)
-                ia, ib = r[1].index(A), r[1].index(B)
-                assert u[1][:ia] == r[1][:ia]
-                assert u[1][ib + 1:] == r[1][ib + 1:]
-                # the set of alternatives voter 2 prefers to the winner
-                # has not expanded
-                winner = g.evaluate(r)
-                before = set(r[1][:r[1].index(winner)])
-                after = set(u[1][:u[1].index(winner)])
-                assert after <= before
-            else:
-                certified += 1
-    assert found > 0 and certified > 0
-
-
-def test_reduce_sigma_step_contract_errors(np34):
-    g = rules.dictator(np34, 0)
-    r = next(p for p in np34 if orders.ranks_above(p[1], B, A))
-    with pytest.raises(ContractError):
-        collapse.reduce_sigma_step(g, r, 1, A, B, part=1)
-    r = next(p for p in np34
-             if g.evaluate(p) == A and orders.ranks_above(p[0], A, B)
-             and orders.between(p[0], A, B))
-    with pytest.raises(ContractError):
-        collapse.reduce_sigma_step(g, r, 0, A, B, part=2)
-
-
 def test_descent_trivial_when_contiguous(np34, spec):
     g = rules.dictator(np34, 0)
     wz = collapse.contiguous_domain(3, 4, A, B, source=np34)
@@ -285,6 +246,41 @@ def test_descent_trace_rendering(np34, spec):
     result = collapse.reduce_to_contiguous(g, r, spec)
     text = result.render(4)
     assert "σ=" in text and "profile=" in text and "move=" in text
+
+
+def _top_unless_pair_leads(domain):
+    """Voter 1's top when voter 2 tops a or b, else voter 2's top: not
+    strategy-proof, so some descents end with ok=False."""
+    return rules.from_function(
+        domain, lambda p: p[0][0] if p[1][0] in (A, B) else p[1][0],
+        label="top unless pair leads")
+
+
+FAILED_DESCENTS = {
+    "abcd|bcda|dacb": (
+        "σ=3 profile=abcd|bcda|dacb value=a move=start\n"
+        "σ=2 profile=abcd|bcad|dacb value=a move=case3 raise a voter 2\n"
+        "FAILED: no case of the descent ladder applies; see the last step\n"
+        "context: winner=a sigma=[0, 1, 1] pivot=- H=[2] J=[1, 3]"),
+    "cadb|bdca|abcd": (
+        "σ=3 profile=cadb|bdca|abcd value=c move=start\n"
+        "FAILED: no case of the descent ladder applies; see the last step\n"
+        "context: winner=c sigma=[1, 2, 0] pivot=2 A={d} B={} H=[2] "
+        "J=[1, 3] Y={d,c}"),
+}
+
+
+@pytest.mark.parametrize("start", sorted(FAILED_DESCENTS))
+def test_descent_failure_context(np34, spec, start):
+    """A rule that is not strategy-proof ends a descent with ok=False; the
+    report names the last step and the working sets there."""
+    g = _top_unless_pair_leads(np34)
+    assert strategyproof.find_manipulation(g) is not None
+    result = collapse.reduce_to_contiguous(
+        g, profiles.decode_profile(start, 3, 4), spec)
+    assert not result.ok
+    assert result.context.bracket == (A, B)
+    assert result.render(4) == FAILED_DESCENTS[start]
 
 
 def test_collapse_profile_requires_contiguity(np34, spec):

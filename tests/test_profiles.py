@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -119,6 +120,46 @@ def test_variant_symmetry_exhaustive(np33):
         for voter in range(3):
             for q in profiles.variants(np33, p, voter):
                 assert p in profiles.variants(np33, q, voter)
+
+
+@pytest.fixture(params=["np33", "np43", "np34", "star43", "reversed43"])
+def pair_domain(request):
+    if request.param == "reversed43":
+        np43 = request.getfixturevalue("np43")
+        return profiles.Domain(tuple(reversed(np43.profiles)), n=4, m=3)
+    return request.getfixturevalue(request.param)
+
+
+def test_variant_pairs_against_references(pair_domain):
+    """The bucketed index equals the brute-force pair set, and the
+    sequence rebuilt from `variants` item for item, also on a domain not
+    listed in canonical order."""
+    assert inspect.isgeneratorfunction(profiles.variant_pairs)
+    domain = pair_domain
+    pairs = list(profiles.variant_pairs(domain))
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == oracles.variant_pairs(list(domain.profiles))
+    reference = [(i, j, voter)
+                 for i, p in enumerate(domain)
+                 for voter in range(domain.n)
+                 for j in map(domain.index_of,
+                              profiles.variants(domain, p, voter))
+                 if j > i]
+    assert pairs == reference
+
+
+@pytest.mark.parametrize("n,count", [(2, 6), (3, 102), (4, 906), (5, 6510)])
+def test_np_star_drops_last_voter_onto_np(n, count):
+    """The n-induction as data: dropping the last voter maps NP*(n+1, 3)
+    one-to-one onto NP(n, 3), in canonical order."""
+    star = profiles.np_star(profiles.enumerate_np(n + 1, 3))
+    if n < 3:
+        with pytest.warns(UserWarning, match="standing assumptions"):
+            smaller = profiles.enumerate_np(n, 3)
+    else:
+        smaller = profiles.enumerate_np(n, 3)
+    assert len(star) == len(smaller) == count
+    assert [p[:-1] for p in star] == list(smaller.profiles)
 
 
 def test_variants_needs_membership(np33):
