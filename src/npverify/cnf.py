@@ -103,20 +103,6 @@ def encode_base(domain: Domain) -> CnfFormula:
 
 
 @dataclass(frozen=True)
-class Fix:
-    """Unit clause: profile `index` selects `alt`."""
-
-    index: int
-    alt: int
-
-    def clauses(self, f: CnfFormula) -> list[Clause]:
-        return [(f.var(self.index, self.alt),)]
-
-    def check(self, rule: Rule) -> bool:
-        return rule.table[self.index] == self.alt
-
-
-@dataclass(frozen=True)
 class Attains:
     """`alt` is selected somewhere among the profile `indices`."""
 
@@ -177,7 +163,7 @@ class NotDictator:
         return False
 
 
-ScenarioConstraint = Fix | Attains | RangeSubset | NotDictator
+ScenarioConstraint = Attains | RangeSubset | NotDictator
 
 
 def add_scenario(f: CnfFormula,
@@ -197,17 +183,6 @@ def export_dimacs(f: CnfFormula) -> str:
         out.write(" ".join(str(lit) for lit in clause))
         out.write(" 0\n")
     return out.getvalue()
-
-
-def export_varmap(f: CnfFormula, domain: Domain) -> str:
-    """Sidecar map: ``<var> <profile-encoding> <alternative-letter>``."""
-    letters = orders.letters_for(f.m)
-    lines = []
-    for var in range(1, f.num_vars + 1):
-        i, a = f.profile_alt(var)
-        lines.append(f"{var} {profiles.encode_profile(domain.profiles[i])} "
-                     f"{letters[a]}")
-    return "\n".join(lines) + "\n"
 
 
 def _int_token(tok: str, what: str, lineno: int) -> int:

@@ -357,7 +357,10 @@ class _Descent:
 
     @staticmethod
     def _swap(r: Profile, voter: int, a: int, b: int) -> Profile:
-        return _with_voter(r, voter, orders.apply_move(r[voter], orders.Swap(a, b)))
+        order = list(r[voter])
+        i, j = order.index(a), order.index(b)
+        order[i], order[j] = b, a
+        return _with_voter(r, voter, tuple(order))
 
     def _pair_brackets(self, r: Profile, x: int) -> tuple[list[int], list[bool]]:
         """Per voter: the size of the (w, z) bracket, and whether x lies

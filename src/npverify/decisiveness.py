@@ -158,8 +158,8 @@ class TransferReport:
         return "\n".join(lines)
 
 
-def transfer_check(rule: Rule, coalition: Coalition, a: int, b: int,
-                   collapsed: Rule | None = None) -> TransferReport:
+def transfer_check(rule: Rule, coalition: Coalition, a: int,
+                   b: int) -> TransferReport:
     """Check, for this rule, the four transfer statements between
     decisiveness for the clone-collapsed rule and for the rule restricted
     to the agreeing-last-two-voters subdomain.
@@ -177,7 +177,7 @@ def transfer_check(rule: Rule, coalition: Coalition, a: int, b: int,
             f"coalition {coalition.render()} must sit inside voters "
             f"1..{n - 2}")
     star = profiles.np_star(source)
-    gstar = rules.clone_collapse(rule) if collapsed is None else collapsed
+    gstar = rules.clone_collapse(rule)
 
     def dec(r: Rule, d: Domain, members: frozenset[int]) -> str:
         if not members or not members < set(range(d.n)):

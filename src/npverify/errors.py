@@ -17,14 +17,6 @@ class InvalidPairError(WorkbenchError):
     """A pairwise operation received two equal alternatives."""
 
 
-class InvalidSubsetError(WorkbenchError):
-    """A restriction subset is empty or not contained in the universe."""
-
-
-class RejectedMoveError(WorkbenchError):
-    """A rearrangement move would cross its barrier or is malformed."""
-
-
 class ParameterError(WorkbenchError):
     """Voter/alternative counts outside an operation's supported range."""
 

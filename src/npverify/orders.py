@@ -12,16 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import (
-    EmptyUniverseError,
-    InvalidAlternativeError,
-    InvalidSubsetError,
-    RejectedMoveError,
-    TextFormatError,
-)
+from .errors import EmptyUniverseError, InvalidAlternativeError, TextFormatError
 
 Ordering = tuple[int, ...]
 
@@ -65,11 +58,6 @@ def ranks_above(order: Ordering, a: int, b: int) -> bool:
     return order.index(a) < order.index(b)
 
 
-def invert(order: Ordering) -> Ordering:
-    """Reverse every pairwise comparison."""
-    return order[::-1]
-
-
 def between(order: Ordering, a: int, b: int) -> tuple[int, ...]:
     """Alternatives strictly between `a` and `b`, top-down, order-agnostic
     in the pair (the bracket may be given either way up)."""
@@ -79,94 +67,11 @@ def between(order: Ordering, a: int, b: int) -> tuple[int, ...]:
     return order[i + 1:j]
 
 
-@dataclass(frozen=True)
-class Swap:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class RaiseToTop:
-    a: int
-
-
-@dataclass(frozen=True)
-class LowerToBottom:
-    a: int
-
-
-@dataclass(frozen=True)
-class Shift:
-    """Move `a` to 1-based `rank`, everything else shifting over.
-
-    With a `barrier` alternative set, the move is rejected if it would
-    change the relative order of `a` and the barrier.
-    """
-
-    a: int
-    rank: int
-    barrier: int | None = None
-
-
-Move = Swap | RaiseToTop | LowerToBottom | Shift
-
-
-def apply_move(order: Ordering, move: Move) -> Ordering:
-    """Apply a rearrangement move; alternatives not named keep their
-    relative order."""
-    if isinstance(move, Swap):
-        i, j = order.index(move.a), order.index(move.b)
-        out = list(order)
-        out[i], out[j] = out[j], out[i]
-        return tuple(out)
-    if isinstance(move, RaiseToTop):
-        i = order.index(move.a)
-        return (order[i],) + order[:i] + order[i + 1:]
-    if isinstance(move, LowerToBottom):
-        i = order.index(move.a)
-        return order[:i] + order[i + 1:] + (order[i],)
-    if isinstance(move, Shift):
-        return shift(order, move.a, move.rank, move.barrier)
-    raise RejectedMoveError(f"unknown move {move!r}")
-
-
-def shift(order: Ordering, a: int, rank: int,
-          barrier: int | None = None) -> Ordering:
-    """Relocate `a` to 1-based `rank`; reject barrier crossings."""
-    if not 1 <= rank <= len(order):
-        raise RejectedMoveError(f"rank {rank} out of range 1..{len(order)}")
-    i = order.index(a)
-    rest = list(order)
-    del rest[i]
-    rest.insert(rank - 1, a)
-    out = tuple(rest)
-    if barrier is not None:
-        before = ranks_above(order, a, barrier)
-        after = ranks_above(out, a, barrier)
-        if before != after:
-            raise RejectedMoveError(
-                f"shifting {a} to rank {rank} crosses barrier {barrier}")
-    return out
-
-
 def project(order: Ordering, subset) -> tuple[int, ...]:
     """Subsequence of `order` containing only members of `subset`, with the
     original labels kept."""
     keep = frozenset(subset)
     return tuple(a for a in order if a in keep)
-
-
-def restrict(order: Ordering, subset) -> tuple[Ordering, dict[int, int]]:
-    """Restriction to `subset`, re-indexed canonically (sorted members map
-    to 0..k-1).  Returns the re-indexed ordering and the index mapping."""
-    keep = frozenset(subset)
-    if not keep:
-        raise InvalidSubsetError("restriction subset is empty")
-    if not keep <= set(order):
-        raise InvalidSubsetError(
-            f"{sorted(keep)} is not a subset of the universe of {order!r}")
-    mapping = {alt: i for i, alt in enumerate(sorted(keep))}
-    return tuple(mapping[a] for a in order if a in keep), mapping
 
 
 def relabel(order: Ordering, perm) -> Ordering:

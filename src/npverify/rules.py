@@ -138,12 +138,12 @@ def range_of(rule: Rule, domain: Domain | None = None) -> RangeReport:
     return RangeReport(frozenset(witnesses), witnesses)
 
 
-def is_dictatorial(rule: Rule, domain: Domain | None = None) -> DictatorReport | None:
+def is_dictatorial(rule: Rule) -> DictatorReport | None:
     """Least voter i such that the rule always picks the range's top element
     under p(i); a singleton range makes every voter qualify vacuously and is
     flagged as degenerate."""
-    domain = rule.domain if domain is None else domain
-    rng = sorted(range_of(rule, domain).attained)
+    domain = rule.domain
+    rng = sorted(range_of(rule).attained)
     if len(rng) == 1:
         return DictatorReport(voter=0, degenerate=True)
     for voter in range(domain.n):

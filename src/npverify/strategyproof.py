@@ -1,5 +1,4 @@
-"""Manipulation detection, strategy-proofness certification and
-single-voter sequence paths between profiles."""
+"""Manipulation detection and strategy-proofness certification."""
 
 from __future__ import annotations
 
@@ -7,7 +6,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import orders, profiles
-from .errors import MembershipError
 from .profiles import Domain, Profile
 from .rules import Rule
 
@@ -49,43 +47,6 @@ def find_manipulation(rule: Rule) -> ManipulationWitness | None:
             return ManipulationWitness(at=j, via=i, voter=voter,
                                        outcome_at=gj, outcome_via=gi)
     return None
-
-
-@dataclass(frozen=True)
-class SequencePath:
-    """Chain of single-voter profile changes, all inside the domain."""
-
-    steps: tuple[tuple[int, int], ...]  # (profile index, changed voter)
-
-
-def standard_sequence(domain: Domain, start: Profile, goal: Profile,
-                      order=None) -> SequencePath | None:
-    """Replace voters' orderings one at a time, start -> goal, in the given
-    voter order (default ascending).  None if an intermediate profile
-    leaves the domain."""
-    domain.index_of(start)
-    domain.index_of(goal)
-    if order is None:
-        order = range(domain.n)
-    seen = set()
-    for voter in order:
-        if voter in seen:
-            raise MembershipError(f"voter {voter + 1} repeated in sequence order")
-        seen.add(voter)
-    changed = {v for v in range(domain.n) if start[v] != goal[v]}
-    if not changed <= seen:
-        missing = sorted(v + 1 for v in changed - seen)
-        raise MembershipError(f"sequence order never switches voters {missing}")
-    current = start
-    steps = []
-    for voter in order:
-        if current[voter] == goal[voter]:
-            continue
-        current = current[:voter] + (goal[voter],) + current[voter + 1:]
-        if current not in domain:
-            return None
-        steps.append((domain.index_of(current), voter))
-    return SequencePath(tuple(steps))
 
 
 @dataclass(frozen=True)

@@ -214,11 +214,10 @@ def _sweep(qualifies, alt: int, sign: int) -> Recipe:
         for i, p in enumerate(scn.domain()):
             if any(qualifies(p[v]) for v in head):
                 found = True
-                fix = (cnf.Fix(i, alt),) if sign > 0 else ()
                 yield Instance(
                     tag=f"u={profiles.encode_profile(p)}", base=base,
                     assumptions=(sign * base.var(i, alt),),
-                    constraints=(range_x,) + fix)
+                    constraints=(range_x,))
         if not found:
             raise ScenarioError(f"no qualifying profile for {scn.name}")
     return recipe
@@ -237,7 +236,7 @@ def _carries_x(triples: tuple[tuple[str, str, str], ...]) -> Recipe:
             k = domain.index_of(lists[target])
             out.append(Instance(tag=tag, base=base,
                                 assumptions=(base.var(i, X), -base.var(k, X)),
-                                constraints=(cnf.Fix(i, X),)))
+                                constraints=()))
         return out
     return recipe
 

@@ -81,8 +81,6 @@ def test_decode_rejects_broken_model(base33, np33):
 
 def test_scenario_constraint_shapes(base33, np33, star33):
     star_idx = tuple(np33.index_of(p) for p in star33)
-    fix = cnf.Fix(4, X)
-    assert fix.clauses(base33) == [(base33.var(4, X),)]
     attains = cnf.Attains(X, tuple(range(len(np33))))
     (clause,) = attains.clauses(base33)
     assert len(clause) == 102
@@ -155,13 +153,6 @@ def test_import_model():
         cnf.import_model("v 1 -2 9 0\n", f)  # out of range
     with pytest.raises(TextFormatError, match="'two' at line 2"):
         cnf.import_model("s SATISFIABLE\nv 1 two 0\n", f)
-
-
-def test_varmap_sidecar(base33, np33):
-    text = cnf.export_varmap(base33, np33)
-    lines = text.strip().splitlines()
-    assert len(lines) == base33.num_vars
-    assert lines[0] == f"1 {profiles.encode_profile(np33.profiles[0])} x"
 
 
 def test_external_dimacs_agreement(base33, external_solver):

@@ -4,7 +4,6 @@ import pytest
 
 import oracles
 from npverify import profiles, rules, strategyproof, verify
-from npverify.errors import MembershipError
 
 X, Y, Z = 0, 1, 2
 
@@ -65,72 +64,6 @@ def test_find_manipulation_deterministic(np33):
     g = rules.Rule(np33, table)
     first = strategyproof.find_manipulation(g)
     assert first == strategyproof.find_manipulation(g)
-
-
-def test_standard_sequence_trivial(np33):
-    p = np33.profiles[0]
-    path = strategyproof.standard_sequence(np33, p, p)
-    assert path.steps == ()
-
-
-def test_standard_sequence_lemma_pairs():
-    # n=4: the starred and double-starred profiles coincide (no middle
-    # block), so the path is empty; n=5 needs exactly one switch
-    np43 = verify.np_domain(4, 3)
-    lists4 = verify.build_list_part2(4)
-    for j in (1, 2, 3, 4):
-        start, goal = lists4[f"L{j}**"], lists4[f"L{j}*"]
-        assert start == goal
-        path = strategyproof.standard_sequence(np43, start, goal,
-                                               order=range(2, 2))
-        assert path.steps == ()
-
-    np53 = verify.np_domain(5, 3)
-    lists5 = verify.build_list_part2(5)
-    for j in (1, 2, 3, 4):
-        start, goal = lists5[f"L{j}**"], lists5[f"L{j}*"]
-        assert start != goal
-        path = strategyproof.standard_sequence(np53, start, goal,
-                                               order=range(2, 3))
-        assert path is not None
-        assert len(path.steps) == 1
-        assert path.steps[0][1] == 2
-
-
-def test_standard_sequence_blocked_by_unanimity(np33):
-    # switching voter 2 first visits the unanimous profile and fails;
-    # switching voter 1 first stays inside the domain
-    start = ((0, 1, 2), (2, 1, 0), (0, 1, 2))
-    goal = ((2, 1, 0), (0, 1, 2), (0, 1, 2))
-    assert start in np33 and goal in np33
-    blocked = strategyproof.standard_sequence(np33, start, goal,
-                                              order=[1, 0])
-    assert blocked is None
-    direct = strategyproof.standard_sequence(np33, start, goal,
-                                             order=[0, 1])
-    assert direct is not None and len(direct.steps) == 2
-
-
-def test_standard_sequence_single_steps(np33):
-    for start in list(np33)[:10]:
-        for goal in list(np33)[:10]:
-            path = strategyproof.standard_sequence(np33, start, goal)
-            if path is None:
-                continue
-            current = start
-            for idx, voter in path.steps:
-                nxt = np33.profiles[idx]
-                assert sum(a != b for a, b in zip(current, nxt)) == 1
-                assert current[voter] != nxt[voter]
-                current = nxt
-            assert current == goal
-
-
-def test_standard_sequence_order_must_cover(np33):
-    start = np33.profiles[0]
-    goal = next(p for p in np33 if p[0] != start[0] and p[1:] == start[1:])
-    with pytest.raises(MembershipError):
-        strategyproof.standard_sequence(np33, start, goal, order=[1, 2])
 
 
 def test_propagation_empty_fixed_point(np33):

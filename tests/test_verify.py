@@ -64,6 +64,9 @@ def test_part2_list_tables_n5():
     domain = verify.np_domain(5, 3)
     for profile in lists.values():
         assert profile in domain
+    for j in (1, 2, 3, 4):
+        star, double = lists[f"L{j}*"], lists[f"L{j}**"]
+        assert [v for v in range(5) if star[v] != double[v]] == [2]
 
 
 def test_part2_star_is_yz_relabel():
