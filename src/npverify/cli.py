@@ -31,7 +31,7 @@ def _cmd_domain_enum(args) -> int:
         domain = profiles.np_star(domain)
     if args.wz:
         w, z = (orders.decode_letter(ch, args.m) for ch in args.wz)
-        domain = collapse.contiguous_domain(args.n, args.m, w, z, source=domain)
+        domain = collapse.contiguous_domain(domain, w, z)
     if args.format == "structured":
         print(f"kind={domain.kind}")
         print(f"n={domain.n}")

@@ -31,7 +31,6 @@ Clause = tuple[int, ...]
 class CnfFormula:
     num_vars: int
     clauses: tuple[Clause, ...]
-    n: int
     m: int
     domain_size: int
 
@@ -48,7 +47,7 @@ class CnfFormula:
 
     def extended(self, extra: Iterable[Clause]) -> "CnfFormula":
         return CnfFormula(self.num_vars, self.clauses + tuple(extra),
-                          self.n, self.m, self.domain_size)
+                          self.m, self.domain_size)
 
 
 Model = dict[int, bool]
@@ -96,7 +95,7 @@ def encode_base(domain: Domain) -> CnfFormula:
         clauses.extend([(neg_i - a, neg_j - b) for a, b in forward])
         clauses.extend([(neg_j - a, neg_i - b) for a, b in backward])
     return CnfFormula(num_vars=len(domain) * m, clauses=tuple(clauses),
-                      n=domain.n, m=domain.m, domain_size=len(domain))
+                      m=domain.m, domain_size=len(domain))
 
 
 # -- scenario constraints -------------------------------------------------

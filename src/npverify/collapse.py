@@ -56,15 +56,13 @@ def sigma_total(profile: Profile, a: int, b: int) -> int:
     return total
 
 
-def contiguous_domain(n: int, m1: int, w: int, z: int,
-                      source: Domain | None = None) -> Domain:
-    """Members of NP(n, m1) in which w and z are adjacent for every voter."""
+def contiguous_domain(source: Domain, w: int, z: int) -> Domain:
+    """Members of `source` in which w and z are adjacent for every voter."""
     if w == z:
         raise InvalidPairError("contiguous pair must be distinct")
-    if source is None:
-        source = profiles.enumerate_np(n, m1)
     members = tuple(p for p in source if sigma_total(p, w, z) == 0)
-    return Domain(members, n=n, m=m1, kind=profiles.NP_WZ, wz=(w, z))
+    return Domain(members, n=source.n, m=source.m, kind=profiles.NP_WZ,
+                  wz=(w, z))
 
 
 @dataclass(frozen=True)
@@ -91,17 +89,12 @@ class CollapseSpec:
                 f"{tgt_letters[self.x_star]} ({legend})")
 
 
-def make_spec(source: Domain, w: int, z: int,
-              target: Domain | None = None) -> CollapseSpec:
+def make_spec(source: Domain, w: int, z: int) -> CollapseSpec:
     if w == z:
         raise InvalidPairError("w and z must be distinct")
     if not (0 <= w < source.m and 0 <= z < source.m):
         raise ParameterError("w or z outside the source universe")
-    if target is None:
-        target = profiles.enumerate_np(source.n, source.m - 1)
-    if (target.n, target.m) != (source.n, source.m - 1):
-        raise ParameterError(
-            f"target {target.describe()} does not fit source {source.describe()}")
+    target = profiles.enumerate_np(source.n, source.m - 1)
     kept = sorted(set(range(source.m)) - {w, z})
     to_target = {a: i for i, a in enumerate(kept)}
     to_source = {i: a for a, i in to_target.items()}
@@ -251,7 +244,6 @@ class ReductionContext:
     failure reports and traces."""
 
     pivot: int | None
-    bracket: tuple[int, int]
     winner: int
     per_voter_sigma: tuple[int, ...]
     sets: dict[str, tuple]
@@ -396,8 +388,8 @@ class _Descent:
                     top, bot = oriented
                     sets["A"] = orders.between(r[pivot], top, x)
                     sets["B"] = orders.between(r[pivot], x, bot)
-        return ReductionContext(pivot=pivot, bracket=(w, z),
-                                winner=x, per_voter_sigma=per, sets=sets)
+        return ReductionContext(pivot=pivot, winner=x, per_voter_sigma=per,
+                                sets=sets)
 
     # case handlers -------------------------------------------------------
 

@@ -6,6 +6,11 @@ members unanimously rank a over b and everyone else unanimously ranks b
 over a, the rule picks a.  On restricted domains some coalitions have no
 such test profile at all; that outcome is surfaced as `vacuous`, never
 silently folded into true.
+
+On a domain of strict orders every profile is the test profile of exactly
+one coalition, the voters who rank a over b there.  One pass over the
+domain therefore decides every coalition at once: a coalition is decisive
+when all its test profiles pick a, and vacuous when it has none.
 """
 
 from __future__ import annotations
@@ -40,33 +45,40 @@ class Coalition:
         return "{" + ",".join(str(v + 1) for v in sorted(self.members)) + "}"
 
 
+def _verdicts(rule: Rule, domain: Domain, a: int,
+              b: int) -> dict[frozenset[int], str]:
+    """DECISIVE / NOT_DECISIVE for every coalition with a test profile in
+    `domain`, from one pass; a coalition missing from the result is
+    vacuous."""
+    if a == b:
+        raise InvalidPairError("decisiveness needs two distinct alternatives")
+    rank = orders.rank_table(domain.m)
+    attained = set()
+    verdicts: dict[frozenset[int], str] = {}
+    for p in domain:
+        value = rule.evaluate(p)
+        attained.add(value)
+        members = frozenset(i for i, v in enumerate(p)
+                            if rank[v][a] < rank[v][b])
+        if verdicts.get(members) != NOT_DECISIVE:
+            verdicts[members] = DECISIVE if value == a else NOT_DECISIVE
+    if not attained <= {a, b}:
+        warnings.warn(
+            f"rule range {sorted(attained)} is not contained in the tested "
+            f"pair ({a}, {b}); decisiveness is intended for two-valued rules",
+            stacklevel=3)
+    return verdicts
+
+
 def is_decisive(rule: Rule, domain: Domain, coalition: Coalition,
                 a: int, b: int) -> str:
     """DECISIVE / NOT_DECISIVE / VACUOUS for `a` against `b`."""
-    if a == b:
-        raise InvalidPairError("decisiveness needs two distinct alternatives")
     members = coalition.members
     if not members or not members <= set(range(domain.n)):
         raise ParameterError(
             f"coalition {coalition.render()} is not a nonempty subset "
             f"of the {domain.n} voters")
-    # the full coalition has no two-sided test profile on a domain that
-    # excludes unanimity; it falls out as vacuous below
-    attained = rules.range_of(rule, domain).attained
-    if not attained <= {a, b}:
-        warnings.warn(
-            f"rule range {sorted(attained)} is not contained in the tested "
-            f"pair ({a}, {b}); decisiveness is intended for two-valued rules",
-            stacklevel=2)
-    found = False
-    for p in domain:
-        if all(orders.ranks_above(p[i], a, b) if i in members
-               else orders.ranks_above(p[i], b, a)
-               for i in range(domain.n)):
-            found = True
-            if rule.evaluate(p) != a:
-                return NOT_DECISIVE
-    return DECISIVE if found else VACUOUS
+    return _verdicts(rule, domain, a, b).get(members, VACUOUS)
 
 
 def _subset_key(members: frozenset[int]):
@@ -114,12 +126,11 @@ def minimal_decisive_families(rule: Rule, domain: Domain,
     if n > COALITION_CAP:
         raise SizeCapError(
             f"coalition enumeration capped at n <= {COALITION_CAP}")
-    verdicts: dict[frozenset[int], str] = {}
-    for size in range(1, n):
-        for combo in itertools.combinations(range(n), size):
-            members = frozenset(combo)
-            verdicts[members] = is_decisive(rule, domain, Coalition(members),
-                                            a, b)
+    table = _verdicts(rule, domain, a, b)
+    verdicts = {members: table.get(members, VACUOUS)
+                for size in range(1, n)
+                for members in map(frozenset,
+                                   itertools.combinations(range(n), size))}
     monotone = not any(
         c < sup and verdicts[sup] == NOT_DECISIVE
         for c, v in verdicts.items() if v == DECISIVE
@@ -176,53 +187,45 @@ def transfer_check(rule: Rule, coalition: Coalition, a: int,
         raise ParameterError(
             f"coalition {coalition.render()} must sit inside voters "
             f"1..{n - 2}")
-    star = profiles.np_star(source)
     gstar = rules.clone_collapse(rule)
+    # The empty and the full coalition are missing from both tables, so
+    # they read as vacuous: their test profile would be Pareto-dominated,
+    # and neither NP(n-1, m) nor NP* holds such a profile.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        collapsed = _verdicts(gstar, gstar.domain, a, b)
+        restricted = _verdicts(rule, profiles.np_star(source), a, b)
 
-    def dec(r: Rule, d: Domain, members: frozenset[int]) -> str:
-        if not members or not members < set(range(d.n)):
-            return VACUOUS  # no proper-coalition test exists
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return is_decisive(r, d, Coalition(members), a, b)
-
-    def minimally(r: Rule, d: Domain, members: frozenset[int]) -> bool:
-        if dec(r, d, members) != DECISIVE:
-            return False
-        return not any(
-            dec(r, d, frozenset(sub)) == DECISIVE
-            for size in range(1, len(members))
-            for sub in itertools.combinations(sorted(members), size))
+    def smaller_decisive(table, members, joined=frozenset()) -> bool:
+        """Some proper subset of `members`, joined with `joined`, is
+        decisive in `table`."""
+        return any(table.get(frozenset(sub) | joined) == DECISIVE
+                   for size in range(len(members))
+                   for sub in itertools.combinations(sorted(members), size))
 
     C = coalition.members
+    C_ext = C | {n - 2}  # voter n-1 of the (n-1)-voter collapsed rule
+    clones = frozenset({n - 2, n - 1})  # voters n-1 and n of the full rule
     items = []
 
-    hyp1 = dec(gstar, gstar.domain, C) == DECISIVE
-    con1 = dec(rule, star, C)
+    hyp1 = collapsed.get(C) == DECISIVE
+    con1 = restricted.get(C, VACUOUS)
     items.append(TransferItem("1 (decisiveness transfers)", hyp1, con1,
                               holds=not hyp1 or con1 != NOT_DECISIVE))
 
-    hyp2 = minimally(gstar, gstar.domain, C)
-    con2_ok = (not hyp2) or (
-        dec(rule, star, C) != NOT_DECISIVE
-        and not any(dec(rule, star, frozenset(sub)) == DECISIVE
-                    for size in range(1, len(C))
-                    for sub in itertools.combinations(sorted(C), size)))
+    hyp2 = hyp1 and not smaller_decisive(collapsed, C)
+    con2_ok = not hyp2 or (con1 != NOT_DECISIVE
+                           and not smaller_decisive(restricted, C))
     items.append(TransferItem("2 (minimality transfers)", hyp2,
                               "holds" if con2_ok else "fails", con2_ok))
 
-    C_ext = C | {n - 2}          # voter n-1 of the (n-1)-voter collapsed rule
-    C_full = C | {n - 2, n - 1}  # voters n-1 and n of the full rule
-    hyp3 = dec(gstar, gstar.domain, C_ext) == DECISIVE
-    con3 = dec(rule, star, C_full)
+    hyp3 = collapsed.get(C_ext) == DECISIVE
+    con3 = restricted.get(C | clones, VACUOUS)
     items.append(TransferItem("3 (clone pair transfers)", hyp3, con3,
                               holds=not hyp3 or con3 != NOT_DECISIVE))
 
-    hyp4 = minimally(gstar, gstar.domain, C_ext)
-    con4_ok = (not hyp4) or not any(
-        dec(rule, star, frozenset(sub) | {n - 2, n - 1}) == DECISIVE
-        for size in range(0, len(C))
-        for sub in itertools.combinations(sorted(C), size))
+    hyp4 = hyp3 and not smaller_decisive(collapsed, C_ext)
+    con4_ok = not hyp4 or not smaller_decisive(restricted, C, clones)
     items.append(TransferItem("4 (no smaller clone pair)", hyp4,
                               "holds" if con4_ok else "fails", con4_ok))
 

@@ -102,7 +102,7 @@ def is_np(profile: Profile) -> bool:
     return True
 
 
-def enumerate_np(n: int, m: int, cap: int = DEFAULT_RAW_CAP) -> Domain:
+def enumerate_np(n: int, m: int) -> Domain:
     """All profiles over (n, m) in which no alternative Pareto-dominates
     another, canonically indexed."""
     if n < 2:
@@ -116,9 +116,9 @@ def enumerate_np(n: int, m: int, cap: int = DEFAULT_RAW_CAP) -> Domain:
             stacklevel=2)
     universe = orders.all_orderings(m)
     raw = len(universe) ** n
-    if raw > cap:
-        raise SizeCapError(
-            f"(m!)^n = {raw} raw profiles exceeds the cap of {cap}")
+    if raw > DEFAULT_RAW_CAP:
+        raise SizeCapError(f"(m!)^n = {raw} raw profiles exceeds the cap "
+                           f"of {DEFAULT_RAW_CAP}")
     members = tuple(p for p in itertools.product(universe, repeat=n)
                     if is_np(p))
     return Domain(members, n=n, m=m, kind=NP)

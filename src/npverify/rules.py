@@ -157,8 +157,9 @@ def _top_of(ordering, alts) -> int:
     return best
 
 
-def clone_collapse(rule: Rule, target: Domain | None = None) -> Rule:
-    """The (n-1)-voter rule obtained by duplicating the last voter.
+def clone_collapse(rule: Rule) -> Rule:
+    """The (n-1)-voter rule on NP(n-1, m) obtained by duplicating the last
+    voter.
 
     Every lifted profile lands in NP(n, m): duplicating a voter cannot
     create a unanimous pair that was not already unanimous.
@@ -166,12 +167,7 @@ def clone_collapse(rule: Rule, target: Domain | None = None) -> Rule:
     source = rule.domain
     if source.n < 3:
         raise ParameterError("clone_collapse needs n >= 3")
-    if target is None:
-        target = profiles.enumerate_np(source.n - 1, source.m)
-    if (target.n, target.m) != (source.n - 1, source.m):
-        raise ParameterError(
-            f"target domain {target.describe()} does not match source "
-            f"{source.describe()}")
+    target = profiles.enumerate_np(source.n - 1, source.m)
 
     def collapsed(p: Profile) -> int:
         lifted = p + (p[-1],)

@@ -22,7 +22,7 @@ import os
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 from . import cnf, profiles, solver, strategyproof
@@ -127,10 +127,11 @@ class Instance:
     assumptions: tuple[int, ...]
     constraints: tuple[cnf.ScenarioConstraint, ...]
 
-    @cached_property
+    @property
     def formula(self) -> cnf.CnfFormula:
         """The complete formula: `base` plus one unit clause per
-        assumption (for export and the external check)."""
+        assumption (for export and the external check).  Built on each
+        read, so a sweep's instances do not each keep a copy."""
         if not self.assumptions:
             return self.base
         return self.base.extended((lit,) for lit in self.assumptions)
@@ -442,13 +443,15 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
         if not export_dir.is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory",
                                     str(export_dir))
+    instances = list(scn.instances())
     # A cached report stands in only for a run making the same external
     # check, and never for an export, which must write its files.
     cache_path = None
     if cache_dir is not None:
         # Made before solving, so an unusable directory fails at once.
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        cache_path = _cache_path(cache_dir, scn, seed, external_check)
+        cache_path = _cache_path(cache_dir, scn, instances, seed,
+                                 external_check)
         cached = None if export_dimacs else _cache_load(cache_path, scn)
         if cached is not None:
             return cached
@@ -456,7 +459,7 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
     domain = scn.domain()
     results = []
     session = None
-    for idx, instance in enumerate(scn.instances()):
+    for idx, instance in enumerate(instances):
         if session is None or session.formula is not instance.base:
             session = None  # free the old core before loading the next
             session = solver.Session(instance.base, seed=seed)
@@ -466,13 +469,15 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
                                 stats=res.stats)
         if res.status:
             record.witness = _verify_witness(instance, res.model, domain)
+        if export_dimacs or external is not None:
+            formula = instance.formula  # built on each read, so once here
         if export_dimacs:
             path = Path(export_dimacs)
             if idx > 0:
                 path = path.with_name(f"{path.stem}-{idx:04d}{path.suffix}")
-            path.write_text(cnf.export_dimacs(instance.formula))
+            path.write_text(cnf.export_dimacs(formula))
         if external is not None:
-            ext = solver.solve_external(instance.formula, external)
+            ext = solver.solve_external(formula, external)
             record.external_agrees = ext.status == res.status
             if ext.status and not res.status:
                 raise ContractError(
@@ -532,8 +537,8 @@ _CACHED_FIELDS = ("outcome", "expectation_met", "instances", "domain_size",
                   "wall_time", "external")
 
 
-def _cache_path(cache_dir: str, scn: Scenario, seed: int | None,
-                external_check: str) -> Path:
+def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
+                seed: int | None, external_check: str) -> Path:
     """Keyed on content: the DIMACS text of every base formula and each
     instance's tag and assumptions, so a changed encoding misses."""
     digest = hashlib.sha256()
@@ -541,7 +546,7 @@ def _cache_path(cache_dir: str, scn: Scenario, seed: int | None,
     digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
                   f"{external_check}".encode())
     base = None
-    for instance in scn.instances():
+    for instance in instances:
         if instance.base is not base:  # a sweep shares one base
             base = instance.base
             digest.update(cnf.export_dimacs(base).encode())

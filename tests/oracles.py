@@ -101,6 +101,21 @@ def known_sp_rules(n, m):
     return out
 
 
+def decisiveness(choice, members, coalition, a, b):
+    """"decisive", "not" or "vacuous" for `coalition` (a set of 0-based
+    voters) and `a` against `b`, by scanning every member for the
+    two-sided test profile: the coalition ranks a over b, everyone else b
+    over a.  `choice` maps each member to the alternative it picks."""
+    found = False
+    for p in members:
+        if all(prefers(v, a, b) if i in coalition else prefers(v, b, a)
+               for i, v in enumerate(p)):
+            found = True
+            if choice[p] != a:
+                return "not"
+    return "decisive" if found else "vacuous"
+
+
 def eval_clause(clause, assignment):
     return any(assignment[abs(lit)] == (lit > 0) for lit in clause)
 

@@ -200,7 +200,7 @@ def test_criterion_7_property_suites():
 
     # sigma/contiguity equivalence on the fused-pair domain
     source = verify.np_domain(3, 4)
-    wz = collapse.contiguous_domain(3, 4, 0, 1, source=source)
+    wz = collapse.contiguous_domain(source, 0, 1)
     sigma_ok = all(
         (collapse.sigma(p, 0, 1).total == 0) == (p in wz) for p in source)
 

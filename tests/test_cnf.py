@@ -99,7 +99,7 @@ def test_not_dictator_constraint_checks(base33, np33):
 
 
 def test_dimacs_format_exact():
-    f = cnf.CnfFormula(num_vars=1, clauses=((1,),), n=1, m=1, domain_size=1)
+    f = cnf.CnfFormula(num_vars=1, clauses=((1,),), m=1, domain_size=1)
     assert cnf.export_dimacs(f) == "p cnf 1 1\n1 0\n"
 
 
@@ -143,8 +143,7 @@ def test_dimacs_parse_errors():
 
 
 def test_import_model():
-    f = cnf.CnfFormula(num_vars=2, clauses=((1, -2),), n=1, m=2,
-                       domain_size=1)
+    f = cnf.CnfFormula(num_vars=2, clauses=((1, -2),), m=2, domain_size=1)
     model = cnf.import_model("c comment\nv 1 -2 0\ns SATISFIABLE\n", f)
     assert model == {1: True, 2: False}
     with pytest.raises(TextFormatError):

@@ -109,7 +109,7 @@ def test_bracket_moves_errors_are_not_cached():
 
 
 def test_contiguous_domain(np34):
-    wz = collapse.contiguous_domain(3, 4, A, B, source=np34)
+    wz = collapse.contiguous_domain(np34, A, B)
     assert len(wz) > 0
     for p in wz:
         assert collapse.sigma(p, A, B).total == 0
@@ -188,7 +188,7 @@ def test_collapse_rule_reports_disagreement(np34, spec):
 
 def test_descent_trivial_when_contiguous(np34, spec):
     g = rules.dictator(np34, 0)
-    wz = collapse.contiguous_domain(3, 4, A, B, source=np34)
+    wz = collapse.contiguous_domain(np34, A, B)
     r = wz.profiles[0]
     result = collapse.reduce_to_contiguous(g, r, spec)
     assert result.ok
@@ -279,7 +279,6 @@ def test_descent_failure_context(np34, spec, start):
     result = collapse.reduce_to_contiguous(
         g, profiles.decode_profile(start, 3, 4), spec)
     assert not result.ok
-    assert result.context.bracket == (A, B)
     assert result.render(4) == FAILED_DESCENTS[start]
 
 
@@ -336,8 +335,7 @@ def test_descent_branches_reached_at_m5(np35, np34, pair, start, label):
     """Ladder branches that no descent on NP(3,4) takes, each reached on
     NP(3,5) by the dictator of voter 1 restricted to {a, b}."""
     g = _top_among(np35, 0, (A, B))
-    spec = make_spec(np35, *(orders.decode_letter(c, 5) for c in pair),
-                     target=np34)
+    spec = make_spec(np35, *(orders.decode_letter(c, 5) for c in pair))
     result = collapse.reduce_to_contiguous(
         g, profiles.decode_profile(start, 3, 5), spec)
     assert result.ok, result.render(5)

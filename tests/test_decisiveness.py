@@ -1,7 +1,10 @@
+import itertools
+import random
 import warnings
 
 import pytest
 
+import oracles
 from npverify import decisiveness, profiles, rules, verify
 from npverify.decisiveness import DECISIVE, NOT_DECISIVE, VACUOUS, Coalition
 from npverify.errors import InvalidPairError, ParameterError
@@ -52,6 +55,8 @@ def test_is_decisive_guards(np33):
     g = pair_rule(np33, 0, X, Y)
     with pytest.raises(InvalidPairError):
         decisiveness.is_decisive(g, np33, Coalition.of(0), X, X)
+    with pytest.raises(InvalidPairError):
+        decisiveness.minimal_decisive_families(g, np33, X, X)
     with pytest.raises(ParameterError):
         decisiveness.is_decisive(g, np33, Coalition(frozenset()), X, Y)
     with pytest.warns(UserWarning):
@@ -59,8 +64,48 @@ def test_is_decisive_guards(np33):
                                  Coalition.of(0), X, Y)
 
 
+def _sample_rules(domain):
+    """A constant, a dictator, a pair rule and three seeded random
+    two-valued tables."""
+    rng = random.Random(len(domain))
+    found = [rules.constant(domain, X), rules.dictator(domain, 0),
+             pair_rule(domain, domain.n - 2, Y, Z)]
+    for _ in range(3):
+        alts = rng.sample(range(domain.m), 2)
+        found.append(rules.Rule(domain, [rng.choice(alts) for _ in domain]))
+    return found
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("source,queried", [
+    ("np33", "np33"), ("np43", "np43"), ("np43", "star43")])
+def test_verdicts_match_brute_force(request, source, queried):
+    """Every coalition, the full one included, and every ordered pair:
+    the one-pass verdicts equal the per-coalition two-sided scan."""
+    source = request.getfixturevalue(source)
+    domain = request.getfixturevalue(queried)
+    n = domain.n
+    coalitions = [frozenset(c) for size in range(1, n + 1)
+                  for c in itertools.combinations(range(n), size)]
+    seen = set()
+    for g in _sample_rules(source):
+        choice = dict(zip(source.profiles, g.table))
+        for a, b in itertools.permutations(range(domain.m), 2):
+            expected = {c: oracles.decisiveness(choice, domain.profiles,
+                                                c, a, b)
+                        for c in coalitions}
+            for c in coalitions:
+                assert decisiveness.is_decisive(
+                    g, domain, Coalition(c), a, b) == expected[c]
+            report = decisiveness.minimal_decisive_families(g, domain, a, b)
+            assert dict((c.members, v) for c, v in report.verdicts) == {
+                c: v for c, v in expected.items() if len(c) < n}
+            seen.update(expected.values())
+    assert seen == {DECISIVE, NOT_DECISIVE, VACUOUS}
+
+
 def test_collapsed_example1_decisiveness(np43, np33):
-    g = rules.clone_collapse(rules.example1(np43), target=np33)
+    g = rules.clone_collapse(rules.example1(np43))
     for_x = decisiveness.minimal_decisive_families(g, np33, X, Y)
     assert len(for_x.decisive) == 6 and for_x.monotone
     for_y = decisiveness.minimal_decisive_families(g, np33, Y, X)

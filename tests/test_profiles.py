@@ -82,7 +82,7 @@ def test_np_parameter_guards():
     with pytest.raises(ParameterError):
         profiles.enumerate_np(1, 3)
     with pytest.raises(SizeCapError):
-        profiles.enumerate_np(8, 4, cap=1000)
+        profiles.enumerate_np(8, 4)
     with pytest.warns(UserWarning):
         profiles.enumerate_np(2, 3)
 

@@ -79,37 +79,37 @@ def test_intensional_matches_table(np33, np43):
 
 def test_clone_collapse_dictator(np43, np33):
     g = rules.dictator(np43, 3)
-    collapsed = rules.clone_collapse(g, target=np33)
+    collapsed = rules.clone_collapse(g)
     assert collapsed.table == rules.dictator(np33, 2).table
 
 
 def test_clone_collapse_example1(np43, np33):
     g = rules.example1(np43)
-    collapsed = rules.clone_collapse(g, target=np33)
+    collapsed = rules.clone_collapse(g)
     assert collapsed.table == rules.constant(np33, X).table
 
 
 def test_clone_collapse_pointwise(np43, np33):
     g = rules.example1(np43)
-    collapsed = rules.clone_collapse(g, target=np33)
+    collapsed = rules.clone_collapse(g)
     for p in np33:
         assert collapsed.evaluate(p) == g.evaluate(p + (p[-1],))
 
 
-def test_clone_range_equals_star_range(np43, np33, star43):
+def test_clone_range_equals_star_range(np43, star43):
     for g in (rules.dictator(np43, 0), rules.example1(np43)):
-        collapsed = rules.clone_collapse(g, target=np33)
+        collapsed = rules.clone_collapse(g)
         assert (rules.range_of(collapsed).attained
                 == rules.range_of(g, star43).attained)
 
 
-def test_clone_collapse_preserves_strategy_proofness(np43, np33):
+def test_clone_collapse_preserves_strategy_proofness(np43):
     from npverify import strategyproof
 
     for g in (rules.dictator(np43, 0), rules.dictator(np43, 3),
               rules.example1(np43)):
         assert strategyproof.find_manipulation(g) is None
-        collapsed = rules.clone_collapse(g, target=np33)
+        collapsed = rules.clone_collapse(g)
         assert strategyproof.find_manipulation(collapsed) is None
 
 

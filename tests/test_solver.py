@@ -16,7 +16,7 @@ def clause_formula(num_vars, clauses):
     """A formula over bare variables: one "profile" per variable."""
     return cnf.CnfFormula(num_vars=num_vars,
                           clauses=tuple(tuple(c) for c in clauses),
-                          n=1, m=1, domain_size=num_vars)
+                          m=1, domain_size=num_vars)
 
 
 def run_pure(num_vars, clauses, **kw):
@@ -296,8 +296,7 @@ def test_stats_counters_populate():
 def test_external_model_is_checked(tmp_path):
     """An external SAT verdict is accepted only with a model that
     satisfies every clause."""
-    f = cnf.CnfFormula(num_vars=2, clauses=((1, -2),), n=1, m=2,
-                       domain_size=1)
+    f = cnf.CnfFormula(num_vars=2, clauses=((1, -2),), m=2, domain_size=1)
     stand_in = tmp_path / "stand-in-solver"
 
     def answer(model):

@@ -283,6 +283,24 @@ def test_cache_misses_when_the_encoding_changes(tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 2
 
 
+@pytest.mark.parametrize("name,built", [("gs_np", 1), ("nrange_full", 3)])
+def test_cache_miss_builds_each_instance_once(tmp_path, monkeypatch, name,
+                                              built):
+    """The cache key and the solve loop share one list of instances."""
+    calls = []
+    add_scenario = cnf.add_scenario
+
+    def counted(*args):
+        calls.append(args)
+        return add_scenario(*args)
+
+    monkeypatch.setattr(cnf, "add_scenario", counted)
+    report = verify.run_scenario(name, differential=False,
+                                 cache_dir=str(tmp_path))
+    assert not report.cached and len(report.instances) == built
+    assert len(calls) == built
+
+
 def _truncate(text):
     return text[:len(text) // 2]
 
