@@ -152,11 +152,7 @@ def _cmd_decisive_report(args) -> int:
         a, b = (orders.decode_letter(ch, args.m) for ch in args.pair.split(","))
     except ValueError:
         raise WorkbenchError(f"bad --pair {args.pair!r}; expected e.g. y,z")
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = decisiveness.minimal_decisive_families(rule, domain, a, b)
+    report = decisiveness.minimal_decisive_families(rule, domain, a, b)
     print(report.render(domain.m))
     return OK
 

@@ -1,5 +1,5 @@
 """Propositional encoding of "a strategy-proof rule with extra properties
-exists on this domain", plus DIMACS interchange.
+exists on this domain", plus DIMACS export.
 
 Variables: one per (profile, alternative) pair, numbered
 ``index * m + alternative + 1`` over the domain's canonical profile index,
@@ -138,28 +138,21 @@ class RangeSubset:
 
 @dataclass(frozen=True)
 class NotDictator:
-    """Some profile selects an alternative other than the voter's
-    top-of-range; encoded against an explicitly declared range set."""
+    """Some profile selects an alternative other than the voter's top."""
 
     voter: int
-    range_alts: frozenset[int]
     domain: Domain = field(repr=False, compare=False)
 
     def clauses(self, f: CnfFormula) -> list[Clause]:
-        if not self.range_alts:
-            raise ScenarioError("empty declared range")
         lits = []
         for i, p in enumerate(self.domain):
-            top = min(self.range_alts, key=p[self.voter].index)
+            top = p[self.voter][0]
             lits.extend(f.var(i, a) for a in range(f.m) if a != top)
         return [tuple(lits)]
 
     def check(self, rule: Rule) -> bool:
-        for i, p in enumerate(self.domain):
-            top = min(self.range_alts, key=p[self.voter].index)
-            if rule.table[i] != top:
-                return True
-        return False
+        return any(rule.table[i] != p[self.voter][0]
+                   for i, p in enumerate(self.domain))
 
 
 ScenarioConstraint = Attains | RangeSubset | NotDictator
@@ -172,7 +165,7 @@ def add_scenario(f: CnfFormula,
     return f.extended(clause for c in constraints for clause in c.clauses(f))
 
 
-# -- DIMACS interchange ----------------------------------------------------
+# -- DIMACS export and model import ---------------------------------------
 
 
 def export_dimacs(f: CnfFormula) -> str:
@@ -190,45 +183,6 @@ def _int_token(tok: str, what: str, lineno: int) -> int:
     except ValueError:
         raise TextFormatError(
             f"bad {what} {tok!r} at line {lineno}") from None
-
-
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    num_vars = None
-    num_clauses = None
-    clauses: list[list[int]] = []
-    pending: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise TextFormatError(f"bad DIMACS header at line {lineno}")
-            if num_vars is not None:
-                raise TextFormatError(f"second DIMACS header at line {lineno}")
-            num_vars = _int_token(parts[2], "variable count", lineno)
-            num_clauses = _int_token(parts[3], "clause count", lineno)
-            if num_vars < 0 or num_clauses < 0:
-                raise TextFormatError(f"negative count at line {lineno}")
-            continue
-        if num_vars is None:
-            raise TextFormatError(f"clause before header at line {lineno}")
-        for tok in line.split():
-            lit = _int_token(tok, "literal", lineno)
-            if lit == 0:
-                clauses.append(pending)
-                pending = []
-            elif abs(lit) > num_vars:
-                raise TextFormatError(f"literal {lit} out of range at line {lineno}")
-            else:
-                pending.append(lit)
-    if pending:
-        raise TextFormatError("last clause not zero-terminated")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise TextFormatError(
-            f"header promises {num_clauses} clauses, found {len(clauses)}")
-    return num_vars or 0, clauses
 
 
 def import_model(text: str, f: CnfFormula) -> Model:

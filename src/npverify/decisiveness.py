@@ -16,7 +16,6 @@ when all its test profiles pick a, and vacuous when it has none.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from . import orders, profiles, rules
@@ -53,20 +52,13 @@ def _verdicts(rule: Rule, domain: Domain, a: int,
     if a == b:
         raise InvalidPairError("decisiveness needs two distinct alternatives")
     rank = orders.rank_table(domain.m)
-    attained = set()
     verdicts: dict[frozenset[int], str] = {}
     for p in domain:
         value = rule.evaluate(p)
-        attained.add(value)
         members = frozenset(i for i, v in enumerate(p)
                             if rank[v][a] < rank[v][b])
         if verdicts.get(members) != NOT_DECISIVE:
             verdicts[members] = DECISIVE if value == a else NOT_DECISIVE
-    if not attained <= {a, b}:
-        warnings.warn(
-            f"rule range {sorted(attained)} is not contained in the tested "
-            f"pair ({a}, {b}); decisiveness is intended for two-valued rules",
-            stacklevel=3)
     return verdicts
 
 
@@ -191,10 +183,8 @@ def transfer_check(rule: Rule, coalition: Coalition, a: int,
     # The empty and the full coalition are missing from both tables, so
     # they read as vacuous: their test profile would be Pareto-dominated,
     # and neither NP(n-1, m) nor NP* holds such a profile.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        collapsed = _verdicts(gstar, gstar.domain, a, b)
-        restricted = _verdicts(rule, profiles.np_star(source), a, b)
+    collapsed = _verdicts(gstar, gstar.domain, a, b)
+    restricted = _verdicts(rule, profiles.np_star(source), a, b)
 
     def smaller_decisive(table, members, joined=frozenset()) -> bool:
         """Some proper subset of `members`, joined with `joined`, is

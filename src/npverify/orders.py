@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import EmptyUniverseError, InvalidAlternativeError, TextFormatError
+from .errors import EmptyUniverseError, TextFormatError
 
 Ordering = tuple[int, ...]
 
@@ -44,15 +44,6 @@ def rank_table(m: int) -> Mapping[Ordering, tuple[int, ...]]:
     return MappingProxyType(table)
 
 
-def position(order: Ordering, alt: int) -> int:
-    """1-based rank of `alt`; rank 1 is the top."""
-    try:
-        return order.index(alt) + 1
-    except ValueError:
-        raise InvalidAlternativeError(
-            f"alternative {alt} not in ordering {order!r}") from None
-
-
 def ranks_above(order: Ordering, a: int, b: int) -> bool:
     """True iff `a` is preferred to `b` under `order`."""
     return order.index(a) < order.index(b)
@@ -65,13 +56,6 @@ def between(order: Ordering, a: int, b: int) -> tuple[int, ...]:
     if i > j:
         i, j = j, i
     return order[i + 1:j]
-
-
-def project(order: Ordering, subset) -> tuple[int, ...]:
-    """Subsequence of `order` containing only members of `subset`, with the
-    original labels kept."""
-    keep = frozenset(subset)
-    return tuple(a for a in order if a in keep)
 
 
 def relabel(order: Ordering, perm) -> Ordering:

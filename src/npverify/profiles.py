@@ -1,4 +1,4 @@
-"""Profiles, Pareto-domination tests and the Non-Paretian domains.
+"""Profiles and the Non-Paretian domains.
 
 A profile is a tuple of orderings, one per voter.  Domains are materialized,
 deduplicated and canonically indexed (lexicographic over voter orderings) so
@@ -9,13 +9,11 @@ across runs.  Voters are 0-based internally; all user-facing text is 1-based.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 from . import orders
 from .errors import (
     DomainKindError,
-    InvalidPairError,
     MembershipError,
     ParameterError,
     SizeCapError,
@@ -80,13 +78,6 @@ class Domain:
         return f"{tag}(n={self.n}, m={self.m}, size={len(self)})"
 
 
-def pareto_dominates(profile: Profile, a: int, b: int) -> bool:
-    """True iff every voter ranks `a` above `b`."""
-    if a == b:
-        raise InvalidPairError("pareto_dominates needs two distinct alternatives")
-    return all(orders.ranks_above(v, a, b) for v in profile)
-
-
 def is_np(profile: Profile) -> bool:
     """True iff no ordered pair of alternatives is Pareto-dominated."""
     m = len(profile[0])
@@ -109,11 +100,6 @@ def enumerate_np(n: int, m: int) -> Domain:
         raise ParameterError(f"need at least 2 voters, got n={n}")
     if m < 1:
         raise ParameterError(f"need at least 1 alternative, got m={m}")
-    if n < 3 or m < 3:
-        warnings.warn(
-            f"NP(n={n}, m={m}) is outside the standing assumptions "
-            "(n >= 3, m >= 3); exposed for oracle use only",
-            stacklevel=2)
     universe = orders.all_orderings(m)
     raw = len(universe) ** n
     if raw > DEFAULT_RAW_CAP:

@@ -105,9 +105,6 @@ def example1(domain: Domain) -> Rule:
     return from_function(domain, example1_choice, label="example1")
 
 
-BUILTIN_RULES = ("dictator", "constant", "example1")
-
-
 def builtin(name: str, domain: Domain) -> Rule:
     """Construct a built-in rule from a CLI-style name like ``dictator:2``
     or ``constant:x`` (voters 1-based, alternatives by letter)."""

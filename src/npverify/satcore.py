@@ -47,13 +47,12 @@ from .errors import SolverCapError
 
 UNDEF = -1
 BINARY = -2  # reason code BINARY - q: a binary clause with q false
+MAX_CONFLICTS = 5_000_000  # per solve() call; exceeding it raises
 
 
 class Solver:
-    def __init__(self, num_vars: int, clauses, order=None,
-                 max_conflicts: int = 5_000_000):
+    def __init__(self, num_vars: int, clauses, order=None):
         self.num_vars = num_vars
-        self.max_conflicts = max_conflicts
         self.assigns = [UNDEF] * (num_vars + 1)
         self.level = [0] * (num_vars + 1)
         self.reason = [UNDEF] * (num_vars + 1)
@@ -378,9 +377,9 @@ class Solver:
                 if self.current_level == 0:
                     self.ok = False
                     return False
-                if self.conflicts > self.max_conflicts:
+                if self.conflicts > MAX_CONFLICTS:
                     raise SolverCapError(
-                        f"conflict cap {self.max_conflicts} exceeded")
+                        f"conflict cap {MAX_CONFLICTS} exceeded")
                 learnt, blevel = self._analyze(confl)
                 self._backjump(blevel)
                 self._enqueue(learnt[0], self._record(learnt))

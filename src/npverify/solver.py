@@ -92,6 +92,7 @@ def solve_formula(formula: cnf.CnfFormula, seed: int | None = None) -> SolveResu
 
 _REPO_BUILD = Path(__file__).resolve().parents[2] / "tools" / "extsolver" \
     / "target" / "release" / "extsolver"
+EXTERNAL_TIMEOUT = 600.0  # seconds per external run
 
 
 def find_external_solver() -> str | None:
@@ -109,25 +110,24 @@ def find_external_solver() -> str | None:
     return None
 
 
-def solve_external(formula: cnf.CnfFormula, binary: str,
-                   timeout: float = 600.0) -> SolveResult:
+def solve_external(formula: cnf.CnfFormula, binary: str) -> SolveResult:
     """Run an external DIMACS solver on the exported formula.
 
     Raises ExternalSolverError when the binary cannot be started or runs
-    past `timeout` seconds, TextFormatError when the output carries no
-    verdict or no complete model, and ContractError when a claimed model
-    falsifies a clause."""
+    past `EXTERNAL_TIMEOUT` seconds, TextFormatError when the output
+    carries no verdict or no complete model, and ContractError when a
+    claimed model falsifies a clause."""
     text = cnf.export_dimacs(formula)
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
         fh.write(text)
         path = fh.name
     try:
         proc = subprocess.run([binary, path], capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=EXTERNAL_TIMEOUT)
     except subprocess.TimeoutExpired:
         raise ExternalSolverError(
             f"external solver {binary} gave no verdict within "
-            f"{timeout:g} s") from None
+            f"{EXTERNAL_TIMEOUT:g} s") from None
     except OSError as exc:
         raise ExternalSolverError(
             f"external solver {binary} could not be started: "

@@ -145,15 +145,15 @@ class Scenario:
     expected: str | None  # "SAT", "UNSAT", or None for exploratory
     description: str
 
-    def instances(self) -> Iterable[Instance]:
-        """Iterable of CNF instances (lazy for the big lemma sweeps)."""
+    def instances(self) -> list[Instance]:
+        """The scenario's CNF instances, in solve order."""
         return _CATALOGUE[self.name].recipe(self)
 
     def domain(self) -> Domain:
         return np_domain(self.n, self.m)
 
 
-Recipe = Callable[[Scenario], Iterable[Instance]]
+Recipe = Callable[[Scenario], list[Instance]]
 
 
 @lru_cache(maxsize=None)
@@ -206,21 +206,19 @@ def _sweep(qualifies, alt: int, sign: int) -> Recipe:
     """One instance per profile where some head voter's ordering
     `qualifies`, over the base with range {x} on NP*, assuming the profile
     picks `alt` (sign 1) or does not (sign -1); all must be UNSAT."""
-    def recipe(scn: Scenario):
+    def recipe(scn: Scenario) -> list[Instance]:
         star = np_star_indices(scn.n, scn.m)
         range_x = cnf.RangeSubset(frozenset({X}), star)
         base = cnf.add_scenario(_encoded_base(scn.n, scn.m), range_x)
         head = range(scn.n - 2)
-        found = False
-        for i, p in enumerate(scn.domain()):
-            if any(qualifies(p[v]) for v in head):
-                found = True
-                yield Instance(
-                    tag=f"u={profiles.encode_profile(p)}", base=base,
-                    assumptions=(sign * base.var(i, alt),),
-                    constraints=(range_x,))
-        if not found:
+        out = [Instance(tag=f"u={profiles.encode_profile(p)}", base=base,
+                        assumptions=(sign * base.var(i, alt),),
+                        constraints=(range_x,))
+               for i, p in enumerate(scn.domain())
+               if any(qualifies(p[v]) for v in head)]
+        if not out:
             raise ScenarioError(f"no qualifying profile for {scn.name}")
+        return out
     return recipe
 
 
@@ -254,8 +252,7 @@ _CATALOGUE: dict[str, _Entry] = {
     "gs_np": _Entry(
         3, "UNSAT", "no strategy-proof full-range rule avoids dictatorship",
         _single("gs", lambda scn, star, every: _full_range(scn) + [
-            cnf.NotDictator(v, frozenset(range(scn.m)), scn.domain())
-            for v in range(scn.n)])),
+            cnf.NotDictator(v, scn.domain()) for v in range(scn.n)])),
     "sanity_sat": _Entry(
         3, "SAT", "strategy-proof full-range rules exist (dictators)",
         _single("full-range", lambda scn, star, every: _full_range(scn))),
@@ -443,7 +440,7 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
         if not export_dir.is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory",
                                     str(export_dir))
-    instances = list(scn.instances())
+    instances = scn.instances()
     # A cached report stands in only for a run making the same external
     # check, and never for an export, which must write its files.
     cache_path = None
@@ -503,20 +500,19 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
     return report
 
 
-def enumerate_models(scn: Scenario | str, k: int, n: int | None = None,
-                     seed: int | None = None) -> list[Rule]:
+def enumerate_models(scn: Scenario | str, k: int) -> list[Rule]:
     """Up to k distinct satisfying rules of a (single-instance) scenario,
     each blocked after extraction and oracle-verified."""
     if isinstance(scn, str):
-        scn = scenario(scn, n)
-    instances = list(scn.instances())
+        scn = scenario(scn)
+    instances = scn.instances()
     if len(instances) != 1:
         raise ScenarioError("model enumeration works on single-instance "
                             "scenarios")
     instance = instances[0]
     domain = scn.domain()
     base = instance.base
-    session = solver.Session(base, seed=seed)
+    session = solver.Session(base)
     out: list[Rule] = []
     while len(out) < k:
         res = session.solve(instance.assumptions)

@@ -1,6 +1,6 @@
 import pytest
 
-from npverify import cli, profiles, rules, solver
+from npverify import cli, decisiveness, profiles, rules, solver
 
 
 def run(argv):
@@ -106,6 +106,19 @@ def test_collapse_run(capsys):
     out = capsys.readouterr().out
     assert "extension disagreements: 0" in out
     assert "descent failures: 0" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_three_voter_paths_run_without_warnings(capsys):
+    """An NP(3, 3) collapse targets NP(3, 2), and an NP(3, 3) transfer
+    check clone-collapses onto NP(2, 3); neither warns."""
+    assert run(["collapse", "run", "--n", "3", "--m", "3",
+                "--w", "x", "--z", "y"]) == 0
+    assert capsys.readouterr().err == ""
+    g = rules.dictator(profiles.enumerate_np(3, 3), 0)
+    report = decisiveness.transfer_check(g, decisiveness.Coalition.of(0),
+                                         0, 1)
+    assert report.all_hold, report.render()
 
 
 def test_collapse_run_trace_failures(capsys, monkeypatch):

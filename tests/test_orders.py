@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from npverify import orders
-from npverify.errors import EmptyUniverseError, InvalidAlternativeError, TextFormatError
+from npverify.errors import EmptyUniverseError, TextFormatError
 
 orderings = st.integers(min_value=1, max_value=6).flatmap(
     lambda m: st.permutations(list(range(m))).map(tuple))
@@ -34,29 +34,10 @@ def test_all_orderings_empty_universe():
         orders.all_orderings(0)
 
 
-def test_position():
-    o = (0, 1, 2)  # x y z
-    assert orders.position(o, 1) == 2
-    assert orders.position(o, 0) == 1
-    assert orders.position((2, 1, 0), 0) == 3
-    with pytest.raises(InvalidAlternativeError):
-        orders.position(o, 5)
-
-
-@given(orderings)
-def test_position_is_a_bijection(o):
-    assert sorted(orders.position(o, a) for a in o) == list(
-        range(1, len(o) + 1))
-
-
 def test_between():
     assert orders.between((0, 1, 2, 3), 0, 3) == (1, 2)
     assert orders.between((0, 1, 2, 3), 3, 0) == (1, 2)
     assert orders.between((0, 1, 2), 0, 1) == ()
-
-
-def test_project_keeps_labels():
-    assert orders.project((2, 1, 0), {0, 2}) == (2, 0)
 
 
 def test_letters_m3_uses_xyz():

@@ -47,10 +47,11 @@ def test_model_is_total():
     assert set(res.model) == set(range(1, 6))
 
 
-def test_cap_error():
+def test_cap_error(monkeypatch):
     # a small pigeonhole-flavored hard-ish formula cannot finish in 1 conflict
+    monkeypatch.setattr(satcore, "MAX_CONFLICTS", 0)
     clauses = [[1, 2], [-1, -2], [1, -2], [-1, 2]]
-    core = satcore.Solver(2, clauses, max_conflicts=0)
+    core = satcore.Solver(2, clauses)
     with pytest.raises(SolverCapError):
         core.solve()
 
@@ -261,7 +262,7 @@ def test_learned_binary_clause_as_a_reason_in_analyze_final():
 
 def test_unsat_stable_across_seeds():
     scn = verify.scenario("gs_np")
-    instance = next(iter(scn.instances()))
+    instance = scn.instances()[0]
     outcomes = {solver.solve_formula(instance.formula, seed=s).status
                 for s in (None, 1, 2, 3)}
     assert outcomes == {False}
@@ -269,7 +270,7 @@ def test_unsat_stable_across_seeds():
 
 def test_sat_model_valid_across_seeds():
     scn = verify.scenario("sanity_sat")
-    instance = next(iter(scn.instances()))
+    instance = scn.instances()[0]
     for seed in (None, 7, 99):
         res = solver.solve_formula(instance.formula, seed=seed)
         assert res.status
@@ -312,7 +313,7 @@ def test_external_model_is_checked(tmp_path):
         answer("1 two")
 
 
-def test_external_solver_that_cannot_run(tmp_path):
+def test_external_solver_that_cannot_run(tmp_path, monkeypatch):
     """A solver that cannot start, or runs past its time limit, is an
     operational error that names the binary."""
     f = clause_formula(1, [[1]])
@@ -324,8 +325,9 @@ def test_external_solver_that_cannot_run(tmp_path):
     sleeper = tmp_path / "sleeper"
     sleeper.write_text("#!/bin/sh\nexec sleep 30\n")
     sleeper.chmod(0o755)
+    monkeypatch.setattr(solver, "EXTERNAL_TIMEOUT", 0.2)
     with pytest.raises(ExternalSolverError, match="sleeper.*within 0.2 s"):
-        solver.solve_external(f, str(sleeper), timeout=0.2)
+        solver.solve_external(f, str(sleeper))
 
 
 def test_external_solver_setting_must_name_a_file(tmp_path, monkeypatch):

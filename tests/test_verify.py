@@ -125,14 +125,14 @@ def test_lemma_sweeps_iterate_qualifying_profiles(np43):
     """Spot-check the sweep structure: counts match the qualifying
     predicate and a couple of sample instances are UNSAT."""
     head_top = sum(1 for p in np43 if any(v[0] == X for v in p[:2]))
-    instances = list(verify.scenario("lemma4_2").instances())
+    instances = verify.scenario("lemma4_2").instances()
     assert len(instances) == head_top
     sample = instances[:3] + instances[-3:]
     for inst in sample:
         assert not solver.solve_formula(inst.formula).status
 
     bottom_y = sum(1 for p in np43 if any(v[-1] == Y for v in p[:2]))
-    instances3 = list(verify.scenario("lemma4_3").instances())
+    instances3 = verify.scenario("lemma4_3").instances()
     assert len(instances3) == bottom_y
     for inst in instances3[:3]:
         assert not solver.solve_formula(inst.formula).status
@@ -144,7 +144,7 @@ def test_lemma_session_verdicts_match_full_formulas(name):
     verdict equals a fresh solve of the instance's complete formula."""
     scn = verify.scenario(name)
     report = verify.run_scenario(scn, differential=False)
-    instances = list(scn.instances())
+    instances = scn.instances()
     assert [r.tag for r in report.instances] == [i.tag for i in instances]
     assert len({id(i.base) for i in instances}) == 1
     for record, inst in zip(report.instances, instances):
@@ -183,7 +183,7 @@ def test_golden_search_digest():
 def test_witness_is_checked_against_assumptions(np43):
     """Lifting lemma4_4's refuted assumption gives a SAT instance whose
     witness must honour the remaining assumptions."""
-    inst = next(iter(verify.scenario("lemma4_4").instances()))
+    inst = verify.scenario("lemma4_4").instances()[0]
     fixed, target = (abs(lit) for lit in inst.assumptions)
     sat = verify.Instance(tag="x-at-both", base=inst.base,
                           assumptions=(fixed, target),
@@ -235,7 +235,7 @@ def test_enumerate_models(np33):
         assert rules.range_of(g).attained == {X, Y, Z}
     assert verify.enumerate_models("sanity_sat", k=0) == []
     # The dictators are the only ones: enumeration stops at UNSAT.
-    everything = verify.enumerate_models("sanity_sat", k=10, seed=5)
+    everything = verify.enumerate_models("sanity_sat", k=10)
     assert ({g.table for g in everything}
             == {rules.dictator(np33, v).table for v in range(3)})
     with pytest.raises(ScenarioError):
