@@ -177,14 +177,6 @@ def export_dimacs(f: CnfFormula) -> str:
     return out.getvalue()
 
 
-def _int_token(tok: str, what: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise TextFormatError(
-            f"bad {what} {tok!r} at line {lineno}") from None
-
-
 def import_model(text: str, f: CnfFormula) -> Model:
     """Parse solver ``v``-lines into a variable assignment."""
     model: Model = {}
@@ -193,7 +185,11 @@ def import_model(text: str, f: CnfFormula) -> Model:
         if not line.startswith("v"):
             continue
         for tok in line[1:].split():
-            lit = _int_token(tok, "model literal", lineno)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise TextFormatError(
+                    f"bad model literal {tok!r} at line {lineno}") from None
             if lit == 0:
                 continue
             var = abs(lit)

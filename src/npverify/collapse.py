@@ -280,10 +280,6 @@ class DescentResult:
     failure: str | None = None
     context: ReductionContext | None = None
 
-    @property
-    def final(self) -> Profile:
-        return self.steps[-1].profile
-
     def render(self, m: int) -> str:
         letters = orders.letters_for(m)
         lines = []

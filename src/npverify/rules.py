@@ -2,9 +2,8 @@
 
 A rule is total on its domain and is represented either extensionally (a
 table aligned with the canonical domain index) or intensionally (dictator,
-constant, the two-valued n>3 rule of `example1`, or a collapse of another
-rule).  Intensional rules can always be materialized to a table, and the two
-forms must agree pointwise.
+constant, or the two-valued n>3 rule of `example1`).  Intensional rules can
+always be materialized to a table, and the two forms must agree pointwise.
 """
 
 from __future__ import annotations
@@ -152,25 +151,6 @@ def is_dictatorial(rule: Rule) -> DictatorReport | None:
 def _top_of(ordering, alts) -> int:
     best = min(alts, key=ordering.index)
     return best
-
-
-def clone_collapse(rule: Rule) -> Rule:
-    """The (n-1)-voter rule on NP(n-1, m) obtained by duplicating the last
-    voter.
-
-    Every lifted profile lands in NP(n, m): duplicating a voter cannot
-    create a unanimous pair that was not already unanimous.
-    """
-    source = rule.domain
-    if source.n < 3:
-        raise ParameterError("clone_collapse needs n >= 3")
-    target = profiles.enumerate_np(source.n - 1, source.m)
-
-    def collapsed(p: Profile) -> int:
-        lifted = p + (p[-1],)
-        return rule.evaluate(lifted)
-
-    return from_function(target, collapsed, label=f"clone_collapse[{rule.label}]")
 
 
 def dump_rule(rule: Rule) -> str:

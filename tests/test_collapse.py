@@ -213,11 +213,10 @@ def test_descent_dictators_single_pair(np34, spec):
                 assert all(v == start for v in values)
             else:
                 assert all(v in (A, B) for v in values)
-            final = result.final
             mapped = (spec.x_star if values[-1] in (A, B)
                       else spec.to_target[values[-1]])
-            assert collapsed.evaluate(
-                collapse.collapse_profile(final, spec)) == mapped
+            assert collapsed.evaluate(collapse.collapse_profile(
+                result.steps[-1].profile, spec)) == mapped
 
 
 def test_descent_golden_digest(np34, spec):

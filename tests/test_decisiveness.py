@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from npverify import decisiveness, profiles, rules, verify
-from npverify.decisiveness import DECISIVE, NOT_DECISIVE, VACUOUS, Coalition
-from npverify.errors import InvalidPairError, ParameterError
+from npverify.decisiveness import DECISIVE, NOT_DECISIVE, VACUOUS
+from npverify.errors import InvalidPairError
 
 X, Y, Z = 0, 1, 2
 
@@ -38,28 +38,16 @@ def test_two_valued_dictator_minimal_families(np33):
         report = decisiveness.minimal_decisive_families(g, np33, a, b)
         assert {c.members for c in report.minimal} == {frozenset({1})}
         assert report.monotone
-        assert decisiveness.is_decisive(
-            g, np33, Coalition.of(1), a, b) == DECISIVE
-        assert decisiveness.is_decisive(
-            g, np33, Coalition.of(0, 2), a, b) == NOT_DECISIVE
-
-
-def test_full_coalition_vacuous_on_np(np33):
-    g = pair_rule(np33, 0, X, Y)
-    verdict = decisiveness.is_decisive(g, np33, Coalition.of(0, 1, 2), X, Y)
-    assert verdict == VACUOUS
 
 
 def test_is_decisive_guards(np33):
     g = pair_rule(np33, 0, X, Y)
     with pytest.raises(InvalidPairError):
-        decisiveness.is_decisive(g, np33, Coalition.of(0), X, X)
-    with pytest.raises(InvalidPairError):
         decisiveness.minimal_decisive_families(g, np33, X, X)
-    with pytest.raises(ParameterError):
-        decisiveness.is_decisive(g, np33, Coalition(frozenset()), X, Y)
-    assert decisiveness.is_decisive(rules.dictator(np33, 0), np33,
-                                    Coalition.of(0), X, Y) == NOT_DECISIVE
+    report = decisiveness.minimal_decisive_families(
+        rules.dictator(np33, 0), np33, X, Y)
+    assert dict((c.members, v) for c, v in report.verdicts)[
+        frozenset({0})] == NOT_DECISIVE
 
 
 def _sample_rules(domain):
@@ -91,22 +79,14 @@ def test_verdicts_match_brute_force(request, source, queried):
             expected = {c: oracles.decisiveness(choice, domain.profiles,
                                                 c, a, b)
                         for c in coalitions}
+            verdicts = decisiveness._verdicts(g, domain, a, b)
             for c in coalitions:
-                assert decisiveness.is_decisive(
-                    g, domain, Coalition(c), a, b) == expected[c]
+                assert verdicts.get(c, VACUOUS) == expected[c]
             report = decisiveness.minimal_decisive_families(g, domain, a, b)
             assert dict((c.members, v) for c, v in report.verdicts) == {
                 c: v for c, v in expected.items() if len(c) < n}
             seen.update(expected.values())
     assert seen == {DECISIVE, NOT_DECISIVE, VACUOUS}
-
-
-def test_collapsed_example1_decisiveness(np43, np33):
-    g = rules.clone_collapse(rules.example1(np43))
-    for_x = decisiveness.minimal_decisive_families(g, np33, X, Y)
-    assert len(for_x.decisive) == 6 and for_x.monotone
-    for_y = decisiveness.minimal_decisive_families(g, np33, Y, X)
-    assert not for_y.decisive
 
 
 def test_report_rendering(np33):
@@ -125,45 +105,10 @@ def test_coalition_cap():
         decisiveness.minimal_decisive_families(g, domain, 0, 1)
 
 
-def test_transfer_dictator_clone_pair(np43):
-    """A last-voter dictator pair rule: {n-1} decisive for the collapsed
-    rule lifts to {n-1, n} for the restricted rule."""
-    g = pair_rule(np43, 2, Y, Z)  # follows voter n-1
-    report = decisiveness.transfer_check(g, Coalition.of(0), Y, Z)
-    assert report.all_hold
-    collapsed = rules.clone_collapse(g)
-    assert decisiveness.is_decisive(
-        collapsed, collapsed.domain, Coalition.of(2), Y, Z) == DECISIVE
-    star = profiles.np_star(np43)
-    assert decisiveness.is_decisive(
-        g, star, Coalition.of(2, 3), Y, Z) == DECISIVE
-
-
-def test_transfer_constant_holds_vacuously(np43):
-    g = rules.constant(np43, X)
-    for coalition in (Coalition.of(0), Coalition.of(1), Coalition.of(0, 1)):
-        report = decisiveness.transfer_check(g, coalition, X, Y)
-        assert report.all_hold
-
-
-def test_transfer_example1(np43):
-    g = rules.example1(np43)
-    for coalition in (Coalition.of(0), Coalition.of(0, 1)):
-        for pair in ((X, Y), (Y, X)):
-            report = decisiveness.transfer_check(g, coalition, *pair)
-            assert report.all_hold, report.render()
-
-
-def test_transfer_needs_head_coalition(np43):
-    g = rules.constant(np43, X)
-    with pytest.raises(ParameterError):
-        decisiveness.transfer_check(g, Coalition.of(3), X, Y)
-
-
 def test_two_valued_np_rules_transfer(np43):
     """Rules with range {y, z} on the whole domain (the setting of the
     two-alternative range argument): solver-found instances classify into
-    monotone families and satisfy the transfer statements."""
+    monotone families."""
     from npverify import cnf, solver, strategyproof
 
     base = cnf.encode_base(np43)
@@ -185,15 +130,11 @@ def test_two_valued_np_rules_transfer(np43):
             report = decisiveness.minimal_decisive_families(
                 g, np43, *pair)
             assert report.monotone
-            for coalition in (Coalition.of(0), Coalition.of(1),
-                              Coalition.of(0, 1)):
-                transfer = decisiveness.transfer_check(g, coalition, *pair)
-                assert transfer.all_hold, transfer.render()
 
 
 def test_sat_model_rules_have_monotone_families(np43):
     """Two-valued strategy-proof rules found by the solver classify into
-    monotone decisive families, and the four transfer statements hold."""
+    monotone decisive families."""
     found = verify.enumerate_models("example1_exists", k=3)
     assert found
     for rule in found:
@@ -201,7 +142,3 @@ def test_sat_model_rules_have_monotone_families(np43):
             report = decisiveness.minimal_decisive_families(
                 rule, rule.domain, *pair)
             assert report.monotone
-        for coalition in (Coalition.of(0), Coalition.of(1),
-                          Coalition.of(0, 1)):
-            transfer = decisiveness.transfer_check(rule, coalition, Y, X)
-            assert transfer.all_hold, transfer.render()

@@ -1,0 +1,88 @@
+"""Every definition in `src/npverify` has a program path.
+
+A top-level function or class of a package module, or a public method or
+property of such a class, counts as reached when `src/npverify` or
+`perfbench` names it outside its own definition: as a variable, as an
+attribute, or as an identifier string (the names `perfbench/spans.py`
+binds by string).  The tests do not count.  A definition that nothing
+names is dead code: give it a program path, or delete it with the tests
+that check only it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ALLOWED = {
+    "cnf.rule_assignment":
+        "test reference: encodes a known rule as a model of its formula",
+    "collapse.collapse_profile":
+        "test reference: the one-profile form of collapse_rule",
+    "profiles.variants":
+        "test reference: the per-profile form of variant_pairs",
+    "rules.dump_rule":
+        "test reference: round-trips with load_rule",
+    "verify.build_list_part1":
+        "waits on the scenario explain output (ROADMAP item 6)",
+    "verify.enumerate_models":
+        "waits on scenario models (ROADMAP item 9)",
+    "strategyproof.forced_value_propagation":
+        "waits on propagation-seeded encodings (ROADMAP item 4)",
+    "strategyproof.PropagationResult.forced":
+        "waits on propagation-seeded encodings (ROADMAP item 4)",
+}
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name, first line, last line) of each checked
+    definition."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        yield f"{module}.{node.name}", node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield (f"{module}.{node.name}.{item.name}", item.name,
+                           item.lineno, item.end_lineno)
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every Name, Attribute and identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
+
+
+def unreached(root: Path = ROOT) -> dict[str, bool]:
+    """Each unreferenced definition, mapped to whether it is allowed."""
+    package = sorted((root / "src" / "npverify").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in package + sorted((root / "perfbench").glob("*.py"))}
+    seen: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            seen.setdefault(name, []).append((path, line))
+    found = {}
+    for path in package:
+        for qualname, name, first, last in _definitions(path.stem,
+                                                        trees[path]):
+            if not any(where != path or not first <= line <= last
+                       for where, line in seen.get(name, ())):
+                found[qualname] = qualname in ALLOWED
+    return found
+
+
+def test_every_definition_has_a_program_path():
+    found = unreached()
+    assert sorted(q for q, allowed in found.items() if not allowed) == []
+    # An allowed name that gained a caller or was deleted leaves the list.
+    assert sorted(set(ALLOWED) - set(found)) == []

@@ -1,9 +1,7 @@
 import random
 
-import pytest
-
 import oracles
-from npverify import profiles, rules, strategyproof, verify
+from npverify import profiles, rules, strategyproof
 
 X, Y, Z = 0, 1, 2
 
