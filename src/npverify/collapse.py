@@ -11,7 +11,9 @@ winner inside {w, z}).
 The descent follows a fixed case ladder.  The ladder only proposes
 candidate steps; each step is checked once, in `reduce_to_contiguous`
 (domain membership, value condition, strictly smaller sigma), so a wrong
-branch can only cause a reported failure, never a wrong result.  Rank
+branch can only cause a reported failure, never a wrong result.  A spec
+keeps the checked steps of the rule last descended under it, so the
+descents of one rule share every step after its first check.  Rank
 comparisons and bracket sizes are read from `orders.rank_table`, and the
 candidate orderings of a bracket move are memoised per input, so a descent
 scans no ordering and permutes no segment more than once.
@@ -78,6 +80,10 @@ class CollapseSpec:
     x_star: int
     to_target: dict[int, int] = field(compare=False)
     to_source: dict[int, int] = field(compare=False)
+    # The ladder of the rule last descended under this spec, with the steps
+    # it has checked; set and replaced by `reduce_to_contiguous`.
+    _descent: _Descent | None = field(default=None, init=False,
+                                      compare=False, repr=False)
 
     def describe(self) -> str:
         src_letters = orders.letters_for(self.source.m)
@@ -265,7 +271,7 @@ class ReductionContext:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentStep:
     profile: Profile
     sigma: int
@@ -311,6 +317,8 @@ class _Descent:
         self.z = z
         self.rank = orders.rank_table(self.domain.m)
         self.letters = orders.letters_for(self.domain.m)
+        # profile -> its checked next step, or None where no case applies
+        self.next_step: dict[Profile, DescentStep | None] = {}
 
     # small helpers -------------------------------------------------------
 
@@ -591,32 +599,44 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
 
     Each step is the first ladder candidate that is in the domain, meets
     the value condition and has strictly smaller sigma; this loop is the
-    only place a step is checked, with one domain lookup per candidate."""
-    _check_source(rule, spec)
+    only place a step is checked, with one domain lookup per candidate.
+    The next step depends only on the rule, (w, z) and the profile, so
+    `spec` keeps the checked steps of the rule last descended under it
+    (matched by identity) and later descents of that rule follow them."""
+    descent = spec._descent
+    if descent is None or descent.rule is not rule:
+        _check_source(rule, spec)
+        descent = _Descent(rule, spec.w, spec.z)
+        object.__setattr__(spec, "_descent", descent)
     domain = rule.domain
     domain.index_of(r)
     lookup = domain.lookup
     table = rule.table
-    descent = _Descent(rule, spec.w, spec.z)
+    known = descent.next_step
     last = DescentStep(r, descent.stotal(r), descent.value(r), "start")
     steps = [last]
     while last.sigma > 0:
-        want = descent.want(last.value)
-        for u, move in descent.candidates(last.profile, last.value):
-            i = lookup(u)
-            if i is None:
-                continue
-            value = table[i]
-            if not want(value):
-                continue
-            sigma_u = descent.stotal(u)
-            if sigma_u < last.sigma:
-                break
-        else:
+        if last.profile not in known:
+            want = descent.want(last.value)
+            for u, move in descent.candidates(last.profile, last.value):
+                i = lookup(u)
+                if i is None:
+                    continue
+                value = table[i]
+                if not want(value):
+                    continue
+                sigma_u = descent.stotal(u)
+                if sigma_u < last.sigma:
+                    known[last.profile] = DescentStep(u, sigma_u, value, move)
+                    break
+            else:
+                known[last.profile] = None
+        step = known[last.profile]
+        if step is None:
             return DescentResult(tuple(steps), ok=False,
                                  failure="no case of the descent ladder "
                                          "applies; see the last step",
                                  context=descent.snapshot(last.profile))
-        last = DescentStep(u, sigma_u, value, move)
+        last = step
         steps.append(last)
     return DescentResult(tuple(steps), ok=True)

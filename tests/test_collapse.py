@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import oracles
 import pytest
@@ -278,6 +279,30 @@ def test_descent_failure_context(np34, spec, start):
         g, profiles.decode_profile(start, 3, 4), spec)
     assert not result.ok
     assert result.render(4) == FAILED_DESCENTS[start]
+
+
+def test_descent_shared_spec_matches_fresh(np34):
+    """Descents of several rules in turn under one spec, which keeps the
+    checked steps of the rule last descended, equal descents under a fresh
+    spec: a dictator, a rule whose descents can fail, then the same
+    dictator again, each over one shuffled sample of start profiles."""
+    shared = make_spec(np34, A, B)
+    dictator = rules.dictator(np34, 0)
+    failing = _top_unless_pair_leads(np34)
+    rng = random.Random(17)
+    starts = rng.sample(np34.profiles, 300)
+    starts += [profiles.decode_profile(s, 3, 4) for s in FAILED_DESCENTS]
+    rng.shuffle(starts)
+    failed = 0
+    for g in (dictator, failing, dictator):
+        for r in starts:
+            result = collapse.reduce_to_contiguous(g, r, shared)
+            fresh = collapse.reduce_to_contiguous(g, r, make_spec(np34, A, B))
+            assert result == fresh, profiles.encode_profile(r)
+            if not fresh.ok:
+                failed += 1
+                assert result.render(4) == fresh.render(4)
+    assert failed >= len(FAILED_DESCENTS)
 
 
 def test_collapse_profile_requires_contiguity(np34, spec):

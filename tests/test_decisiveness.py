@@ -6,7 +6,7 @@ import pytest
 import oracles
 from npverify import decisiveness, profiles, rules, verify
 from npverify.decisiveness import DECISIVE, NOT_DECISIVE, VACUOUS
-from npverify.errors import InvalidPairError
+from npverify.errors import InvalidPairError, SizeCapError
 
 X, Y, Z = 0, 1, 2
 
@@ -41,6 +41,10 @@ def test_two_valued_dictator_minimal_families(np33):
 
 
 def test_is_decisive_guards(np33):
+    """The guards of `minimal_decisive_families`: a == b raises
+    InvalidPairError, and under the dictator of voter 1 on three
+    alternatives voter 1's own coalition is NOT_DECISIVE for (x, y),
+    because that voter's top can be z."""
     g = pair_rule(np33, 0, X, Y)
     with pytest.raises(InvalidPairError):
         decisiveness.minimal_decisive_families(g, np33, X, X)
@@ -101,14 +105,14 @@ def test_coalition_cap():
     domain = profiles.Domain(
         (((0, 1),) * 13,), n=13, m=2, kind=profiles.CUSTOM)
     g = rules.constant(domain, 0)
-    with pytest.raises(Exception):
+    with pytest.raises(SizeCapError):
         decisiveness.minimal_decisive_families(g, domain, 0, 1)
 
 
 def test_two_valued_np_rules_transfer(np43):
-    """Rules with range {y, z} on the whole domain (the setting of the
-    two-alternative range argument): solver-found instances classify into
-    monotone families."""
+    """Three solver-found strategy-proof rules with range {y, z} on the
+    whole domain have monotone decisive families for both orders of the
+    pair."""
     from npverify import cnf, solver, strategyproof
 
     base = cnf.encode_base(np43)
