@@ -95,7 +95,13 @@ def is_np(profile: Profile) -> bool:
 
 def enumerate_np(n: int, m: int) -> Domain:
     """All profiles over (n, m) in which no alternative Pareto-dominates
-    another, canonically indexed."""
+    another, canonically indexed.
+
+    Walks the first n-1 voters in product order.  A prefix is unanimous
+    on the ordered pairs in the AND of its voters' "a above b" bitmasks,
+    and the last voter must reverse every one of them; the orderings that
+    do, in `universe` order, are kept per unanimity mask.  The members
+    come out in the order of filtering the full product with `is_np`."""
     if n < 2:
         raise ParameterError(f"need at least 2 voters, got n={n}")
     if m < 1:
@@ -105,9 +111,27 @@ def enumerate_np(n: int, m: int) -> Domain:
     if raw > DEFAULT_RAW_CAP:
         raise SizeCapError(f"(m!)^n = {raw} raw profiles exceeds the cap "
                            f"of {DEFAULT_RAW_CAP}")
-    members = tuple(p for p in itertools.product(universe, repeat=n)
-                    if is_np(p))
-    return Domain(members, n=n, m=m, kind=NP)
+    rank = orders.rank_table(m)
+    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    above = {}
+    for ordering in universe:
+        r = rank[ordering]
+        above[ordering] = sum(1 << k for k, (a, b) in enumerate(pairs)
+                              if r[a] < r[b])
+    full = (1 << len(pairs)) - 1
+    # unanimity mask -> the last-voter orderings that reverse all its pairs
+    allowed: dict[int, tuple[Ordering, ...]] = {}
+    members = []
+    for prefix in itertools.product(universe, repeat=n - 1):
+        mask = full
+        for ordering in prefix:
+            mask &= above[ordering]
+        lasts = allowed.get(mask)
+        if lasts is None:
+            lasts = allowed[mask] = tuple(
+                o for o in universe if not above[o] & mask)
+        members.extend(prefix + (o,) for o in lasts)
+    return Domain(tuple(members), n=n, m=m, kind=NP)
 
 
 def np_star(domain: Domain) -> Domain:

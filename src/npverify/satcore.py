@@ -34,11 +34,22 @@ first two; that list object is what `watches` holds, what `reason` holds
 for the literal it implies, and what `_propagate` returns when it is
 falsified.  A literal implied by a binary clause whose other literal
 ``q`` is false has the reason code ``BINARY - q``, and a falsified binary
-clause is returned as a fresh two-literal list.  `_clause` turns any
-reason or conflict into its literals for the analyses.  Learned binary
-clauses take the same path.  Each list keeps its clauses in load order,
-so the search is a fixed function of the formula, its clause order and
-the branching order.
+clause is returned as a fresh two-literal list; `_analyze` expands a
+binary reason code in place and `_analyze_final` through `_clause`.
+Learned binary clauses take the same path.  Each list keeps its clauses
+in load order, so the search is a fixed function of the formula, its
+clause order and the branching order.
+
+The assignment is one table indexed by encoded literal, as in MiniSat:
+``values[lit]`` is 1 when ``lit`` is true, 0 when it is false and UNDEF
+when its variable is unassigned, and every assignment or unassignment
+writes both ``values[lit]`` and ``values[lit ^ 1]``, so a propagation
+step reads a literal's value with one lookup.  `trail_lim` holds the trail
+length at which each decision or assumption level opened; a backjump cuts
+the trail there instead of walking back over it.  Neither changes the
+search: the trail order, conflicts, learned clauses and statistics are
+those of a variable-indexed table, pinned by the search digest in
+`tests/test_verify.py`.
 """
 
 from __future__ import annotations
@@ -53,10 +64,14 @@ MAX_CONFLICTS = 5_000_000  # per solve() call; exceeding it raises
 class Solver:
     def __init__(self, num_vars: int, clauses, order=None):
         self.num_vars = num_vars
-        self.assigns = [UNDEF] * (num_vars + 1)
+        # values[lit]: 1 when lit is true, 0 when it is false, UNDEF when
+        # its variable is unassigned; values[2*v] is v's own value.
+        self.values = [UNDEF] * (2 * num_vars + 2)
         self.level = [0] * (num_vars + 1)
         self.reason = [UNDEF] * (num_vars + 1)
         self.trail: list[int] = []
+        # trail_lim[d]: the trail length where level d + 1 opened.
+        self.trail_lim: list[int] = []
         self.qhead = 0
         self.current_level = 0
         # clauses: every long clause, base or learned, as one list of
@@ -168,17 +183,18 @@ class Solver:
         return enc
 
     def _lit_true(self, lit: int) -> bool:
-        return self.assigns[lit >> 1] == (lit & 1) ^ 1
+        return self.values[lit] == 1
 
     def _lit_false(self, lit: int) -> bool:
-        return self.assigns[lit >> 1] == lit & 1
+        return self.values[lit] == 0
 
     def _enqueue(self, lit: int, reason) -> bool:
+        values = self.values
+        if values[lit] != UNDEF:
+            return values[lit] == 1
+        values[lit] = 1
+        values[lit ^ 1] = 0
         var = lit >> 1
-        value = (lit & 1) ^ 1
-        if self.assigns[var] != UNDEF:
-            return self.assigns[var] == value
-        self.assigns[var] = value
         self.level[var] = self.current_level
         self.reason[var] = reason
         self.trail.append(lit)
@@ -190,7 +206,7 @@ class Solver:
         """Exhaust pending implications; return the falsified clause as a
         list of literals, or UNDEF."""
         trail = self.trail
-        assigns = self.assigns
+        values = self.values
         level = self.level
         reason = self.reason
         watches = self.watches
@@ -203,14 +219,17 @@ class Solver:
             qhead += 1
             code = BINARY - false_lit
             for other in binaries[false_lit]:
-                value = assigns[other >> 1]
+                value = values[other]
+                if value == 1:
+                    continue
                 if value == UNDEF:
+                    values[other] = 1
+                    values[other ^ 1] = 0
                     var = other >> 1
-                    assigns[var] = (other & 1) ^ 1
                     level[var] = current
                     reason[var] = code
                     trail.append(other)
-                elif value == other & 1:
+                else:
                     confl = [other, false_lit]
                     break
             if confl != UNDEF:
@@ -229,13 +248,13 @@ class Solver:
                     other = c[1]
                     c[0] = other
                     c[1] = false_lit
-                value = assigns[other >> 1]
-                if value == (other & 1) ^ 1:
+                value = values[other]
+                if value == 1:
                     kept.append(c)
                     continue
                 for k in range(2, len(c)):
                     q = c[k]
-                    if assigns[q >> 1] != q & 1:
+                    if values[q] != 0:
                         c[1] = q
                         c[k] = false_lit
                         watches[q].append(c)
@@ -246,8 +265,9 @@ class Solver:
                         kept.extend(ws[i:])
                         confl = c
                         break
+                    values[other] = 1
+                    values[other ^ 1] = 0
                     var = other >> 1
-                    assigns[var] = (other & 1) ^ 1
                     level[var] = current
                     reason[var] = c
                     trail.append(other)
@@ -279,7 +299,9 @@ class Solver:
         p = UNDEF
         index = len(trail) - 1
         while True:
-            for q in self._clause(confl, p):
+            if type(confl) is not list:  # a binary reason code
+                confl = (p, BINARY - confl)
+            for q in confl:
                 if q == p:
                     continue
                 var = q >> 1
@@ -314,14 +336,13 @@ class Solver:
 
     def _backjump(self, blevel: int) -> None:
         trail = self.trail
-        level = self.level
-        assigns = self.assigns
+        values = self.values
         reason = self.reason
-        cut = len(trail)  # the trail is ordered by level
-        while cut and level[trail[cut - 1] >> 1] > blevel:
-            cut -= 1
+        cut = self.trail_lim[blevel]
+        del self.trail_lim[blevel:]
         for lit in trail[cut:]:
-            assigns[lit >> 1] = UNDEF
+            values[lit] = UNDEF
+            values[lit ^ 1] = UNDEF
             reason[lit >> 1] = UNDEF
         del trail[cut:]
         self.qhead = cut
@@ -390,6 +411,7 @@ class Solver:
                     self._failed = self._analyze_final(lit)
                     return False
                 # An assumption already true opens an empty level.
+                self.trail_lim.append(len(self.trail))
                 self.current_level += 1
                 self._enqueue(lit, UNDEF)
                 continue
@@ -397,18 +419,19 @@ class Solver:
                 return True
             var = self._pick_branch_var()
             self.decisions += 1
+            self.trail_lim.append(len(self.trail))
             self.current_level += 1
             self._enqueue(2 * var, UNDEF)
 
     def _pick_branch_var(self) -> int:
         for var in self.order:
-            if self.assigns[var] == UNDEF:
+            if self.values[2 * var] == UNDEF:
                 return var
         raise AssertionError("no unassigned variable to branch on")
 
     def model(self) -> list[bool]:
         """Truth values indexed by variable (entry 0 unused)."""
-        return [value == 1 for value in self.assigns]
+        return [value == 1 for value in self.values[::2]]
 
     def stats(self) -> dict[str, int]:
         return {

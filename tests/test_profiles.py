@@ -71,6 +71,17 @@ def test_np_parameter_guards():
     assert len(profiles.enumerate_np(2, 3)) == 6
 
 
+def test_enumerate_np_matches_direct_filter(np35):
+    """The prefix-mask enumeration yields exactly the direct filter of the
+    full product, in the same order; NP(3,5) is checked by count and
+    membership, its full product being 1.7M profiles."""
+    for n, m in [(2, 3), (3, 3), (4, 3), (3, 4), (5, 3)]:
+        assert (list(profiles.enumerate_np(n, m).profiles)
+                == oracles.np_members(n, m)), (n, m)
+    assert len(np35) == 227_880
+    assert all(profiles.is_np(p) for p in np35)
+
+
 def test_canonical_order_is_lexicographic(np33):
     assert list(np33.profiles) == sorted(np33.profiles)
 

@@ -1,3 +1,5 @@
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +134,37 @@ def test_incremental_matches_fresh_solves(clauses, calls, seed):
             assert set(failed) <= set(assumptions)
             assert oracles.brute_sat(6, formula
                                      + [[lit] for lit in failed]) is None
+
+
+def check_value_table(core):
+    """`values` mirrors the trail literal by literal, and `trail_lim`
+    splits the trail into the levels its literals were assigned at."""
+    values = core.values
+    for var in range(1, core.num_vars + 1):
+        pos, neg = values[2 * var], values[2 * var + 1]
+        assert (pos, neg) in {(satcore.UNDEF, satcore.UNDEF), (1, 0), (0, 1)}
+    true_lits = [lit for lit, value in enumerate(values) if value == 1]
+    assert sorted(true_lits) == sorted(core.trail)
+    assert len(core.trail_lim) == core.current_level
+    for index, lit in enumerate(core.trail):
+        assert core.level[lit >> 1] == bisect.bisect_right(core.trail_lim,
+                                                           index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(literal6, min_size=1, max_size=3), min_size=1,
+                max_size=25),
+       incremental_calls, st.integers(min_value=0, max_value=3))
+def test_value_table_mirrors_trail(clauses, calls, seed):
+    core = satcore.Solver(6, clauses, order=solver.branching_order(6, seed))
+    check_value_table(core)
+    for assumptions, added in calls:
+        if added is not None:
+            core.add_clause(added)
+            check_value_table(core)
+        core.assume(assumptions)
+        core.solve()
+        check_value_table(core)
 
 
 def test_incremental_core_details():
