@@ -16,13 +16,12 @@ from .errors import ParameterError, WorkbenchError
 OK, OPERATIONAL_ERROR, VIOLATED = 0, 1, 2
 
 
-def _emit(args, pairs) -> None:
-    if args.format == "structured":
-        for key, value in pairs:
-            print(f"{key}={value}")
-    else:
-        for _, value in pairs:
-            print(value)
+def _emit(args, rows) -> None:
+    """Print `(key, value, sentence)` rows: `key=value` with the bare
+    value in structured mode, the sentence in text mode."""
+    structured = args.format == "structured"
+    for key, value, sentence in rows:
+        print(f"{key}={value}" if structured else sentence)
 
 
 def _cmd_domain_enum(args) -> int:
@@ -58,22 +57,25 @@ def _cmd_rule_check(args) -> int:
     report = rules.range_of(rule)
     letters = orders.letters_for(domain.m)
     rng = "".join(letters[a] for a in sorted(report.attained))
-    _emit(args, [
-        ("rule", f"rule {rule.label} on {domain.describe()}"),
-        ("range", f"range: {{{rng}}}"),
-    ])
+    rows = [("rule", rule.label, f"rule {rule.label} on {domain.describe()}"),
+            ("range", rng, f"range: {{{rng}}}")]
     dic = rules.is_dictatorial(rule)
-    if dic is not None:
-        flag = " (degenerate)" if dic.degenerate else ""
-        _emit(args, [("dictator", f"dictatorial: voter {dic.voter + 1}{flag}")])
+    if dic is None:
+        rows.append(("dictator", "no", "dictatorial: no"))
+    elif dic.degenerate:
+        rows.append(("dictator", "degenerate",
+                     f"dictatorial: voter {dic.voter + 1} (degenerate)"))
     else:
-        _emit(args, [("dictator", "dictatorial: no")])
+        rows.append(("dictator", dic.voter + 1,
+                     f"dictatorial: voter {dic.voter + 1}"))
     if witness is None:
-        _emit(args, [("strategyproof", "strategy-proof: yes")])
-        return OK
-    _emit(args, [("strategyproof", "strategy-proof: NO"),
-                 ("witness", witness.render(domain))])
-    return VIOLATED
+        rows.append(("strategyproof", True, "strategy-proof: yes"))
+    else:
+        text = witness.render(domain)
+        rows += [("strategyproof", False, "strategy-proof: NO"),
+                 ("witness", text, text)]
+    _emit(args, rows)
+    return OK if witness is None else VIOLATED
 
 
 def _cmd_scenario_list(args) -> int:
@@ -116,19 +118,22 @@ def _cmd_collapse_run(args) -> int:
     spec = collapse.make_spec(source, w, z)
     rule = rules.builtin(args.rule, source)
     collapsed, report = collapse.collapse_rule(rule, spec)
-    lines = [("spec", spec.describe()),
-             ("disagreements", f"extension disagreements: "
-                               f"{len(report.disagreements)}"),
-             ("missing", f"profiles without extension: "
-                         f"{len(report.no_extension)}")]
+    described = spec.describe()
+    disagreements = len(report.disagreements)
+    missing = len(report.no_extension)
+    lines = [("spec", described, described),
+             ("disagreements", disagreements,
+              f"extension disagreements: {disagreements}"),
+             ("missing", missing, f"profiles without extension: {missing}")]
     ok = report.ok
     if collapsed is not None:
         rng = rules.range_of(collapsed).attained
         tgt_letters = orders.letters_for(spec.target.m)
         rng_text = "".join(tgt_letters[a] for a in sorted(rng))
-        lines.append(("range", f"collapsed range: {{{rng_text}}}"))
+        lines.append(("range", rng_text,
+                      f"collapsed range: {{{rng_text}}}"))
         full = rng == frozenset(range(spec.target.m))
-        lines.append(("full_range", f"collapsed range is full: {full}"))
+        lines.append(("full_range", full, f"collapsed range is full: {full}"))
         ok = ok and full
     descended = 0
     failures = 0
@@ -139,8 +144,9 @@ def _cmd_collapse_run(args) -> int:
             failures += 1
             if args.trace_failures:
                 print(result.render(args.m))
-    lines.append(("descents", f"descents run: {descended}"))
-    lines.append(("descent_failures", f"descent failures: {failures}"))
+    lines.append(("descents", descended, f"descents run: {descended}"))
+    lines.append(("descent_failures", failures,
+                  f"descent failures: {failures}"))
     _emit(args, lines)
     return OK if ok and failures == 0 else VIOLATED
 

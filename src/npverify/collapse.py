@@ -9,14 +9,18 @@ selected alternative (or, when the winner is w or z itself, keeping the
 winner inside {w, z}).
 
 The descent follows a fixed case ladder.  The ladder only proposes
-candidate steps; each step is checked once, in `reduce_to_contiguous`
-(domain membership, value condition, strictly smaller sigma), so a wrong
-branch can only cause a reported failure, never a wrong result.  A spec
-keeps the checked steps of the rule last descended under it, so the
-descents of one rule share every step after its first check.  Rank
-comparisons and bracket sizes are read from `orders.rank_table`, and the
-candidate orderings of a bracket move are memoised per input, so a descent
-scans no ordering and permutes no segment more than once.
+candidate steps; each step is checked once, in `_checked_step` (domain
+membership, value condition, strictly smaller sigma), so a wrong branch
+can only cause a reported failure, never a wrong result.  A spec keeps,
+by profile index, the checked rest of the descent from every profile that
+the rule last descended under it has passed, and the sigma of every
+profile any descent has reached; a descent from a profile with a known
+rest is one lookup.  Each profile is searched at most once per rule: a
+pass of acceptance criterion 6 (86,976 descents, 154,608 moves) runs
+72,288 step searches.  Rank comparisons and bracket sizes are read from
+`orders.rank_table`, and the candidate orderings of a bracket move are
+memoised per input, so a descent scans no ordering and permutes no
+segment more than once.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import orders, profiles
 from .errors import ContractError, InvalidPairError, MembershipError, ParameterError
@@ -80,10 +85,18 @@ class CollapseSpec:
     x_star: int
     to_target: dict[int, int] = field(compare=False)
     to_source: dict[int, int] = field(compare=False)
-    # The ladder of the rule last descended under this spec, with the steps
-    # it has checked; set and replaced by `reduce_to_contiguous`.
+    # sigma of (w, z) by source profile index, None where no descent has
+    # reached the profile yet; filled by `reduce_to_contiguous` for every
+    # rule.
+    _sigma: list[int | None] = field(init=False, compare=False, repr=False)
+    # The ladder of the rule last descended under this spec, with the
+    # descent tails it has checked; set and replaced by
+    # `reduce_to_contiguous`.
     _descent: _Descent | None = field(default=None, init=False,
                                       compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_sigma", [None] * len(self.source))
 
     def describe(self) -> str:
         src_letters = orders.letters_for(self.source.m)
@@ -271,16 +284,20 @@ class ReductionContext:
         return " ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class DescentStep:
+# Descent steps and results are named tuples, not frozen dataclasses: a
+# criterion-6 pass builds 159,264 steps and 86,976 results, and a frozen
+# dataclass sets each field through `object.__setattr__`, which takes about
+# twice as long as building the tuple.
+
+
+class DescentStep(NamedTuple):
     profile: Profile
     sigma: int
     value: int
     move: str
 
 
-@dataclass(frozen=True)
-class DescentResult:
+class DescentResult(NamedTuple):
     steps: tuple[DescentStep, ...]
     ok: bool
     failure: str | None = None
@@ -302,10 +319,12 @@ class DescentResult:
 
 class _Descent:
     """The case ladder of one sigma-descent for a fixed rule and (w, z)
-    pair.  Every handler is a generator of `(profile, move)` candidates in
-    ladder order.  Handlers test only the profiles they build further
-    candidates from; `reduce_to_contiguous` alone decides which candidate
-    is the step.  Rank tests read `self.rank`, the position table of the
+    pair.  `candidates` yields the candidate steps in ladder order as move
+    groups `(base, voter, orderings, move)`: the profile `base` with that
+    voter's ordering replaced by each of `orderings` in turn, all under the
+    label `move`.  Handlers test only the profiles they build further
+    candidates from; `_checked_step` alone decides which candidate is the
+    step.  Rank tests read `self.rank`, the position table of the
     domain's orderings: `rank[v][a] < rank[v][b]` is "v ranks a above b",
     and `abs(rank[v][a] - rank[v][b]) - 1` is the size of v's (a, b)
     bracket."""
@@ -317,66 +336,52 @@ class _Descent:
         self.z = z
         self.rank = orders.rank_table(self.domain.m)
         self.letters = orders.letters_for(self.domain.m)
-        # profile -> its checked next step, or None where no case applies
-        self.next_step: dict[Profile, DescentStep | None] = {}
+        # by profile index: the checked steps after that profile, down to
+        # sigma 0 or to the profile where no case applies; None until a
+        # descent passes the profile
+        self.tails: list[tuple[DescentStep, ...] | None] = (
+            [None] * len(self.domain))
 
     # small helpers -------------------------------------------------------
-
-    def value(self, p: Profile) -> int:
-        return self.rule.evaluate(p)
 
     def probe(self, p: Profile) -> int | None:
         """The value at p, or None when p is outside the domain."""
         i = self.domain.lookup(p)
         return None if i is None else self.rule.table[i]
 
-    def stotal(self, p: Profile) -> int:
-        return sigma_total(p, self.w, self.z)
-
-    def want(self, x: int):
-        """The value condition of a step away from a profile selecting x:
-        keep x, or stay within {w, z} when x is w or z."""
-        if x in (self.w, self.z):
-            return lambda v: v == self.w or v == self.z
-        return lambda v: v == x
-
-    def _search(self, r, voter, a, b, part, move):
-        for ordering in bracket_moves(r[voter], a, b, part):
-            yield _with_voter(r, voter, ordering), move
-
     def _ends(self, r, voter, top, bot, label):
-        """Raise `bot`, then lower `top`, inside the voter's bracket."""
-        yield from self._search(r, voter, top, bot, 1,
-                                f"{label} raise {self.letters[bot]} voter {voter + 1}")
-        yield from self._search(r, voter, top, bot, 2,
-                                f"{label} lower {self.letters[top]} voter {voter + 1}")
+        """The groups that raise `bot`, then lower `top`, inside the
+        voter's bracket."""
+        ordering = r[voter]
+        return ((r, voter, bracket_moves(ordering, top, bot, 1),
+                 f"{label} raise {self.letters[bot]} voter {voter + 1}"),
+                (r, voter, bracket_moves(ordering, top, bot, 2),
+                 f"{label} lower {self.letters[top]} voter {voter + 1}"))
 
     @staticmethod
-    def _swap(r: Profile, voter: int, a: int, b: int) -> Profile:
-        order = list(r[voter])
+    def _swapped(ordering: Ordering, a: int, b: int) -> Ordering:
+        order = list(ordering)
         i, j = order.index(a), order.index(b)
         order[i], order[j] = b, a
-        return _with_voter(r, voter, tuple(order))
+        return tuple(order)
 
-    def _pair_brackets(self, r: Profile, x: int) -> tuple[list[int], list[bool]]:
-        """Per voter: the size of the (w, z) bracket, and whether x lies
-        strictly inside it."""
+    def _pair_brackets(self, ranks, x: int) -> tuple[list[int], list[bool]]:
+        """Per voter, from the rank rows of a profile: the size of the
+        (w, z) bracket, and whether x lies strictly inside it."""
         w, z = self.w, self.z
         sizes = []
         inside = []
-        for v in r:
-            rk = self.rank[v]
+        for rk in ranks:
             rw, rz, rx = rk[w], rk[z], rk[x]
             sizes.append(abs(rw - rz) - 1)
             inside.append(rw < rx < rz or rz < rx < rw)
         return sizes, inside
 
-    def snapshot(self, r: Profile) -> ReductionContext:
-        """Working sets at r, for the failure report."""
-        x = self.value(r)
+    def snapshot(self, r: Profile, x: int) -> ReductionContext:
+        """Working sets at r, which selects x, for the failure report."""
         w, z = self.w, self.z
         ranks = [self.rank[v] for v in r]
-        per = tuple(self._pair_brackets(r, x)[0])
+        per = tuple(self._pair_brackets(ranks, x)[0])
         pivot = None
         sets: dict[str, tuple] = {
             "J": tuple(i for i, rk in enumerate(ranks) if rk[w] < rk[z]),
@@ -387,7 +392,7 @@ class _Descent:
             if candidates:
                 pivot = candidates[0]
                 sets["Y"] = orders.between(r[pivot], w, z)
-                oriented = self._orientation(r[pivot], x)
+                oriented = self._orientation(ranks[pivot], x)
                 if oriented is not None:
                     top, bot = oriented
                     sets["A"] = orders.between(r[pivot], top, x)
@@ -396,52 +401,62 @@ class _Descent:
                                 sets=sets)
 
     # case handlers -------------------------------------------------------
+    #
+    # `ranks` is the list of rank rows of the handler's profile `r`, read
+    # once per step by `candidates`.  A handler that is not a generator
+    # returns an iterable of groups, and is called only when the ladder
+    # reaches it, so the search stays lazy with few generator levels.
 
     def candidates(self, r: Profile, x: int):
-        """Every candidate next step from r, which selects x, in ladder
+        """Every candidate group from r, which selects x, in ladder
         order."""
+        rank = self.rank
+        ranks = [rank[v] for v in r]
         if x == self.w or x == self.z:
-            yield from self._case3(r, x)
-            return
-        per, inside = self._pair_brackets(r, x)
+            return self._case3(r, ranks, x)
+        return self._case12(r, ranks, x)
+
+    def _case12(self, r: Profile, ranks, x: int):
+        per, inside = self._pair_brackets(ranks, x)
         smax = max(per)
         max_pivots = [j for j, s in enumerate(per) if s == smax]
         for j in max_pivots:
             if not inside[j]:
-                yield from self._case1(r, j)
+                yield from self._case1(r, ranks, j)
         case2_pivots = [j for j in max_pivots if inside[j]]
         case2_pivots += [j for j in range(self.domain.n)
                          if j not in max_pivots and inside[j]]
-        for rank, j in enumerate(case2_pivots):
-            yield from self._case2(r, j, x, fallback=rank > 0 or j not in max_pivots)
+        for k, j in enumerate(case2_pivots):
+            yield from self._case2(r, ranks, j, x,
+                                   fallback=k > 0 or j not in max_pivots)
 
-    def _case1(self, r: Profile, j: int):
-        rank = self.rank
-        rj = rank[r[j]]
+    def _case1(self, r: Profile, ranks, j: int):
+        rj = ranks[j]
         top, bot = ((self.w, self.z) if rj[self.w] < rj[self.z]
                     else (self.z, self.w))
         yield from self._ends(r, j, top, bot, "case1")
         interior = orders.between(r[j], top, bot)
         others = [i for i in range(self.domain.n) if i != j]
         certified = all(
-            rank[r[i]][bot] < rank[r[i]][y] < rank[r[i]][top]
+            ranks[i][bot] < ranks[i][y] < ranks[i][top]
             for i in others for y in interior)
         if not certified:
             return
         for h in others:
-            pos_top = rank[r[h]][top]
+            pos_top = ranks[h][top]
             if pos_top == 0:
                 continue
             y_star = r[h][pos_top - 1]
             if y_star not in interior:
                 continue
-            yield (self._swap(r, h, y_star, top),
+            yield (r, h, (self._swapped(r[h], y_star, top),),
                    f"case1 swap {self.letters[y_star]},{self.letters[top]} "
                    f"voter {h + 1}")
 
-    def _orientation(self, ordering: Ordering, x: int) -> tuple[int, int] | None:
-        """(top, bot) of the pair around x, or None when x is outside."""
-        rk = self.rank[ordering]
+    def _orientation(self, rk: tuple[int, ...],
+                     x: int) -> tuple[int, int] | None:
+        """(top, bot) of the pair around x in the ordering with rank row
+        `rk`, or None when x is outside."""
         rw, rz, rx = rk[self.w], rk[self.z], rk[x]
         if rw < rx < rz:
             return self.w, self.z
@@ -449,18 +464,19 @@ class _Descent:
             return self.z, self.w
         return None
 
-    def _case2(self, r: Profile, j: int, x: int, fallback: bool = False):
+    def _case2(self, r: Profile, ranks, j: int, x: int, fallback: bool):
         tag = "case2-fallback" if fallback else "case2"
-        oriented = self._orientation(r[j], x)
+        oriented = self._orientation(ranks[j], x)
         if oriented is None:
-            return
+            return ()
         top, bot = oriented
         work = self._normalize_x_up(r, j, x, top)
-        rj = self.rank[work[j]]
+        if work is not r:
+            ranks = ranks[:j] + [self.rank[work[j]]] + ranks[j + 1:]
+        rj = ranks[j]
         if abs(rj[top] - rj[x]) > 1:
-            yield from self._case2_part1(work, j, x, top, bot, tag)
-        else:
-            yield from self._case2_part2(work, j, x, tag)
+            return self._case2_part1(work, ranks, j, x, top, bot, tag)
+        return self._case2_part2(work, ranks, j, x, tag)
 
     def _normalize_x_up(self, r: Profile, j: int, x: int, top: int) -> Profile:
         """Raise the selected alternative in the pivot's ordering as far as
@@ -470,55 +486,53 @@ class _Descent:
             pos = self.rank[work[j]][x]
             if pos == 0 or work[j][pos - 1] == top:
                 return work
-            cand = self._swap(work, j, x, work[j][pos - 1])
+            cand = _with_voter(work, j,
+                               self._swapped(work[j], x, work[j][pos - 1]))
             if self.probe(cand) != x:
                 return work
             work = cand
 
-    def _case2_part1(self, r: Profile, j: int, x: int, top: int, bot: int,
-                     tag: str):
+    def _case2_part1(self, r: Profile, ranks, j: int, x: int, top: int,
+                     bot: int, tag: str):
         """Nonempty bracket above x for the pivot: direct endpoint moves,
         then the per-voter statement ladder."""
-        rank = self.rank
         a_set = orders.between(r[j], top, x)
-        yield from self._search(r, j, top, x, 2,
-                                f"{tag}p1 lower {self.letters[top]} voter {j + 1}")
-        yield from self._search(r, j, x, bot, 1,
-                                f"{tag}p1 raise {self.letters[bot]} voter {j + 1}")
+        yield (r, j, bracket_moves(r[j], top, x, 2),
+               f"{tag}p1 lower {self.letters[top]} voter {j + 1}")
+        yield (r, j, bracket_moves(r[j], x, bot, 1),
+               f"{tag}p1 raise {self.letters[bot]} voter {j + 1}")
         others = [i for i in range(self.domain.n) if i != j]
-        if not all(rank[r[i]][x] < rank[r[i]][a] < rank[r[i]][top]
+        if not all(ranks[i][x] < ranks[i][a] < ranks[i][top]
                    for i in others for a in a_set):
             return
         b_set = orders.between(r[j], x, bot)
         for h in others:
-            if rank[r[h]][bot] < rank[r[h]][top]:
-                yield from self._part1_ladder(r, j, h, x, top, bot, a_set,
-                                              b_set, tag)
+            if ranks[h][bot] < ranks[h][top]:
+                yield from self._part1_ladder(r, ranks[h], j, h, x, top, bot,
+                                              a_set, b_set, tag)
 
-    def _part1_ladder(self, r: Profile, j: int, h: int, x: int,
+    def _part1_ladder(self, r: Profile, rh, j: int, h: int, x: int,
                       top: int, bot: int, a_set, b_set, tag: str):
-        rh = self.rank[r[h]]
+        """The groups of statements I to IV for voter h, whose rank row is
+        `rh`."""
         a_h = max(a_set, key=rh.__getitem__)
         if not rh[a_h] < rh[top]:
-            return
+            return ()
         if rh[top] - rh[a_h] == 1:  # nothing between a_h and top
-            yield (self._swap(r, h, a_h, top),
-                   f"{tag}p1.I swap {self.letters[a_h]},"
-                   f"{self.letters[top]} voter {h + 1}")
-            return
+            return ((r, h, (self._swapped(r[h], a_h, top),),
+                     f"{tag}p1.I swap {self.letters[a_h]},"
+                     f"{self.letters[top]} voter {h + 1}"),)
         if rh[bot] < rh[a_h]:
-            yield from self._search(r, h, a_h, top, 1,
-                                    f"{tag}p1.II raise {self.letters[top]} voter {h + 1}")
-            return
+            return ((r, h, bracket_moves(r[h], a_h, top, 1),
+                     f"{tag}p1.II raise {self.letters[top]} voter {h + 1}"),)
         # bot sits inside the interval between a_h and top
         if abs(rh[bot] - rh[top]) > 1:
-            yield from self._ends(r, h, bot, top, f"{tag}p1.III")
-            return
+            return self._ends(r, h, bot, top, f"{tag}p1.III")
         if not b_set:
-            return
+            return ()
         b_h = min(b_set, key=rh.__getitem__)
         if not rh[top] < rh[b_h]:
-            return
+            return ()
         work = r
         while abs(self.rank[work[h]][b_h] - self.rank[work[h]][top]) > 1:
             for cand in bracket_moves(work[h], top, b_h, 1):
@@ -526,44 +540,44 @@ class _Descent:
                 if self.probe(moved) == x:
                     break
             else:
-                return
+                return ()
             work = moved
-        yield from self._part1_statement_iv(work, j, h, x, top, bot, b_set,
-                                            b_h, tag)
+        return self._part1_statement_iv(work, j, h, x, bot, b_set, b_h, tag)
 
     def _part1_statement_iv(self, r: Profile, j: int, h: int, x: int,
-                            top: int, bot: int, b_set, b_h, tag: str):
+                            bot: int, b_set, b_h, tag: str):
         # put the j-side block of b's into the reverse of their h-side order
-        target_order = [b for b in reversed(r[h]) if b in set(b_set)]
-        positions = [i for i, a in enumerate(r[j]) if a in set(b_set)]
+        bs = set(b_set)
+        target_order = [b for b in reversed(r[h]) if b in bs]
+        positions = [i for i, a in enumerate(r[j]) if a in bs]
         qj = list(r[j])
         for pos, b in zip(positions, target_order):
             qj[pos] = b
         q = _with_voter(r, j, tuple(qj))
-        if self.probe(q) != x or self.stotal(q) != self.stotal(r):
-            return
+        if (self.probe(q) != x or sigma_total(q, self.w, self.z)
+                != sigma_total(r, self.w, self.z)):
+            return ()
         # move b_h just above bot for voter h
         sh = list(q[h])
         sh.remove(b_h)
         sh.insert(sh.index(bot), b_h)
         s = _with_voter(q, h, tuple(sh))
         if self.probe(s) != x:
-            return
-        yield (self._swap(s, j, bot, b_h),
-               f"{tag}p1.IV reorder+swap voters {j + 1},{h + 1}")
+            return ()
+        return ((s, j, (self._swapped(s[j], bot, b_h),),
+                 f"{tag}p1.IV reorder+swap voters {j + 1},{h + 1}"),)
 
-    def _case2_part2(self, r: Profile, j: int, x: int, tag: str):
+    def _case2_part2(self, r: Profile, ranks, j: int, x: int, tag: str):
         n = self.domain.n
-        ranks = [self.rank[v] for v in r]
         # re-pivot: a voter with alternatives between its upper pair member
         # and x reopens the part-1 argument, without normalizing that voter
         for i in range(n):
-            oriented = self._orientation(r[i], x)
+            oriented = self._orientation(ranks[i], x)
             if oriented is None:
                 continue
             top_i, bot_i = oriented
             if i != j and abs(ranks[i][top_i] - ranks[i][x]) > 1:
-                yield from self._case2_part1(r, i, x, top_i, bot_i,
+                yield from self._case2_part1(r, ranks, i, x, top_i, bot_i,
                                              tag + "-repivot")
         w, z = self.w, self.z
         J = [i for i in range(n) if ranks[i][w] < ranks[i][z]]
@@ -577,19 +591,50 @@ class _Descent:
                 if abs(ranks[i][near] - ranks[i][far]) > 1:
                     yield from self._ends(r, i, near, far, f"{tag}p2")
 
-    def _case3(self, r: Profile, winner: int):
+    def _case3(self, r: Profile, ranks, winner: int):
         loser = self.z if winner == self.w else self.w
-        ranks = [self.rank[v] for v in r]
         # a voter ranking one pair member above the other, with a nonempty
         # bracket between them
         for j in range(self.domain.n):
             if ranks[j][loser] - ranks[j][winner] > 1:
-                yield from self._search(
-                    r, j, winner, loser, 1,
-                    f"case3 raise {self.letters[loser]} voter {j + 1}")
+                yield (r, j, bracket_moves(r[j], winner, loser, 1),
+                       f"case3 raise {self.letters[loser]} voter {j + 1}")
         for k in range(self.domain.n):
             if ranks[k][winner] - ranks[k][loser] > 1:
                 yield from self._ends(r, k, loser, winner, "case3")
+
+
+def _checked_step(descent: _Descent, last: DescentStep,
+                  sigmas: list[int | None]) -> tuple[int, DescentStep] | None:
+    """The index and step of the first candidate from `last` that is in
+    the domain, meets the value condition and has strictly smaller sigma,
+    or None when no candidate does.  The only place a step is checked: one
+    domain lookup per candidate, and the sigma of each reached index is
+    computed once per spec."""
+    lookup = descent.domain.lookup
+    table = descent.rule.table
+    w, z = descent.w, descent.z
+    x = last.value
+    pair = x == w or x == z
+    for base, voter, orderings, move in descent.candidates(last.profile, x):
+        before, after = base[:voter], base[voter + 1:]
+        for ordering in orderings:
+            u = before + (ordering,) + after
+            j = lookup(u)
+            if j is None:
+                continue
+            value = table[j]
+            if pair:
+                if value != w and value != z:
+                    continue
+            elif value != x:
+                continue
+            sigma_u = sigmas[j]
+            if sigma_u is None:
+                sigma_u = sigmas[j] = sigma_total(u, w, z)
+            if sigma_u < last.sigma:
+                return j, DescentStep(u, sigma_u, value, move)
+    return None
 
 
 def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentResult:
@@ -597,46 +642,51 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
     decreasing at every step; the selected alternative is preserved
     exactly while it is not w or z, and stays within {w, z} otherwise.
 
-    Each step is the first ladder candidate that is in the domain, meets
-    the value condition and has strictly smaller sigma; this loop is the
-    only place a step is checked, with one domain lookup per candidate.
-    The next step depends only on the rule, (w, z) and the profile, so
-    `spec` keeps the checked steps of the rule last descended under it
-    (matched by identity) and later descents of that rule follow them."""
+    Each step is the one `_checked_step` accepts.  The rest of a descent
+    depends only on the rule, (w, z) and the profile, so `spec` keeps, for
+    the rule last descended under it (matched by identity), the checked
+    tail of every profile index a descent has passed: a descent from a
+    profile with a known tail is one lookup, and a new walk searches only
+    until it meets a known tail, then stores the tail of every profile on
+    its path.  The sigma of each reached index is kept on `spec` for every
+    rule."""
     descent = spec._descent
     if descent is None or descent.rule is not rule:
         _check_source(rule, spec)
+        # the start is looked up first, so one outside the domain leaves
+        # the memo as it was
+        i = rule.domain.index_of(r)
         descent = _Descent(rule, spec.w, spec.z)
         object.__setattr__(spec, "_descent", descent)
-    domain = rule.domain
-    domain.index_of(r)
-    lookup = domain.lookup
-    table = rule.table
-    known = descent.next_step
-    last = DescentStep(r, descent.stotal(r), descent.value(r), "start")
-    steps = [last]
-    while last.sigma > 0:
-        if last.profile not in known:
-            want = descent.want(last.value)
-            for u, move in descent.candidates(last.profile, last.value):
-                i = lookup(u)
-                if i is None:
-                    continue
-                value = table[i]
-                if not want(value):
-                    continue
-                sigma_u = descent.stotal(u)
-                if sigma_u < last.sigma:
-                    known[last.profile] = DescentStep(u, sigma_u, value, move)
-                    break
-            else:
-                known[last.profile] = None
-        step = known[last.profile]
-        if step is None:
-            return DescentResult(tuple(steps), ok=False,
-                                 failure="no case of the descent ladder "
-                                         "applies; see the last step",
-                                 context=descent.snapshot(last.profile))
-        last = step
-        steps.append(last)
-    return DescentResult(tuple(steps), ok=True)
+    else:
+        i = rule.domain.index_of(r)
+    sigmas = spec._sigma
+    first = sigmas[i]
+    if first is None:
+        first = sigmas[i] = sigma_total(r, spec.w, spec.z)
+    start = DescentStep(r, first, rule.table[i], "start")
+    tails = descent.tails
+    tail = tails[i]
+    if tail is None:
+        path = []  # (index, the checked step from that profile)
+        last = start
+        while tail is None:
+            found = (_checked_step(descent, last, sigmas) if last.sigma
+                     else None)
+            if found is None:
+                tail = tails[i] = ()
+                break
+            path.append((i, found[1]))
+            i, last = found
+            tail = tails[i]
+        for k, step in reversed(path):
+            tail = tails[k] = (step,) + tail
+    steps = (start,) + tail
+    last = steps[-1]
+    if last.sigma > 0:
+        return DescentResult(steps, ok=False,
+                             failure="no case of the descent ladder "
+                                     "applies; see the last step",
+                             context=descent.snapshot(last.profile,
+                                                      last.value))
+    return DescentResult(steps, ok=True)

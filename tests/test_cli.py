@@ -108,6 +108,41 @@ def test_collapse_run(capsys):
     assert "descent failures: 0" in out
 
 
+@pytest.mark.parametrize("argv,code,expected", [
+    (["collapse", "run", "--n", "3", "--m", "3", "--w", "x", "--z", "y",
+      "--rule", "constant:z"], 2,
+     ["spec=collapse x,y -> b (z->a)", "disagreements=0", "missing=0",
+      "range=a", "full_range=False", "descents=102", "descent_failures=0"]),
+    (["rule", "check", "--builtin", "example1", "--n", "4", "--m", "3"], 0,
+     ["rule=example1", "range=xy", "dictator=no", "strategyproof=True"]),
+    (["rule", "check", "--builtin", "dictator:2", "--n", "3", "--m", "3"], 0,
+     ["rule=dictator(2)", "range=xyz", "dictator=2", "strategyproof=True"]),
+    (["rule", "check", "--builtin", "constant:y", "--n", "3", "--m", "3"], 0,
+     ["rule=constant(y)", "range=y", "dictator=degenerate",
+      "strategyproof=True"]),
+], ids=["collapse_run", "rule_check", "rule_check_dictator",
+        "rule_check_degenerate"])
+def test_structured_values_are_bare(capsys, argv, code, expected):
+    """Structured output gives each key its bare value, not the sentence
+    that text mode prints."""
+    assert run(["--format", "structured"] + argv) == code
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_rule_check_manipulable_structured(tmp_path, capsys):
+    domain = profiles.enumerate_np(3, 3)
+    table = list(rules.dictator(domain, 0).table)
+    table[0] = domain.profiles[0][0][-1]
+    path = tmp_path / "rule.txt"
+    path.write_text(rules.dump_rule(rules.Rule(domain, table)))
+    assert run(["--format", "structured", "rule", "check", "--file",
+                str(path), "--n", "3", "--m", "3"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "rule=file", "range=xyz", "dictator=no", "strategyproof=False",
+        "witness=voter 1 manipulates at xyz|xyz|zyx via xzy|xyz|zyx: "
+        "g=z -> g=x"]
+
+
 @pytest.mark.filterwarnings("error")
 def test_three_voter_paths_run_without_warnings(capsys):
     """An NP(3, 3) collapse targets NP(3, 2) without a warning."""

@@ -60,7 +60,7 @@ def test_position_tables_against_brute_force(m):
             assert collapse.sigma((ordering,), a, b).per_voter == (
                 len(interior),)
             for x in range(m):
-                sizes, inside = ladder._pair_brackets((ordering,), x)
+                sizes, inside = ladder._pair_brackets([rank[ordering]], x)
                 assert sizes == [len(interior)]
                 assert inside == [x in interior]
                 if orders.ranks_above(ordering, a, x) and orders.ranks_above(
@@ -71,7 +71,7 @@ def test_position_tables_against_brute_force(m):
                     expected = (b, a)
                 else:
                     expected = None
-                assert ladder._orientation(ordering, x) == expected
+                assert ladder._orientation(rank[ordering], x) == expected
             if not above:
                 continue
             for part in (1, 2):
@@ -303,6 +303,36 @@ def test_descent_shared_spec_matches_fresh(np34):
                 failed += 1
                 assert result.render(4) == fresh.render(4)
     assert failed >= len(FAILED_DESCENTS)
+
+
+def test_descent_from_a_path_profile_is_its_suffix(np34):
+    """On a warmed spec, a descent started at any profile on another
+    descent's path is that descent's suffix with the first step relabelled
+    `start`, and equals the descent under a fresh spec; a start outside
+    the domain raises and leaves the memo as it was."""
+    warm = make_spec(np34, A, B)
+    rng = random.Random(29)
+    starts = rng.sample(np34.profiles, 60)
+    starts += [profiles.decode_profile(s, 3, 4) for s in FAILED_DESCENTS]
+    for g in (rules.dictator(np34, 1), _top_unless_pair_leads(np34)):
+        for r in rng.sample(np34.profiles, 300):
+            collapse.reduce_to_contiguous(g, r, warm)
+        for r in starts:
+            whole = collapse.reduce_to_contiguous(g, r, warm)
+            for k, step in enumerate(whole.steps):
+                part = collapse.reduce_to_contiguous(g, step.profile, warm)
+                start = step._replace(move="start")
+                assert part.steps == (start,) + whole.steps[k + 1:]
+                assert part == collapse.reduce_to_contiguous(
+                    g, step.profile, make_spec(np34, A, B))
+        descent = warm._descent
+        tails, sigmas = list(descent.tails), list(warm._sigma)
+        dominated = ((A, B, C, D),) * 3
+        for other in (g, rules.dictator(np34, 2)):
+            with pytest.raises(MembershipError):
+                collapse.reduce_to_contiguous(other, dominated, warm)
+            assert warm._descent is descent
+            assert warm._descent.tails == tails and warm._sigma == sigmas
 
 
 def test_collapse_profile_requires_contiguity(np34, spec):
