@@ -40,6 +40,13 @@ Learned binary clauses take the same path.  Each list keeps its clauses
 in load order, so the search is a fixed function of the formula, its
 clause order and the branching order.
 
+The constructor reads a `cnf.ClauseStore`, one flat zero-terminated array
+of DIMACS literals, in one loop three entries at a time: a binary clause
+with its 0 fills a triple and goes straight into the implication lists,
+and any other clause (a unit, an empty or a long one) takes the general
+path, which reads on to its 0 and so realigns the triples.  Any other
+sequence of clauses is made a store first, so there is one load path.
+
 The assignment is one table indexed by encoded literal, as in MiniSat:
 ``values[lit]`` is 1 when ``lit`` is true, 0 when it is false and UNDEF
 when its variable is unassigned, and every assignment or unassignment
@@ -54,6 +61,9 @@ those of a variable-indexed table, pinned by the search digest in
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
+from .cnf import ClauseStore
 from .errors import SolverCapError
 
 UNDEF = -1
@@ -85,7 +95,6 @@ class Solver:
         self.conflicts = 0
         self.propagations = 0
         self.learned = 0
-        self.ok = True
         self._assumptions: list[int] = []
         self._failed: list[int] = []
         self._seen = [False] * (num_vars + 1)
@@ -95,26 +104,53 @@ class Solver:
         for var in range(1, num_vars + 1):
             lits[var] = 2 * var
             lits[-var] = 2 * var + 1
+        if not isinstance(clauses, ClauseStore):
+            clauses = ClauseStore.of(clauses)
+        self.ok = self._load(clauses.lits)
+
+    def _load(self, flat) -> bool:
+        """Load a store's zero-terminated literals, three entries at a
+        time: a binary clause (two literals and its 0) goes straight into
+        the implication lists, and any other clause, from the first entry
+        of the three on, through `_add_clause`.  Returns False when a
+        clause is empty or contradicts the units before it."""
+        lits = self._lits
         binaries = self.binaries
-        for clause in clauses:
-            if len(clause) != 2:
+        it = iter(flat)
+        # zip_longest pads the last triple with None past the final 0.
+        for x, y, z in zip_longest(it, it, it):
+            if not z:
+                try:
+                    a = lits[x]
+                    b = lits[y]
+                except KeyError:  # a 0, None or an out-of-range literal
+                    a = 0
+                if a:
+                    if a == b:
+                        if not self._enqueue(a, UNDEF):
+                            return False
+                    elif a != b ^ 1:  # a tautology is dropped
+                        binaries[a].append(b)
+                        binaries[b].append(a)
+                    continue
+            clause = []
+            for lit in (x, y, z):
+                if lit is None:  # past the final 0
+                    return True
+                if lit:
+                    clause.append(lit)
+                elif not self._add_clause(clause):
+                    return False
+                else:
+                    clause = []
+            if clause:  # read the rest of a clause begun in this triple
+                for lit in it:
+                    if not lit:
+                        break
+                    clause.append(lit)
                 if not self._add_clause(clause):
-                    self.ok = False
-                    break
-                continue
-            x, y = clause
-            a = lits.get(x)
-            b = lits.get(y)
-            if a is None or b is None:
-                self._encode(x)  # raises for the first unknown literal
-                self._encode(y)
-            if a == b:
-                if not self._enqueue(a, UNDEF):
-                    self.ok = False
-                    break
-            elif a != b ^ 1:  # a tautology is dropped
-                binaries[a].append(b)
-                binaries[b].append(a)
+                    return False
+        return True
 
     def _add_clause(self, clause) -> bool:
         out = []

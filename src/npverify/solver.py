@@ -117,23 +117,21 @@ def solve_external(formula: cnf.CnfFormula, binary: str) -> SolveResult:
     past `EXTERNAL_TIMEOUT` seconds, TextFormatError when the output
     carries no verdict or no complete model, and ContractError when a
     claimed model falsifies a clause."""
-    text = cnf.export_dimacs(formula)
-    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-        fh.write(text)
-        path = fh.name
-    try:
-        proc = subprocess.run([binary, path], capture_output=True, text=True,
-                              timeout=EXTERNAL_TIMEOUT)
-    except subprocess.TimeoutExpired:
-        raise ExternalSolverError(
-            f"external solver {binary} gave no verdict within "
-            f"{EXTERNAL_TIMEOUT:g} s") from None
-    except OSError as exc:
-        raise ExternalSolverError(
-            f"external solver {binary} could not be started: "
-            f"{exc.strerror or exc}") from None
-    finally:
-        os.unlink(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "formula.cnf")
+        with open(path, "w") as fh:
+            cnf.export_dimacs(formula, fh)
+        try:
+            proc = subprocess.run([binary, path], capture_output=True,
+                                  text=True, timeout=EXTERNAL_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            raise ExternalSolverError(
+                f"external solver {binary} gave no verdict within "
+                f"{EXTERNAL_TIMEOUT:g} s") from None
+        except OSError as exc:
+            raise ExternalSolverError(
+                f"external solver {binary} could not be started: "
+                f"{exc.strerror or exc}") from None
     out = proc.stdout
     if "s UNSATISFIABLE" in out:
         return SolveResult(status=False, model=None, stats={})

@@ -38,7 +38,7 @@ from .rules import Rule
 X, Y, Z = 0, 1, 2
 
 # Part of the cache key: change it whenever the cached payload changes.
-_CODE_VERSION = "npverify-0.1.0-cache3"
+_CODE_VERSION = "npverify-0.1.0-cache4"
 
 
 @lru_cache(maxsize=None)
@@ -472,7 +472,8 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
             path = Path(export_dimacs)
             if idx > 0:
                 path = path.with_name(f"{path.stem}-{idx:04d}{path.suffix}")
-            path.write_text(cnf.export_dimacs(formula))
+            with path.open("w") as fh:
+                cnf.export_dimacs(formula, fh)
         if external is not None:
             ext = solver.solve_external(formula, external)
             record.external_agrees = ext.status == res.status
@@ -535,8 +536,9 @@ _CACHED_FIELDS = ("outcome", "expectation_met", "instances", "domain_size",
 
 def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
                 seed: int | None, external_check: str) -> Path:
-    """Keyed on content: the DIMACS text of every base formula and each
-    instance's tag and assumptions, so a changed encoding misses."""
+    """Keyed on content: the clause store bytes and variable count of
+    every base formula and each instance's tag and assumptions, so a
+    changed encoding misses."""
     digest = hashlib.sha256()
     digest.update(_CODE_VERSION.encode())
     digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
@@ -545,7 +547,8 @@ def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
     for instance in instances:
         if instance.base is not base:  # a sweep shares one base
             base = instance.base
-            digest.update(cnf.export_dimacs(base).encode())
+            digest.update(f"|{base.num_vars}|".encode())
+            digest.update(base.clauses.lits)
         digest.update(f"|{instance.tag}|{instance.assumptions}".encode())
     return Path(cache_dir) / f"{scn.name}-{digest.hexdigest()[:16]}.json"
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -126,6 +127,65 @@ def test_import_model():
         cnf.import_model("v 1 -2 9 0\n", f)  # out of range
     with pytest.raises(TextFormatError, match="'two' at line 2"):
         cnf.import_model("s SATISFIABLE\nv 1 two 0\n", f)
+    with pytest.raises(TextFormatError, match="variable 1 both signs"):
+        cnf.import_model("v 1 -1 -2 0\n", f)
+    with pytest.raises(TextFormatError, match="variable 2 both signs"):
+        cnf.import_model("v 1 -2\nv 2 0\n", f)  # across lines
+    assert cnf.import_model("v 1 1 -2 0\n", f) == {1: True, 2: False}
+
+
+def test_clause_store_round_trip():
+    clauses = [(1, -2), (3,), (), (-1, 2, -3, 4)]
+    store = cnf.ClauseStore.of(clauses)
+    assert len(store) == 4 and list(store) == clauses
+    assert list(store.lits) == [1, -2, 0, 3, 0, 0, -1, 2, -3, 4, 0]
+    more = store + cnf.ClauseStore.of([(5,)])
+    assert len(more) == 5 and list(more) == clauses + [(5,)]
+    assert list(store) == clauses  # the operands are unchanged
+    f = cnf.CnfFormula(num_vars=4, clauses=clauses, m=1, domain_size=4)
+    assert f.clauses == store
+    assert cnf.export_dimacs(f) == "p cnf 4 4\n1 -2 0\n3 0\n0\n-1 2 -3 4 0\n"
+    for bad in ([(1, 0)], [(2**40,)]):
+        with pytest.raises(ValueError, match="out of range"):
+            cnf.ClauseStore.of(bad)
+
+
+def test_export_to_a_handle_matches_the_text(base33, tmp_path):
+    path = tmp_path / "base.cnf"
+    with path.open("w") as fh:
+        assert cnf.export_dimacs(base33, fh) is None
+    text = path.read_text()
+    assert text == cnf.export_dimacs(base33)
+    lines = text.splitlines()
+    assert lines[0] == f"p cnf {base33.num_vars} {len(base33.clauses)}"
+    assert [tuple(map(int, line.split()[:-1])) for line in lines[1:]] \
+        == list(base33.clauses)
+
+
+def test_store_memory(np43):
+    """The NP(4, 3) base is one flat literal array: it retains under 1 MB
+    (a tuple per clause retains 4.4 MB), and adding scenario clauses is
+    one concatenation, not a copy clause by clause."""
+    cnf.encode_base(np43)  # warm the per-m tables
+    star = verify.np_star_indices(4, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        base = cnf.encode_base(np43)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        constrained = cnf.add_scenario(
+            base, cnf.RangeSubset(frozenset({X}), star),
+            cnf.Attains(Y, tuple(range(len(np43)))),
+            cnf.NotDictator(0, np43))
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(base.clauses) == 34080
+    assert len(constrained.clauses) == 34080 + len(star) * 2 + 2
+    assert retained < 1_000_000
+    assert allocated < 1_000_000
 
 
 def test_external_dimacs_agreement(base33, external_solver):

@@ -249,6 +249,82 @@ def test_binary_clause_loading():
     assert core.solve() is True and core.model()[1:] == [True, False]
 
 
+def clause_by_clause(num_vars, clauses):
+    """A core loaded one clause at a time through the general path, as
+    clauses were loaded before they came in a store: the reference for
+    the store loader, which reads binary clauses three entries at a
+    time."""
+    core = satcore.Solver(num_vars, [])
+    for clause in clauses:
+        if not core._add_clause(clause):
+            core.ok = False
+            break
+    return core
+
+
+def load_state(core):
+    return (core.binaries, core.clauses, core.watches, core.trail, core.ok)
+
+
+def assert_loads_alike(num_vars, clauses):
+    """A core loaded from a store, one from the same clauses as tuples and
+    the clause-by-clause reference end in the same state."""
+    store = cnf.ClauseStore.of(clauses)
+    from_store = satcore.Solver(num_vars, store)
+    from_tuples = satcore.Solver(num_vars, [tuple(c) for c in clauses])
+    reference = clause_by_clause(num_vars, clauses)
+    assert load_state(from_store) == load_state(from_tuples) \
+        == load_state(reference)
+
+
+def test_loader_parity_on_the_catalogue():
+    """The NP(4, 3) base and every distinct formula of the catalogue at
+    n = 4: its bases and the first instance with its assumptions."""
+    base = verify._encoded_base(4, 3)
+    assert_loads_alike(base.num_vars, list(base.clauses))
+    for scn in verify.list_scenarios():
+        instances = verify.scenario(scn.name, 4).instances()
+        formulas = {id(i.base): i.base for i in instances}
+        formulas["first"] = instances[0].formula
+        for f in formulas.values():
+            if f is not base:
+                assert_loads_alike(f.num_vars, list(f.clauses))
+
+
+@pytest.mark.parametrize("clauses", [
+    [[1]],  # a unit alone
+    [[1, 2], [3]],  # a unit last
+    [[2], [1, 2], [-3, 1]],  # a unit first shifts the triples
+    [[1, 1], [-2, 3]],  # a repeated literal is a unit
+    [[1, -1], [2, 3]],  # a tautology is dropped
+    [[1, 2, 3], [1, -1, 2], [3, 3, 3]],  # long clauses, reduced or dropped
+    [[1, 2], []],  # an empty clause last
+    [[], [1, 2]],  # an empty clause first
+    [[1], [], [2]],  # a unit then an empty clause
+    [[1], [-1], [2, 3]],  # contradicting units stop the load
+    [[1, 2], [-2, 3, 1, 2], [3], [-1, -3]],
+], ids=["unit", "unit-last", "unit-first", "repeated", "tautology", "long",
+        "empty-last", "empty-first", "unit-empty", "contradiction", "mixed"])
+def test_loader_parity_on_hand_made_clauses(clauses):
+    assert_loads_alike(3, clauses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(literal6, max_size=4), max_size=25))
+def test_loader_parity_on_random_clauses(clauses):
+    assert_loads_alike(6, clauses)
+
+
+@pytest.mark.parametrize("clauses", [
+    [[1, 4]], [[4, 1]], [[1], [-4]], [[1, 2, 3, -4]], [[1, 2], [3, 5, 1]]])
+def test_loader_rejects_out_of_range_literals(clauses):
+    for load in (lambda: satcore.Solver(3, cnf.ClauseStore.of(clauses)),
+                 lambda: satcore.Solver(3, clauses),
+                 lambda: clause_by_clause(3, clauses)):
+        with pytest.raises(ValueError, match="out of range"):
+            load()
+
+
 def test_binary_conflict_at_level_zero_is_final():
     core = satcore.Solver(2, [[1, 2], [1, -2], [-1]])
     assert core.solve() is False and core.failed() == []

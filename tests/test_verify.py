@@ -275,7 +275,8 @@ def test_cache_misses_when_the_encoding_changes(tmp_path, monkeypatch):
     assert not verify.run_scenario("gs_np", differential=False,
                                    cache_dir=str(tmp_path)).cached
     base = verify._encoded_base(3, 3)
-    shorter = dataclasses.replace(base, clauses=base.clauses[:-1])
+    shorter = dataclasses.replace(
+        base, clauses=cnf.ClauseStore.of(list(base.clauses)[:-1]))
     monkeypatch.setattr(verify, "_encoded_base", lambda n, m: shorter)
     again = verify.run_scenario("gs_np", differential=False,
                                 cache_dir=str(tmp_path))
