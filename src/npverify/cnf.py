@@ -13,9 +13,17 @@ clause arena (Een & Sorensson, "An Extensible SAT-solver", SAT 2003).  It
 costs 4 bytes a literal where a tuple per clause cost about 130 bytes a
 binary clause (NP(4, 3)'s base retains 0.44 MB instead of 4.39 MB under
 tracemalloc).  `len()` is the clause count and iteration yields each
-clause as a tuple; `satcore.Solver` reads the array itself.  Adding
-clauses concatenates arrays, and `export_dimacs` writes the array in
-chunks.
+clause as a tuple; `satcore` reads the arrays themselves.
+
+Scenario clauses are layered on the base, not copied with it: a store
+may sit on a plain `base` store, and its clauses are then those of the
+base followed by its own.  `CnfFormula.extended` on a plain formula makes
+the plain store the base of the result; on a layered one it copies only
+the clauses above the base.  So every scenario formula of one domain
+shares the one encoded base, `satcore` loads that base once into a
+read-only index for every session opened on it (`solver.Session`), and
+`export_dimacs` writes the base, then the clauses above it, then one unit
+per assumption, straight to the handle.
 """
 
 from __future__ import annotations
@@ -40,17 +48,27 @@ Clause = tuple[int, ...]
 
 class ClauseStore:
     """Clauses in order, as one flat ``array('i')`` of DIMACS literals
-    with a 0 after each clause; `count` is the number of clauses."""
+    with a 0 after each clause; `count` is the number of clauses in
+    `lits`.  A store with a `base` (a plain store, shared and never
+    copied) holds the clauses of `base` first, then those of `lits`.
+    `index` is left to `solver`, which keeps the core's read-only load of
+    a plain store there, so it lives exactly as long as the store."""
 
-    __slots__ = ("lits", "count")
+    __slots__ = ("lits", "count", "base", "index")
 
-    def __init__(self, lits: array, count: int):
+    def __init__(self, lits: array, count: int,
+                 base: "ClauseStore | None" = None):
+        if base is not None and base.base is not None:
+            raise ValueError("a store's base must be a plain store")
         self.lits = lits
         self.count = count
+        self.base = base
+        self.index = None
 
     @classmethod
     def of(cls, clauses: Iterable[Sequence[int]]) -> "ClauseStore":
-        """A store holding `clauses` (sequences of nonzero literals)."""
+        """A plain store holding `clauses` (sequences of nonzero
+        literals)."""
         lits = array("i")
         count = 0
         for clause in clauses:
@@ -65,25 +83,38 @@ class ClauseStore:
             count += 1
         return cls(lits, count)
 
+    def layers(self) -> tuple[array, ...]:
+        """The literal arrays in clause order: the base's, then this
+        store's own."""
+        if self.base is None:
+            return (self.lits,)
+        return (self.base.lits, self.lits)
+
     def __len__(self) -> int:
-        return self.count
+        return self.count + (0 if self.base is None else self.base.count)
 
     def __iter__(self):
         clause = []
-        for lit in self.lits:
-            if lit:
-                clause.append(lit)
-            else:
-                yield tuple(clause)
-                clause = []
+        for lits in self.layers():
+            for lit in lits:
+                if lit:
+                    clause.append(lit)
+                else:
+                    yield tuple(clause)
+                    clause = []
 
     def __add__(self, other: "ClauseStore") -> "ClauseStore":
-        return ClauseStore(self.lits + other.lits, self.count + other.count)
+        """`self` followed by the plain store `other`, on the base of
+        `self`, or on `self` itself when it is plain: no base is copied."""
+        if self.base is None:
+            return ClauseStore(other.lits, other.count, base=self)
+        return ClauseStore(self.lits + other.lits, self.count + other.count,
+                           base=self.base)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClauseStore):
             return NotImplemented
-        return self.lits == other.lits
+        return b"".join(self.layers()) == b"".join(other.layers())
 
 
 @dataclass(frozen=True)
@@ -111,6 +142,8 @@ class CnfFormula:
         return (var - 1) // self.m, (var - 1) % self.m
 
     def extended(self, extra: Iterable[Clause]) -> "CnfFormula":
+        """This formula followed by the clauses `extra`, layered on its
+        base store rather than copying it."""
         return CnfFormula(self.num_vars,
                           self.clauses + ClauseStore.of(extra),
                           self.m, self.domain_size)
@@ -246,26 +279,30 @@ ScenarioConstraint = Attains | RangeSubset | NotDictator
 
 def add_scenario(f: CnfFormula,
                  *constraints: ScenarioConstraint) -> CnfFormula:
-    """`f` plus the clauses of each constraint, in order: one copy of the
-    clause tuple however many constraints there are."""
+    """`f` plus the clauses of each constraint, in order, layered on the
+    base store of `f`: the base is never copied."""
     return f.extended(clause for c in constraints for clause in c.clauses(f))
 
 
 # -- DIMACS export and model import ---------------------------------------
 
 
-def export_dimacs(f: CnfFormula, out: IO[str] | None = None) -> str | None:
-    """Write `f` in DIMACS to the text handle `out`, _EXPORT_CHUNK
-    literals at a time; with no handle, return the text instead."""
+def export_dimacs(f: CnfFormula, out: IO[str] | None = None,
+                  assumptions: Sequence[int] = ()) -> str | None:
+    """Write `f` in DIMACS to the text handle `out`, then one unit clause
+    per literal of `assumptions`: each layer of `f.clauses` in turn,
+    _EXPORT_CHUNK literals at a time.  With no handle, return the text
+    instead."""
     if out is None:
         text = io.StringIO()
-        export_dimacs(f, text)
+        export_dimacs(f, text, assumptions)
         return text.getvalue()
-    out.write(f"p cnf {f.num_vars} {len(f.clauses)}\n")
-    lits = f.clauses.lits
-    for start in range(0, len(lits), _EXPORT_CHUNK):
-        out.write("".join([f"{lit} " if lit else "0\n"
-                           for lit in lits[start:start + _EXPORT_CHUNK]]))
+    out.write(f"p cnf {f.num_vars} {len(f.clauses) + len(assumptions)}\n")
+    for lits in f.clauses.layers():
+        for start in range(0, len(lits), _EXPORT_CHUNK):
+            out.write("".join([f"{lit} " if lit else "0\n"
+                               for lit in lits[start:start + _EXPORT_CHUNK]]))
+    out.write("".join(f"{lit} 0\n" for lit in assumptions))
     return None
 
 
@@ -320,7 +357,11 @@ def rule_assignment(rule: Rule, f: CnfFormula) -> Model:
     return model
 
 
-def satisfies(model: Model, f: CnfFormula) -> bool:
+def satisfies(model: Model, f: CnfFormula,
+              assumptions: Sequence[int] = ()) -> bool:
+    """`model` satisfies every clause of `f` and every literal of
+    `assumptions`."""
     return all(
         any(model[abs(lit)] == (lit > 0) for lit in clause)
-        for clause in f.clauses)
+        for clause in f.clauses) and all(
+        model[abs(lit)] == (lit > 0) for lit in assumptions)

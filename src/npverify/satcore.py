@@ -4,9 +4,9 @@ incremental solving under assumptions in the MiniSat style (Een &
 Sorensson, "An Extensible SAT-solver", SAT 2003).
 
 Literals are encoded as ``2*v`` (positive) / ``2*v + 1`` (negative) over
-1-based variables, through one table per solver that maps each DIMACS
-literal to its encoded int, so the loaded clauses share those 2n int
-objects instead of holding a fresh int per entry.  No restarts and no
+1-based variables, through one table per base index that maps each
+DIMACS literal to its encoded int, so the loaded clauses share those 2n
+int objects instead of holding a fresh int per entry.  No restarts and no
 clause deletion: the instances this workbench produces are small and
 highly propagating, and determinism is worth more than raw speed.  A
 conflict cap guards against surprises; hitting it raises, it is never
@@ -40,12 +40,28 @@ Learned binary clauses take the same path.  Each list keeps its clauses
 in load order, so the search is a fixed function of the formula, its
 clause order and the branching order.
 
-The constructor reads a `cnf.ClauseStore`, one flat zero-terminated array
-of DIMACS literals, in one loop three entries at a time: a binary clause
-with its 0 fills a triple and goes straight into the implication lists,
-and any other clause (a unit, an empty or a long one) takes the general
-path, which reads on to its 0 and so realigns the triples.  Any other
-sequence of clauses is made a store first, so there is one load path.
+A base is loaded once, into a read-only `BaseIndex`: the literal table,
+the implication lists, the long clauses, the level-0 units and `ok`.
+Every solver opens on one, `Solver(num_vars, clauses, base=index)`, and
+the sessions of one base share it copy-on-write.  A solver copies the
+index's value table and trail, shares its literal table, copies only the
+outer list of `binaries`, and replaces an inner list with a copy the
+first time it appends to it (a learned binary clause, or one of its own
+clauses).  Long clauses are few (one per profile in an NP encoding), and
+watching reorders a clause's literals, so each solver copies them and
+rebuilds their watches in index order.  Then it loads `clauses` on top.
+Every list thus holds the base's entries first, in load order, then the
+solver's own: the state, and so the search, are those of one load of the
+base followed by `clauses`.  A solver made with no index opens on an
+empty one and loads all of `clauses`.
+
+The index and every solver load through one clause-add path (`_Loader`):
+it reads a `cnf.ClauseStore`, each layer's flat zero-terminated array of
+DIMACS literals in turn, in one loop three entries at a time.  A binary
+clause with its 0 fills a triple and goes straight into the implication
+lists, and any other clause (a unit, an empty or a long one) takes the
+general path, which reads on to its 0 and so realigns the triples.  Any
+other sequence of clauses is made a store first.
 
 The assignment is one table indexed by encoded literal, as in MiniSat:
 ``values[lit]`` is 1 when ``lit`` is true, 0 when it is false and UNDEF
@@ -71,42 +87,68 @@ BINARY = -2  # reason code BINARY - q: a binary clause with q false
 MAX_CONFLICTS = 5_000_000  # per solve() call; exceeding it raises
 
 
-class Solver:
-    def __init__(self, num_vars: int, clauses, order=None):
+class BaseIndex:
+    """The read-only load of one clause store, shared by every `Solver`
+    opened on it: the literal table, the implication lists, the long
+    clauses in load order (never watched, so never reordered), the
+    level-0 assignment and trail its units leave, and `ok`.  It is built
+    through the clause-add path of `_Loader`, as a solver's own clauses
+    are, and nothing writes to it afterwards."""
+
+    def __init__(self, num_vars: int, clauses=()):
+        size = 2 * num_vars + 2
         self.num_vars = num_vars
-        # values[lit]: 1 when lit is true, 0 when it is false, UNDEF when
-        # its variable is unassigned; values[2*v] is v's own value.
-        self.values = [UNDEF] * (2 * num_vars + 2)
-        self.level = [0] * (num_vars + 1)
-        self.reason = [UNDEF] * (num_vars + 1)
-        self.trail: list[int] = []
-        # trail_lim[d]: the trail length where level d + 1 opened.
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.current_level = 0
-        # clauses: every long clause, base or learned, as one list of
-        # encoded literals; watches[p]: the long clauses watching p.
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 2)]
-        # binaries[p]: the other literal of every binary clause holding p.
-        self.binaries: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
-        self.order = list(range(1, num_vars + 1)) if order is None else list(order)
-        self.decisions = 0
-        self.conflicts = 0
-        self.propagations = 0
-        self.learned = 0
-        self._assumptions: list[int] = []
-        self._failed: list[int] = []
-        self._seen = [False] * (num_vars + 1)
-        # _lits: DIMACS literal -> encoded literal; anything else, 0
+        # lits: DIMACS literal -> encoded literal; anything else, 0
         # included, is out of range.
-        self._lits = lits = {}
+        self.lits = lits = {}
         for var in range(1, num_vars + 1):
             lits[var] = 2 * var
             lits[-var] = 2 * var + 1
+        self.values = [UNDEF] * size
+        self.trail: list[int] = []
+        # One empty list for every literal: a loader copies it before its
+        # first append.
+        self.binaries: list[list[int]] = [[]] * size
+        self.clauses: list[list[int]] = []
+        self.ok = True
+        if len(clauses):
+            loader = _Loader(self)
+            self.ok = loader._load_store(clauses)
+            self.values, self.trail = loader.values, loader.trail
+            self.binaries, self.clauses = loader.binaries, loader.clauses
+
+
+class _Loader:
+    """A core's clause database opened on a `BaseIndex`, and the one
+    clause-add path.  It copies the index's value table, trail and long
+    clauses, shares its literal table, and copies only the outer list of
+    `binaries`: an inner list is replaced by a copy the first time this
+    core appends to it.  It watches nothing; `Solver` adds the watches."""
+
+    def __init__(self, base: BaseIndex):
+        num_vars = self.num_vars = base.num_vars
+        self._lits = base.lits
+        # values[lit]: 1 when lit is true, 0 when it is false, UNDEF when
+        # its variable is unassigned; values[2*v] is v's own value.
+        self.values = base.values[:]
+        self.level = [0] * (num_vars + 1)
+        self.reason = [UNDEF] * (num_vars + 1)
+        self.trail: list[int] = base.trail[:]
+        self.current_level = 0
+        # binaries[p]: the other literal of every binary clause holding
+        # p; an entry that is still _shared[p] belongs to the index.
+        self.binaries = base.binaries[:]
+        self._shared = base.binaries
+        # clauses: every long clause, base or learned, as one list of
+        # encoded literals.
+        self.clauses = [clause[:] for clause in base.clauses]
+
+    def _load_store(self, clauses) -> bool:
+        """Load `clauses`, a `cnf.ClauseStore` (each of its layers in
+        turn) or any other sequence of clauses, made a store first."""
         if not isinstance(clauses, ClauseStore):
             clauses = ClauseStore.of(clauses)
-        self.ok = self._load(clauses.lits)
+        return all(self._load(lits) for lits in clauses.layers())
 
     def _load(self, flat) -> bool:
         """Load a store's zero-terminated literals, three entries at a
@@ -116,6 +158,7 @@ class Solver:
         clause is empty or contradicts the units before it."""
         lits = self._lits
         binaries = self.binaries
+        shared = self._shared
         it = iter(flat)
         # zip_longest pads the last triple with None past the final 0.
         for x, y, z in zip_longest(it, it, it):
@@ -130,8 +173,15 @@ class Solver:
                         if not self._enqueue(a, UNDEF):
                             return False
                     elif a != b ^ 1:  # a tautology is dropped
-                        binaries[a].append(b)
-                        binaries[b].append(a)
+                        # Inlined `_own`: a copy before the first append.
+                        into = binaries[a]
+                        if into is shared[a]:
+                            into = binaries[a] = into[:]
+                        into.append(b)
+                        into = binaries[b]
+                        if into is shared[b]:
+                            into = binaries[b] = into[:]
+                        into.append(a)
                     continue
             clause = []
             for lit in (x, y, z):
@@ -152,6 +202,14 @@ class Solver:
                     return False
         return True
 
+    def _own(self, lit: int) -> list[int]:
+        """This core's own implication list of `lit`, copied from the
+        index's on first use."""
+        binaries = self.binaries[lit]
+        if binaries is self._shared[lit]:
+            binaries = self.binaries[lit] = binaries[:]
+        return binaries
+
     def _add_clause(self, clause) -> bool:
         out = []
         seen = set()
@@ -171,16 +229,72 @@ class Solver:
 
     def _store(self, out: list[int]):
         """Install a clause of two or more literals: a binary one in the
-        implication lists, a longer one watched on its first two literals.
-        Returns the reason that makes it imply `out[0]`."""
+        implication lists, a longer one in `clauses`.  Returns the reason
+        that makes it imply `out[0]`."""
         if len(out) == 2:
-            self.binaries[out[0]].append(out[1])
-            self.binaries[out[1]].append(out[0])
+            self._own(out[0]).append(out[1])
+            self._own(out[1]).append(out[0])
             return BINARY - out[1]
         self.clauses.append(out)
-        self.watches[out[0]].append(out)
-        self.watches[out[1]].append(out)
         return out
+
+    def _encode(self, lit: int) -> int:
+        enc = self._lits.get(lit)
+        if enc is None:
+            raise ValueError(f"literal {lit} out of range")
+        return enc
+
+    def _enqueue(self, lit: int, reason) -> bool:
+        values = self.values
+        if values[lit] != UNDEF:
+            return values[lit] == 1
+        values[lit] = 1
+        values[lit ^ 1] = 0
+        var = lit >> 1
+        self.level[var] = self.current_level
+        self.reason[var] = reason
+        self.trail.append(lit)
+        return True
+
+
+class Solver(_Loader):
+    def __init__(self, num_vars: int, clauses, order=None, base=None):
+        """A core on the index `base` with `clauses` loaded on top, or,
+        with no index, on an empty one with every clause of `clauses`."""
+        if base is None:
+            base = BaseIndex(num_vars)
+        elif base.num_vars != num_vars:
+            raise ValueError(f"index over {base.num_vars} variables, "
+                             f"not {num_vars}")
+        super().__init__(base)
+        # watches[p]: the long clauses watching p, base ones first in
+        # index order.
+        self.watches: list[list[list[int]]] = [
+            [] for _ in range(2 * num_vars + 2)]
+        for clause in self.clauses:
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+        # trail_lim[d]: the trail length where level d + 1 opened.
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.order = list(range(1, num_vars + 1)) if order is None else list(order)
+        self.decisions = 0
+        self.conflicts = 0
+        self.propagations = 0
+        self.learned = 0
+        self._assumptions: list[int] = []
+        self._failed: list[int] = []
+        self._seen = [False] * (num_vars + 1)
+        self.ok = base.ok and self._load_store(clauses)
+
+    def _store(self, out: list[int]):
+        """`_Loader._store`, with a long clause watched on its first two
+        literals."""
+        reason = super()._store(out)
+        if reason is out:
+            self.watches[out[0]].append(out)
+            self.watches[out[1]].append(out)
+        return reason
 
     def add_clause(self, clause) -> None:
         """Add a clause between `solve()` calls.  It is simplified against
@@ -212,29 +326,11 @@ class Solver:
 
     # -- assignment primitives ------------------------------------------
 
-    def _encode(self, lit: int) -> int:
-        enc = self._lits.get(lit)
-        if enc is None:
-            raise ValueError(f"literal {lit} out of range")
-        return enc
-
     def _lit_true(self, lit: int) -> bool:
         return self.values[lit] == 1
 
     def _lit_false(self, lit: int) -> bool:
         return self.values[lit] == 0
-
-    def _enqueue(self, lit: int, reason) -> bool:
-        values = self.values
-        if values[lit] != UNDEF:
-            return values[lit] == 1
-        values[lit] = 1
-        values[lit ^ 1] = 0
-        var = lit >> 1
-        self.level[var] = self.current_level
-        self.reason[var] = reason
-        self.trail.append(lit)
-        return True
 
     # -- search ----------------------------------------------------------
 

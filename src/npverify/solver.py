@@ -1,11 +1,18 @@
 """Solver sessions over the CDCL core and the external differential check.
 
-A `Session` holds one `satcore.Solver` loaded with one formula and answers
-a sequence of questions about it, each a set of assumed literals; learned
+A `Session` holds one `satcore.Solver` for one formula and answers a
+sequence of questions about it, each a set of assumed literals; learned
 clauses carry over, and `add_clause` strengthens the formula between calls.
-The lemma sweeps load their shared base once this way instead of once per
-instance, and `solve_formula` is a one-shot session.  Each result's
-statistics cover its own call only.
+The lemma sweeps answer all their instances on one session this way, and
+`solve_formula` is a one-shot session.  Each result's statistics cover its
+own call only.
+
+A formula's clauses are a base store with the scenario clauses layered on
+top (`cnf.ClauseStore`).  The base is loaded once, into a read-only
+`satcore.BaseIndex` kept on the base store itself, so it lives exactly as
+long as the store; every session on that base opens its core on the shared
+index, copy-on-write, and loads only the clauses above the base, through
+the same clause-add path that built the index.
 
 For differential acceptance an independent external solver can re-check
 exported DIMACS files.  Any binary speaking the conventional interface
@@ -58,14 +65,23 @@ def branching_order(num_vars: int, seed: int | None) -> list[int]:
 
 
 class Session:
-    """One solver core loaded with `formula`, solved repeatedly."""
+    """One solver core on the base index of `formula`, solved
+    repeatedly."""
 
     def __init__(self, formula: cnf.CnfFormula, seed: int | None = None):
         self.formula = formula
+        num_vars = formula.num_vars
+        store = formula.clauses
+        if store.base is None:
+            base, top = store, ()
+        else:
+            base, top = store.base, cnf.ClauseStore(store.lits, store.count)
+        if base.index is None:
+            base.index = satcore.BaseIndex(num_vars, base)
         # The core class is looked up at call time: tracing rebinds it.
         self._core = satcore.Solver(
-            formula.num_vars, formula.clauses,
-            order=branching_order(formula.num_vars, seed))
+            num_vars, top, order=branching_order(num_vars, seed),
+            base=base.index)
 
     def add_clause(self, clause) -> None:
         """Strengthen the formula for every later call."""
@@ -110,17 +126,19 @@ def find_external_solver() -> str | None:
     return None
 
 
-def solve_external(formula: cnf.CnfFormula, binary: str) -> SolveResult:
-    """Run an external DIMACS solver on the exported formula.
+def solve_external(formula: cnf.CnfFormula, binary: str,
+                   assumptions=()) -> SolveResult:
+    """Run an external DIMACS solver on `formula` exported with one unit
+    clause per literal of `assumptions`.
 
     Raises ExternalSolverError when the binary cannot be started or runs
     past `EXTERNAL_TIMEOUT` seconds, TextFormatError when the output
     carries no verdict or no complete model, and ContractError when a
-    claimed model falsifies a clause."""
+    claimed model falsifies a clause or an assumption."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "formula.cnf")
         with open(path, "w") as fh:
-            cnf.export_dimacs(formula, fh)
+            cnf.export_dimacs(formula, fh, assumptions)
         try:
             proc = subprocess.run([binary, path], capture_output=True,
                                   text=True, timeout=EXTERNAL_TIMEOUT)
@@ -137,7 +155,7 @@ def solve_external(formula: cnf.CnfFormula, binary: str) -> SolveResult:
         return SolveResult(status=False, model=None, stats={})
     if "s SATISFIABLE" in out:
         model = cnf.import_model(out, formula)
-        if not cnf.satisfies(model, formula):
+        if not cnf.satisfies(model, formula, assumptions):
             raise ContractError(
                 f"external solver {binary} reported SAT with a model that "
                 "falsifies the formula")

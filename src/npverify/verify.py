@@ -6,7 +6,9 @@ Each scenario expands to one or more CNF instances over the relevant
 domain.  An expected-UNSAT scenario passes when every instance is
 unsatisfiable (universally quantified lemmas iterate all qualifying
 profiles, one instance each; the instances of a sweep are assumptions over
-one shared base formula, so one solver session answers the whole sweep);
+one shared formula, so one solver session answers the whole sweep, and
+every formula of a domain layers its scenario clauses on the one encoded
+base, whose solver index every session shares);
 an expected-SAT scenario passes when some instance has a model, and every
 model is decoded and re-checked against the manipulation oracle, the
 scenario's own constraints and the instance's assumptions, recomputed from
@@ -38,7 +40,7 @@ from .rules import Rule
 X, Y, Z = 0, 1, 2
 
 # Part of the cache key: change it whenever the cached payload changes.
-_CODE_VERSION = "npverify-0.1.0-cache4"
+_CODE_VERSION = "npverify-0.1.0-cache5"
 
 
 @lru_cache(maxsize=None)
@@ -119,8 +121,10 @@ def build_list_part2(n: int) -> dict[str, Profile]:
 @dataclass(frozen=True)
 class Instance:
     """One SAT question: `base` with the literals `assumptions` held true.
-    Instances of one sweep share the same `base` object; `constraints`
-    are what a decoded witness must satisfy."""
+    `base` is the encoded base of the domain with the scenario clauses
+    layered on top, never a copy of the base; instances of one sweep share
+    the same `base` object.  `constraints` are what a decoded witness must
+    satisfy."""
 
     tag: str
     base: cnf.CnfFormula
@@ -130,8 +134,9 @@ class Instance:
     @property
     def formula(self) -> cnf.CnfFormula:
         """The complete formula: `base` plus one unit clause per
-        assumption (for export and the external check).  Built on each
-        read, so a sweep's instances do not each keep a copy."""
+        assumption, layered on the encoded base.  The runner never builds
+        it: it solves `base` under the assumptions, and the export and the
+        external check write the units after `base`."""
         if not self.assumptions:
             return self.base
         return self.base.extended((lit,) for lit in self.assumptions)
@@ -466,16 +471,15 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
                                 stats=res.stats)
         if res.status:
             record.witness = _verify_witness(instance, res.model, domain)
-        if export_dimacs or external is not None:
-            formula = instance.formula  # built on each read, so once here
         if export_dimacs:
             path = Path(export_dimacs)
             if idx > 0:
                 path = path.with_name(f"{path.stem}-{idx:04d}{path.suffix}")
             with path.open("w") as fh:
-                cnf.export_dimacs(formula, fh)
+                cnf.export_dimacs(instance.base, fh, instance.assumptions)
         if external is not None:
-            ext = solver.solve_external(formula, external)
+            ext = solver.solve_external(instance.base, external,
+                                        instance.assumptions)
             record.external_agrees = ext.status == res.status
             if ext.status and not res.status:
                 raise ContractError(
@@ -536,19 +540,22 @@ _CACHED_FIELDS = ("outcome", "expectation_met", "instances", "domain_size",
 
 def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
                 seed: int | None, external_check: str) -> Path:
-    """Keyed on content: the clause store bytes and variable count of
-    every base formula and each instance's tag and assumptions, so a
-    changed encoding misses."""
+    """Keyed on content: the variable count and every clause of each
+    instance formula (the encoded base and the scenario clauses layered on
+    it, each layer with its length) and each instance's tag and
+    assumptions, so a changed encoding or scenario clause misses."""
     digest = hashlib.sha256()
     digest.update(_CODE_VERSION.encode())
     digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
                   f"{external_check}".encode())
-    base = None
+    formula = None
     for instance in instances:
-        if instance.base is not base:  # a sweep shares one base
-            base = instance.base
-            digest.update(f"|{base.num_vars}|".encode())
-            digest.update(base.clauses.lits)
+        if instance.base is not formula:  # a sweep shares one formula
+            formula = instance.base
+            digest.update(f"|{formula.num_vars}|".encode())
+            for lits in formula.clauses.layers():
+                digest.update(f"{len(lits)}|".encode())
+                digest.update(lits)
         digest.update(f"|{instance.tag}|{instance.assumptions}".encode())
     return Path(cache_dir) / f"{scn.name}-{digest.hexdigest()[:16]}.json"
 

@@ -150,6 +150,27 @@ def test_clause_store_round_trip():
             cnf.ClauseStore.of(bad)
 
 
+def test_layered_store_shares_its_base():
+    """Clauses added to a formula sit on its plain base store, which is
+    never copied: adding to a layered formula copies only the clauses
+    above the base."""
+    f = cnf.CnfFormula(num_vars=3, clauses=[(1, 2), (-3,)], m=1,
+                       domain_size=3)
+    once = f.extended([(3, -1, 2)])
+    twice = once.extended([(-2,)])
+    assert once.clauses.base is f.clauses is twice.clauses.base
+    assert list(twice.clauses.lits) == [3, -1, 2, 0, -2, 0]
+    assert len(twice.clauses) == 4
+    assert list(twice.clauses) == [(1, 2), (-3,), (3, -1, 2), (-2,)]
+    assert list(once.clauses) == [(1, 2), (-3,), (3, -1, 2)]
+    assert twice.clauses == cnf.ClauseStore.of(list(twice.clauses))
+    assert twice.clauses != once.clauses
+    assert cnf.export_dimacs(twice, assumptions=(1, -2)) == (
+        "p cnf 3 6\n1 2 0\n-3 0\n3 -1 2 0\n-2 0\n1 0\n-2 0\n")
+    with pytest.raises(ValueError, match="plain"):
+        cnf.ClauseStore(once.clauses.lits, 1, base=once.clauses)
+
+
 def test_export_to_a_handle_matches_the_text(base33, tmp_path):
     path = tmp_path / "base.cnf"
     with path.open("w") as fh:
@@ -164,8 +185,8 @@ def test_export_to_a_handle_matches_the_text(base33, tmp_path):
 
 def test_store_memory(np43):
     """The NP(4, 3) base is one flat literal array: it retains under 1 MB
-    (a tuple per clause retains 4.4 MB), and adding scenario clauses is
-    one concatenation, not a copy clause by clause."""
+    (a tuple per clause retains 4.4 MB), and adding scenario clauses
+    layers them on the base, copying neither."""
     cnf.encode_base(np43)  # warm the per-m tables
     star = verify.np_star_indices(4, 3)
     tracemalloc.start()

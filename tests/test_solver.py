@@ -315,6 +315,58 @@ def test_loader_parity_on_random_clauses(clauses):
     assert_loads_alike(6, clauses)
 
 
+def index_state(index):
+    return (index.binaries, index.clauses, index.trail, index.values,
+            index.ok)
+
+
+def test_sessions_on_one_index_leave_it_and_each_other_alone():
+    """Session A learns binary clauses and adds one; the shared index
+    still equals a freshly built one, and session B on the same index
+    answers exactly as a session on a fresh base does."""
+    domain = verify.np_domain(3, 3)
+    full_range = verify.scenario("sanity_sat").instances()[0].constraints
+    gs = verify.scenario("gs_np").instances()[0].constraints
+    base = cnf.encode_base(domain)
+    formula_a = cnf.add_scenario(base, *full_range)
+    formula_b = cnf.add_scenario(base, *gs)
+    a = solver.Session(formula_a)
+    b = solver.Session(formula_b, seed=5)
+    index = base.clauses.index
+    assert index is not None and a._core._shared is index.binaries \
+        and b._core._shared is index.binaries
+
+    first = a.solve()
+    assert first.status and first.stats["learned"] > 0
+    grown = [p for p, (own, shared) in enumerate(zip(a._core.binaries,
+                                                    index.binaries))
+             if len(own) > len(shared)]
+    assert grown  # the search learned binary clauses
+    core = a._core
+    v1, v2 = [v for v in range(1, base.num_vars + 1)
+              if first.model[v] and core.level[v] > 0][:2]
+    a.add_clause([-v1, -v2])
+    assert core._encode(-v2) in core.binaries[core._encode(-v1)]
+    assert core._encode(-v2) not in index.binaries[core._encode(-v1)]
+    second = a.solve()
+    assert second.status and not (second.model[v1] and second.model[v2])
+
+    fresh_base = cnf.encode_base(domain)
+    assert index_state(index) == index_state(
+        satcore.BaseIndex(fresh_base.num_vars, fresh_base.clauses))
+    fresh = solver.Session(cnf.add_scenario(fresh_base, *gs), seed=5)
+    assert fresh._core._shared is not index.binaries
+    got, want = b.solve(), fresh.solve()
+    assert got == want and not got.status
+    assert got.stats["conflicts"] > 0
+
+
+def test_session_rejects_an_index_of_another_size():
+    index = satcore.BaseIndex(3, [[1, 2]])
+    with pytest.raises(ValueError, match="3 variables"):
+        satcore.Solver(4, [], base=index)
+
+
 @pytest.mark.parametrize("clauses", [
     [[1, 4]], [[4, 1]], [[1], [-4]], [[1, 2, 3, -4]], [[1, 2], [3, 5, 1]]])
 def test_loader_rejects_out_of_range_literals(clauses):
@@ -420,6 +472,19 @@ def test_external_model_is_checked(tmp_path):
         answer("-1 2")
     with pytest.raises(TextFormatError, match="'two' at line 1"):
         answer("1 two")
+
+
+def test_external_model_is_checked_against_the_assumptions(tmp_path):
+    """The assumptions are written as unit clauses after the formula, and
+    a claimed model must satisfy them as well as every clause."""
+    f = cnf.CnfFormula(num_vars=2, clauses=((1, 2),), m=2, domain_size=1)
+    stand_in = tmp_path / "stand-in-solver"
+    stand_in.write_text("#!/bin/sh\necho 'v 1 -2 0'\n"
+                        "echo 's SATISFIABLE'\n")
+    stand_in.chmod(0o755)
+    assert solver.solve_external(f, str(stand_in), (1,)).status
+    with pytest.raises(ContractError):
+        solver.solve_external(f, str(stand_in), (1, 2))
 
 
 def test_external_solver_that_cannot_run(tmp_path, monkeypatch):

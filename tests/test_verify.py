@@ -1,12 +1,18 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
 import oracles
-from npverify import cli, cnf, profiles, rules, solver, strategyproof, verify
+from npverify import (
+    cli, cnf, profiles, rules, satcore, solver, strategyproof, verify,
+)
 from npverify.errors import (
     ContractError,
     ParameterError,
@@ -282,6 +288,104 @@ def test_cache_misses_when_the_encoding_changes(tmp_path, monkeypatch):
                                 cache_dir=str(tmp_path))
     assert not again.cached
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_cache_misses_when_a_scenario_clause_changes(tmp_path, monkeypatch):
+    """The key covers the scenario clauses layered on the base, not only
+    the base: one scenario clause a literal short is a miss."""
+    for cached in (False, True):
+        report = verify.run_scenario("gs_np", differential=False,
+                                     cache_dir=str(tmp_path))
+        assert report.cached is cached
+    clauses = cnf.NotDictator.clauses
+
+    def shorter(self, f):
+        [clause] = clauses(self, f)
+        return [clause[:-1]]
+
+    monkeypatch.setattr(cnf.NotDictator, "clauses", shorter)
+    again = verify.run_scenario("gs_np", differential=False,
+                                cache_dir=str(tmp_path))
+    assert not again.cached
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def _reset_caches():
+    """The benchmark's own cache reset, `perfbench/workloads.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up by name.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    workloads.reset_caches()
+
+
+def test_each_base_is_loaded_once(monkeypatch):
+    """After a cache reset, the three list lemmas build one index of the
+    NP(4, 3) base between them, and nrange_full opens three sessions on
+    one index; the reset drops the index with the base."""
+    built, opened = [], []
+
+    class CountedIndex(satcore.BaseIndex):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    class CountedSolver(satcore.Solver):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["base"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(satcore, "BaseIndex", CountedIndex)
+    monkeypatch.setattr(satcore, "Solver", CountedSolver)
+    _reset_caches()
+    for name in ("lemma4_3", "lemma4_4", "lemma4_5"):
+        assert verify.run_scenario(name, n=4,
+                                   differential=False).expectation_met
+    assert len(built) == 1 and len(opened) == 3
+    assert all(index is built[0] for index in opened)
+    gone = weakref.ref(built.pop())
+    opened.clear()
+    _reset_caches()
+    assert gone() is None
+    assert verify.run_scenario("nrange_full", n=4,
+                               differential=False).expectation_met
+    assert len(built) == 1 and len(opened) == 3
+    assert all(index is built[0] for index in opened)
+
+
+# SHA-256 of `export_dimacs(instance.formula)` before the export wrote the
+# layers of an instance in turn: the text must not change.
+_EXPORTS = {
+    ("lemma4_3", 263): "0fa52e5903ddef3a782d0799b5d4539d"
+                       "9320e2ccb3dce89cb2dbdf3b581cda29",
+    ("gs_np", 0): "47443f8d0617f875bc0b73aec134adfe"
+                  "5605cad7219a71265b276422f8c1ef4d",
+    ("lemma4_5", 0): "dea8a4d4703b1390a9e337f20ef387ba"
+                     "4befa6205432a7f70332d515a8b6e1a2",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_export_writes_the_layers_unchanged(tmp_path):
+    """The base, the scenario clauses and one unit per assumption, written
+    in turn, give the text the complete formula gave: through
+    `export_dimacs` and through the runner's `--export-dimacs`."""
+    for (name, idx), digest in _EXPORTS.items():
+        inst = verify.scenario(name, 4).instances()[idx]
+        text = cnf.export_dimacs(inst.base, assumptions=inst.assumptions)
+        assert _sha256(text) == digest
+        assert text == cnf.export_dimacs(inst.formula)
+    for name in ("gs_np", "lemma4_5"):
+        path = tmp_path / f"{name}.cnf"
+        verify.run_scenario(name, n=4, differential=False,
+                            export_dimacs=str(path))
+        assert _sha256(path.read_text()) == _EXPORTS[name, 0]
 
 
 @pytest.mark.parametrize("name,built", [("gs_np", 1), ("nrange_full", 3)])
