@@ -55,6 +55,11 @@ solver's own: the state, and so the search, are those of one load of the
 base followed by `clauses`.  A solver made with no index opens on an
 empty one and loads all of `clauses`.
 
+Only a watched literal has a watch list: ``watches[p]`` is None until a
+long clause first watches ``p``, as MiniSat's scheme needs lists only
+for watched literals, so a core on NP(6, 3) holds 85,334 watch lists,
+not one for each of its 255,998 literals.
+
 The index and every solver load through one clause-add path (`_Loader`):
 it reads a `cnf.ClauseStore`, each layer's flat zero-terminated array of
 DIMACS literals in turn, in one loop three entries at a time.  A binary
@@ -268,12 +273,12 @@ class Solver(_Loader):
                              f"not {num_vars}")
         super().__init__(base)
         # watches[p]: the long clauses watching p, base ones first in
-        # index order.
-        self.watches: list[list[list[int]]] = [
-            [] for _ in range(2 * num_vars + 2)]
+        # index order; None until a clause first watches p.
+        self.watches: list[list[list[int]] | None] = [None] * (
+            2 * num_vars + 2)
         for clause in self.clauses:
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
+            self._watch(clause[0], clause)
+            self._watch(clause[1], clause)
         # trail_lim[d]: the trail length where level d + 1 opened.
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -292,9 +297,18 @@ class Solver(_Loader):
         literals."""
         reason = super()._store(out)
         if reason is out:
-            self.watches[out[0]].append(out)
-            self.watches[out[1]].append(out)
+            self._watch(out[0], out)
+            self._watch(out[1], out)
         return reason
+
+    def _watch(self, lit: int, clause: list[int]) -> None:
+        """Append `clause` to the watch list of `lit`, giving `lit` its
+        list on first use."""
+        ws = self.watches[lit]
+        if ws is None:
+            self.watches[lit] = [clause]
+        else:
+            ws.append(clause)
 
     def add_clause(self, clause) -> None:
         """Add a clause between `solve()` calls.  It is simplified against
@@ -389,7 +403,12 @@ class Solver(_Loader):
                     if values[q] != 0:
                         c[1] = q
                         c[k] = false_lit
-                        watches[q].append(c)
+                        # Inlined `_watch`.
+                        into = watches[q]
+                        if into is None:
+                            watches[q] = [c]
+                        else:
+                            into.append(c)
                         break
                 else:
                     kept.append(c)

@@ -18,7 +18,6 @@ scratch.
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import time
@@ -39,8 +38,10 @@ from .rules import Rule
 
 X, Y, Z = 0, 1, 2
 
-# Part of the cache key: change it whenever the cached payload changes.
-_CODE_VERSION = "npverify-0.1.0-cache5"
+# The modules whose source decides a verdict or writes the report: the
+# cache key hashes their bytes, so changing any of them misses the cache.
+_KEYED_SOURCES = ("cnf", "satcore", "solver", "strategyproof", "profiles",
+                  "orders", "rules", "verify")
 
 
 @lru_cache(maxsize=None)
@@ -337,6 +338,9 @@ class InstanceResult:
     stats: dict[str, int] = field(default_factory=dict)
     witness: Rule | None = None
     external_agrees: bool | None = None
+    # check name -> status; "oracle": "ok" once the decoded witness passed
+    # the manipulation oracle.  Cached with the report.
+    checks: dict[str, str] = field(default_factory=dict)
 
 
 EXTERNAL_NOT_REQUESTED = "skipped(not requested)"
@@ -371,7 +375,7 @@ class Report:
         decisions = sum(r.stats.get("decisions", 0) for r in self.instances)
         lines.append(f"  conflicts={conflicts} decisions={decisions}")
         for r in self.instances:
-            if r.outcome == "SAT" and r.witness is not None:
+            if r.outcome == "SAT" and r.checks.get("oracle") == "ok":
                 lines.append(f"  instance {r.tag}: SAT, witness verified")
             elif len(self.instances) <= 8:
                 lines.append(f"  instance {r.tag}: {r.outcome}")
@@ -471,6 +475,7 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
                                 stats=res.stats)
         if res.status:
             record.witness = _verify_witness(instance, res.model, domain)
+            record.checks["oracle"] = "ok"
         if export_dimacs:
             path = Path(export_dimacs)
             if idx > 0:
@@ -533,19 +538,28 @@ def enumerate_models(scn: Scenario | str, k: int) -> list[Rule]:
 # -- result cache ------------------------------------------------------------
 
 # The Report fields a cache file holds; `instances` as (tag, outcome,
-# stats) triples.
+# stats, checks) lists.
 _CACHED_FIELDS = ("outcome", "expectation_met", "instances", "domain_size",
                   "wall_time", "external")
 
 
 def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
                 seed: int | None, external_check: str) -> Path:
-    """Keyed on content: the variable count and every clause of each
-    instance formula (the encoded base and the scenario clauses layered on
-    it, each layer with its length) and each instance's tag and
-    assumptions, so a changed encoding or scenario clause misses."""
+    """Keyed on content: the source bytes of the `_KEYED_SOURCES` modules,
+    the variable count and every clause of each instance formula (the
+    encoded base and the scenario clauses layered on it, each layer with
+    its length) and each instance's tag and assumptions, so changed code, a
+    changed encoding or a changed scenario clause misses."""
+    # Imported here, the one place that hashes: hashlib loads OpenSSL,
+    # about 3.6 MB resident that a run without a cache never uses.
+    import hashlib
+
     digest = hashlib.sha256()
-    digest.update(_CODE_VERSION.encode())
+    package = Path(__file__).parent
+    for name in _KEYED_SOURCES:
+        source = (package / f"{name}.py").read_bytes()
+        digest.update(f"{name}|{len(source)}|".encode())
+        digest.update(source)
     digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
                   f"{external_check}".encode())
     formula = None
@@ -566,8 +580,9 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
     try:
         data = json.loads(path.read_text())
         fields = {key: data[key] for key in _CACHED_FIELDS}
-        fields["instances"] = [InstanceResult(tag=t, outcome=o, stats=dict(s))
-                               for t, o, s in fields["instances"]]
+        fields["instances"] = [
+            InstanceResult(tag=t, outcome=o, stats=dict(s), checks=dict(c))
+            for t, o, s, c in fields["instances"]]
         return Report(scenario=scn, cached=True, **fields)
     except (ValueError, KeyError, TypeError) as exc:
         raise TextFormatError(
@@ -577,7 +592,7 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
 
 def _cache_store(path: Path, report: Report) -> None:
     payload = {key: getattr(report, key) for key in _CACHED_FIELDS}
-    payload["instances"] = [(r.tag, r.outcome, r.stats)
+    payload["instances"] = [(r.tag, r.outcome, r.stats, r.checks)
                             for r in report.instances]
     # Write through a rename, so an interrupted run leaves no partial file.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -361,6 +361,40 @@ def test_sessions_on_one_index_leave_it_and_each_other_alone():
     assert got.stats["conflicts"] > 0
 
 
+def watched_literals(core):
+    """The literals that a long clause of `core` watches, each clause on
+    its first two literals, checked against the watch lists."""
+    watched = {c[k] for c in core.clauses for k in (0, 1)}
+    for c in core.clauses:
+        assert any(w is c for w in core.watches[c[0]])
+        assert any(w is c for w in core.watches[c[1]])
+    assert sum(len(ws) for ws in core.watches if ws) == 2 * len(core.clauses)
+    return watched
+
+
+def test_only_watched_literals_have_watch_lists():
+    """A literal gets a watch list when a long clause first watches it:
+    in a fresh session on the NP(4,3) base exactly the watched literals
+    have one, and after a solve that learns long clauses exactly the
+    watched literals have a non-empty one."""
+    base = verify._encoded_base(4, 3)
+    core = solver.Session(base)._core
+    assert {p for p, ws in enumerate(core.watches) if ws is not None} \
+        == watched_literals(core)
+
+    instance = verify.scenario("sanity_sat", n=4).instances()[0]
+    session = solver.Session(instance.base)
+    core = session._core
+    loaded = len(core.clauses)
+    assert {p for p, ws in enumerate(core.watches) if ws is not None} \
+        == watched_literals(core)
+    assert session.solve(instance.assumptions).status
+    assert len(core.clauses) > loaded  # the search learned long clauses
+    assert {p for p, ws in enumerate(core.watches) if ws} \
+        == watched_literals(core)
+    assert len(watched_literals(core)) < len(core.watches) // 2
+
+
 def test_session_rejects_an_index_of_another_size():
     index = satcore.BaseIndex(3, [[1, 2]])
     with pytest.raises(ValueError, match="3 variables"):

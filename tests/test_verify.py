@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -404,6 +407,75 @@ def test_cache_miss_builds_each_instance_once(tmp_path, monkeypatch, name,
                                  cache_dir=str(tmp_path))
     assert not report.cached and len(report.instances) == built
     assert len(calls) == built
+
+
+def test_cached_report_renders_the_fresh_instance_lines(tmp_path):
+    """The oracle check is cached with the report: a cached SAT report
+    says "witness verified" as the fresh run that wrote it did."""
+    fresh, cached = (verify.run_scenario("sanity_sat", differential=False,
+                                         cache_dir=str(tmp_path))
+                     for _ in range(2))
+    assert not fresh.cached and cached.cached
+    lines = fresh.render().splitlines()
+    assert "  instance full-range: SAT, witness verified" in lines
+    assert cached.render().splitlines()[1:] == lines[1:]
+    assert [r.checks for r in cached.instances] == [{"oracle": "ok"}]
+
+
+PACKAGE = Path(verify.__file__).resolve().parent
+
+
+def _fresh_python(script, package_root, *args):
+    """Run `script` in a fresh interpreter importing npverify from
+    `package_root`; its standard output, split into lines."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        capture_output=True, text=True, timeout=300, check=True)
+    return proc.stdout.splitlines()
+
+
+def test_a_run_without_a_cache_never_loads_hashlib(tmp_path):
+    """hashlib, and OpenSSL with it, is loaded only to key the cache: a
+    run without one leaves it out, and a run with one still writes its
+    cache file and reads it back."""
+    script = """if True:
+        import sys
+        from npverify import verify
+        verify.run_scenario("sanity_sat", n=3, differential=False)
+        print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+        for _ in range(2):
+            print(verify.run_scenario("sanity_sat", n=3, differential=False,
+                                      cache_dir=sys.argv[1]).cached)
+    """
+    out = _fresh_python(script, PACKAGE.parent, tmp_path)
+    assert out == ["[]", "False", "True"]
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_cache_misses_when_the_satcore_source_changes(tmp_path):
+    """The key hashes the source of the modules that decide a verdict: a
+    copy of the package whose `satcore.py` gained one comment line misses
+    the cache that the unchanged copy hit."""
+    root = tmp_path / "src"
+    shutil.copytree(PACKAGE, root / "npverify",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = """if True:
+        import sys
+        from npverify import verify
+        print(verify.__file__)
+        print(verify.run_scenario("gs_np", differential=False,
+                                  cache_dir=sys.argv[1]).cached)
+    """
+    cache = tmp_path / "cache"
+    runs = [_fresh_python(script, root, cache) for _ in range(2)]
+    assert Path(runs[0][0]).resolve() \
+        == (root / "npverify" / "verify.py").resolve()
+    assert [run[1] for run in runs] == ["False", "True"]
+    with (root / "npverify" / "satcore.py").open("a") as fh:
+        fh.write("# changed\n")
+    assert _fresh_python(script, root, cache)[1] == "False"
+    assert len(list(cache.iterdir())) == 2
 
 
 def _truncate(text):
