@@ -365,47 +365,48 @@ class _Descent:
         order[i], order[j] = b, a
         return tuple(order)
 
-    def _pair_brackets(self, ranks, x: int) -> tuple[list[int], list[bool]]:
-        """Per voter, from the rank rows of a profile: the size of the
-        (w, z) bracket, and whether x lies strictly inside it."""
+    def _brackets(self, ranks, x: int) -> list[tuple[int, int, int, bool]]:
+        """Per voter, from the rank rows of a profile: the pair member on
+        top, the one below, the size of the bracket between them, and
+        whether x lies strictly inside it."""
         w, z = self.w, self.z
-        sizes = []
-        inside = []
+        out = []
         for rk in ranks:
             rw, rz, rx = rk[w], rk[z], rk[x]
-            sizes.append(abs(rw - rz) - 1)
-            inside.append(rw < rx < rz or rz < rx < rw)
-        return sizes, inside
+            if rw < rz:
+                out.append((w, z, rz - rw - 1, rw < rx < rz))
+            else:
+                out.append((z, w, rw - rz - 1, rz < rx < rw))
+        return out
 
     def snapshot(self, r: Profile, x: int) -> ReductionContext:
         """Working sets at r, which selects x, for the failure report."""
         w, z = self.w, self.z
-        ranks = [self.rank[v] for v in r]
-        per = tuple(self._pair_brackets(ranks, x)[0])
+        brackets = self._brackets([self.rank[v] for v in r], x)
+        per = tuple(size for _, _, size, _ in brackets)
         pivot = None
         sets: dict[str, tuple] = {
-            "J": tuple(i for i, rk in enumerate(ranks) if rk[w] < rk[z]),
-            "H": tuple(i for i, rk in enumerate(ranks) if rk[z] < rk[w]),
+            "J": tuple(i for i, b in enumerate(brackets) if b[0] == w),
+            "H": tuple(i for i, b in enumerate(brackets) if b[0] == z),
         }
         if x not in (w, z):
-            candidates = [j for j, s in enumerate(per) if s == max(per)]
-            if candidates:
-                pivot = candidates[0]
-                sets["Y"] = orders.between(r[pivot], w, z)
-                oriented = self._orientation(ranks[pivot], x)
-                if oriented is not None:
-                    top, bot = oriented
-                    sets["A"] = orders.between(r[pivot], top, x)
-                    sets["B"] = orders.between(r[pivot], x, bot)
+            pivot = per.index(max(per))
+            top, bot, _, inside = brackets[pivot]
+            sets["Y"] = orders.between(r[pivot], w, z)
+            if inside:
+                sets["A"] = orders.between(r[pivot], top, x)
+                sets["B"] = orders.between(r[pivot], x, bot)
         return ReductionContext(pivot=pivot, winner=x, per_voter_sigma=per,
                                 sets=sets)
 
     # case handlers -------------------------------------------------------
     #
     # `ranks` is the list of rank rows of the handler's profile `r`, read
-    # once per step by `candidates`.  A handler that is not a generator
-    # returns an iterable of groups, and is called only when the ladder
-    # reaches it, so the search stays lazy with few generator levels.
+    # once per step by `candidates`; `brackets` is its `_brackets` record,
+    # built once per case-1 or case-2 step by `_case12`.  A handler that
+    # is not a generator returns an iterable of groups, and is called only
+    # when the ladder reaches it, so the search stays lazy with few
+    # generator levels.
 
     def candidates(self, r: Profile, x: int):
         """Every candidate group from r, which selects x, in ladder
@@ -417,23 +418,21 @@ class _Descent:
         return self._case12(r, ranks, x)
 
     def _case12(self, r: Profile, ranks, x: int):
-        per, inside = self._pair_brackets(ranks, x)
-        smax = max(per)
-        max_pivots = [j for j, s in enumerate(per) if s == smax]
+        brackets = self._brackets(ranks, x)
+        smax = max(size for _, _, size, _ in brackets)
+        max_pivots = [j for j, b in enumerate(brackets) if b[2] == smax]
         for j in max_pivots:
-            if not inside[j]:
-                yield from self._case1(r, ranks, j)
-        case2_pivots = [j for j in max_pivots if inside[j]]
-        case2_pivots += [j for j in range(self.domain.n)
-                         if j not in max_pivots and inside[j]]
+            top, bot, _, inside = brackets[j]
+            if not inside:
+                yield from self._case1(r, ranks, j, top, bot)
+        case2_pivots = [j for j in max_pivots if brackets[j][3]]
+        case2_pivots += [j for j, b in enumerate(brackets)
+                         if b[3] and j not in max_pivots]
         for k, j in enumerate(case2_pivots):
-            yield from self._case2(r, ranks, j, x,
+            yield from self._case2(r, ranks, brackets, j, x,
                                    fallback=k > 0 or j not in max_pivots)
 
-    def _case1(self, r: Profile, ranks, j: int):
-        rj = ranks[j]
-        top, bot = ((self.w, self.z) if rj[self.w] < rj[self.z]
-                    else (self.z, self.w))
+    def _case1(self, r: Profile, ranks, j: int, top: int, bot: int):
         yield from self._ends(r, j, top, bot, "case1")
         interior = orders.between(r[j], top, bot)
         others = [i for i in range(self.domain.n) if i != j]
@@ -453,30 +452,19 @@ class _Descent:
                    f"case1 swap {self.letters[y_star]},{self.letters[top]} "
                    f"voter {h + 1}")
 
-    def _orientation(self, rk: tuple[int, ...],
-                     x: int) -> tuple[int, int] | None:
-        """(top, bot) of the pair around x in the ordering with rank row
-        `rk`, or None when x is outside."""
-        rw, rz, rx = rk[self.w], rk[self.z], rk[x]
-        if rw < rx < rz:
-            return self.w, self.z
-        if rz < rx < rw:
-            return self.z, self.w
-        return None
-
-    def _case2(self, r: Profile, ranks, j: int, x: int, fallback: bool):
+    def _case2(self, r: Profile, ranks, brackets, j: int, x: int,
+               fallback: bool):
+        """x lies inside the pivot j's bracket.  Normalizing x up moves
+        neither pair member, so `brackets` stays the record of `work`."""
         tag = "case2-fallback" if fallback else "case2"
-        oriented = self._orientation(ranks[j], x)
-        if oriented is None:
-            return ()
-        top, bot = oriented
+        top, bot, _, _ = brackets[j]
         work = self._normalize_x_up(r, j, x, top)
         if work is not r:
             ranks = ranks[:j] + [self.rank[work[j]]] + ranks[j + 1:]
         rj = ranks[j]
-        if abs(rj[top] - rj[x]) > 1:
+        if rj[x] - rj[top] > 1:
             return self._case2_part1(work, ranks, j, x, top, bot, tag)
-        return self._case2_part2(work, ranks, j, x, tag)
+        return self._case2_part2(work, ranks, brackets, j, x, tag)
 
     def _normalize_x_up(self, r: Profile, j: int, x: int, top: int) -> Profile:
         """Raise the selected alternative in the pivot's ordering as far as
@@ -567,29 +555,22 @@ class _Descent:
         return ((s, j, (self._swapped(s[j], bot, b_h),),
                  f"{tag}p1.IV reorder+swap voters {j + 1},{h + 1}"),)
 
-    def _case2_part2(self, r: Profile, ranks, j: int, x: int, tag: str):
-        n = self.domain.n
+    def _case2_part2(self, r: Profile, ranks, brackets, j: int, x: int,
+                     tag: str):
         # re-pivot: a voter with alternatives between its upper pair member
         # and x reopens the part-1 argument, without normalizing that voter
-        for i in range(n):
-            oriented = self._orientation(ranks[i], x)
-            if oriented is None:
-                continue
-            top_i, bot_i = oriented
-            if i != j and abs(ranks[i][top_i] - ranks[i][x]) > 1:
+        for i, (top_i, bot_i, _, inside) in enumerate(brackets):
+            if inside and i != j and ranks[i][x] - ranks[i][top_i] > 1:
                 yield from self._case2_part1(r, ranks, i, x, top_i, bot_i,
                                              tag + "-repivot")
-        w, z = self.w, self.z
-        J = [i for i in range(n) if ranks[i][w] < ranks[i][z]]
-        H = [i for i in range(n) if ranks[i][z] < ranks[i][w]]
-        sides = ((J, (w, z)), (H, (z, w)))
-        # endpoint moves on every voter's pair bracket; the acceptor checks
+        # endpoint moves on every voter's nonempty pair bracket, first the
+        # voters ranking w above z, then the others; the acceptor checks
         # the selected alternative itself, so the x-in-the-bracket
         # restriction of the certified lemma version is not needed here
-        for side, (near, far) in sides:
-            for i in side:
-                if abs(ranks[i][near] - ranks[i][far]) > 1:
-                    yield from self._ends(r, i, near, far, f"{tag}p2")
+        for upper in (self.w, self.z):
+            for i, (top_i, bot_i, size, _) in enumerate(brackets):
+                if top_i == upper and size:
+                    yield from self._ends(r, i, top_i, bot_i, f"{tag}p2")
 
     def _case3(self, r: Profile, ranks, winner: int):
         loser = self.z if winner == self.w else self.w

@@ -25,7 +25,7 @@ class RangeReport:
     """Alternatives a rule attains on a domain, with one witness each."""
 
     attained: frozenset[int]
-    witnesses: dict[int, int]  # alternative -> profile index in the queried domain
+    witnesses: dict[int, int]  # alternative -> lowest profile index
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,11 @@ def builtin(name: str, domain: Domain) -> Rule:
     raise ParameterError(f"unknown builtin rule {name!r}")
 
 
-def range_of(rule: Rule, domain: Domain | None = None) -> RangeReport:
-    """Attained alternatives over `domain` (default: the rule's own domain),
-    with the lowest-index witness profile for each."""
-    domain = rule.domain if domain is None else domain
+def range_of(rule: Rule) -> RangeReport:
+    """Attained alternatives over the rule's domain, with the lowest-index
+    witness profile for each."""
     witnesses: dict[int, int] = {}
-    for i, p in enumerate(domain):
-        value = rule.evaluate(p)
+    for i, value in enumerate(rule.table):
         if value not in witnesses:
             witnesses[value] = i
     return RangeReport(frozenset(witnesses), witnesses)
@@ -143,7 +141,8 @@ def is_dictatorial(rule: Rule) -> DictatorReport | None:
     if len(rng) == 1:
         return DictatorReport(voter=0, degenerate=True)
     for voter in range(domain.n):
-        if all(rule.evaluate(p) == _top_of(p[voter], rng) for p in domain):
+        if all(value == _top_of(p[voter], rng)
+               for p, value in zip(domain, rule.table)):
             return DictatorReport(voter=voter)
     return None
 

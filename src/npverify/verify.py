@@ -337,9 +337,9 @@ class InstanceResult:
     outcome: str  # "SAT" / "UNSAT"
     stats: dict[str, int] = field(default_factory=dict)
     witness: Rule | None = None
-    external_agrees: bool | None = None
     # check name -> status; "oracle": "ok" once the decoded witness passed
-    # the manipulation oracle.  Cached with the report.
+    # the manipulation oracle, "external": "agree" or "disagree" once the
+    # external solver re-checked the instance.  Cached with the report.
     checks: dict[str, str] = field(default_factory=dict)
 
 
@@ -485,7 +485,8 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
         if external is not None:
             ext = solver.solve_external(instance.base, external,
                                         instance.assumptions)
-            record.external_agrees = ext.status == res.status
+            record.checks["external"] = ("agree" if ext.status == res.status
+                                         else "disagree")
             if ext.status and not res.status:
                 raise ContractError(
                     f"external solver found {instance.tag} SAT where the "
@@ -495,11 +496,12 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
     outcomes = {r.outcome for r in results}
     overall = outcomes.pop() if len(outcomes) == 1 else "MIXED"
     met = None if scn.expected is None else overall == scn.expected
-    if any(r.external_agrees is False for r in results):
+    external_checks = [r.checks.get("external") for r in results]
+    if "disagree" in external_checks:
         met = False
     external_status = external_check
     if external is not None:
-        agreed = sum(bool(r.external_agrees) for r in results)
+        agreed = external_checks.count("agree")
         external_status = f"agree {agreed}/{len(results)}"
     report = Report(scenario=scn, outcome=overall, expectation_met=met,
                     instances=results, domain_size=len(domain),

@@ -51,11 +51,10 @@ def test_criterion_1_domain_counts():
 def test_criterion_2_example1():
     start = time.monotonic()
     np43 = verify.np_domain(4, 3)
-    star43 = profiles.np_star(np43)
     g = rules.example1(np43)
     witness = strategyproof.find_manipulation(g)
     range_np = rules.range_of(g).attained
-    range_star = rules.range_of(g, star43).attained
+    range_star = {g.table[i] for i in verify.np_star_indices(4, 3)}
     ok = (witness is None and range_np == {X, Y} and range_star == {X})
     elapsed = time.monotonic() - start
     _criterion(2, ok,
@@ -73,7 +72,7 @@ def test_criterion_3_gs_and_sanity(external_solver):
     gs = verify.run_scenario("gs_np", differential=True)
     elapsed_gs = time.monotonic() - start
     ok_gs = (gs.outcome == "UNSAT" and gs.expectation_met
-             and all(r.external_agrees for r in gs.instances))
+             and all(r.checks["external"] == "agree" for r in gs.instances))
     _criterion("3 (gs_np)", ok_gs, "UNSAT with external agreement",
                30.0, elapsed_gs)
 
@@ -84,7 +83,8 @@ def test_criterion_3_gs_and_sanity(external_solver):
     ok_sane = (sane.outcome == "SAT" and sane.expectation_met
                and witness is not None
                and strategyproof.find_manipulation(witness) is None
-               and all(r.external_agrees for r in sane.instances))
+               and all(r.checks["external"] == "agree"
+                       for r in sane.instances))
     _criterion("3 (sanity_sat)", ok_sane,
                "SAT with oracle-verified witness and external agreement",
                30.0, elapsed_sane)
@@ -102,7 +102,7 @@ def test_criterion_4_nrange(name, external_solver):
     report = verify.run_scenario(name, differential=True)
     elapsed = time.monotonic() - start
     ok = (report.outcome == "UNSAT" and report.expectation_met
-          and all(r.external_agrees for r in report.instances))
+          and all(r.checks["external"] == "agree" for r in report.instances))
     _criterion(f"4 ({name})", ok,
                f"UNSAT across {len(report.instances)} instance(s) with "
                "external agreement", 600.0, elapsed)

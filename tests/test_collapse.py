@@ -43,8 +43,8 @@ def test_sigma_examples():
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_position_tables_against_brute_force(m):
     """The rank table, the memoised bracket moves and the descent's
-    table-driven bracket tests agree with `orders` and the brute-force
-    oracle on every ordering and every ordered pair."""
+    per-voter bracket record agree with `orders` and the brute-force
+    oracle on every ordering, every ordered pair and every x."""
     rank = orders.rank_table(m)
     assert len(rank) == math.factorial(m)
     # A one-profile domain is enough to build the ladder's helpers.
@@ -60,18 +60,9 @@ def test_position_tables_against_brute_force(m):
             assert collapse.sigma((ordering,), a, b).per_voter == (
                 len(interior),)
             for x in range(m):
-                sizes, inside = ladder._pair_brackets([rank[ordering]], x)
-                assert sizes == [len(interior)]
-                assert inside == [x in interior]
-                if orders.ranks_above(ordering, a, x) and orders.ranks_above(
-                        ordering, x, b):
-                    expected = (a, b)
-                elif orders.ranks_above(ordering, b, x) and orders.ranks_above(
-                        ordering, x, a):
-                    expected = (b, a)
-                else:
-                    expected = None
-                assert ladder._orientation(rank[ordering], x) == expected
+                (record,) = ladder._brackets([rank[ordering]], x)
+                assert record == ((a, b) if above else (b, a)) + (
+                    len(interior), x in interior)
             if not above:
                 continue
             for part in (1, 2):
@@ -375,6 +366,28 @@ def test_descent_non_dictatorial_rules(np34):
                 start = result.steps[0].value
                 allowed = {w, z} if start in (w, z) else {start}
                 assert all(s.value in allowed for s in result.steps)
+
+
+def test_descent_digest_beyond_dictators(np34, np43):
+    """Pins every step of the descents that reach the ladder's case-2
+    branches: the four rules above on NP(3,4) for every pair over the same
+    sample of starts, and example1 on NP(4,3) for every pair and start."""
+    digest = hashlib.sha256()
+    descents = moves = 0
+    runs = [(g, np34, np34.profiles[::37]) for g in (
+        _top_among(np34, 0, (A, B)), _top_among(np34, 1, (B, C, D)),
+        _coalition(np34, A, B, (0, 1)), _coalition(np34, D, C, (2,)))]
+    runs.append((rules.example1(np43), np43, np43.profiles))
+    for g, domain, starts in runs:
+        for w, z in itertools.permutations(range(domain.m), 2):
+            spec = make_spec(domain, w, z)
+            for r in starts:
+                result = collapse.reduce_to_contiguous(g, r, spec)
+                descents += 1
+                moves += len(result.steps) - 1
+                digest.update(f"{result.render(domain.m)}\n".encode())
+    assert (descents, moves) == (10140, 15670)
+    assert digest.hexdigest().startswith("70e73ef5cfe400fc")
 
 
 @pytest.mark.parametrize("pair,start,label", [

@@ -51,7 +51,7 @@ def test_example1_parameter_guards(np33):
 def test_example1_ranges(np43, star43):
     g = rules.example1(np43)
     assert rules.range_of(g).attained == {X, Y}
-    assert rules.range_of(g, star43).attained == {X}
+    assert {g.evaluate(p) for p in star43} == {X}
 
 
 def test_range_witnesses(np33):

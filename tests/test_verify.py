@@ -112,11 +112,11 @@ def test_sat_witness_is_cross_checked(np33):
     assert rules.range_of(witness).attained == {X, Y, Z}
 
 
-def test_example1_exists_n4_witness(np43, star43):
+def test_example1_exists_n4_witness():
     report = verify.run_scenario("example1_exists", differential=False)
     assert report.outcome == "SAT" and report.expectation_met
     witness = report.instances[0].witness
-    assert rules.range_of(witness, star43).attained == {X}
+    assert {witness.table[i] for i in verify.np_star_indices(4, 3)} == {X}
     assert Y in rules.range_of(witness).attained
 
 
@@ -530,6 +530,8 @@ def test_cache_hit_never_skips_the_external_check(tmp_path, monkeypatch):
     assert log.read_text().count("call") == calls
     again = verify.run_scenario("gs_np", cache_dir=cache)
     assert again.cached and again.external == checked.external
+    assert [r.checks["external"] for r in again.instances] == (
+        ["agree"] * calls)
     assert log.read_text().count("call") == calls
 
 
