@@ -10,7 +10,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import collapse, decisiveness, orders, profiles, rules, verify
+from . import (
+    collapse,
+    decisiveness,
+    orders,
+    profiles,
+    rules,
+    strategyproof,
+    verify,
+)
 from .errors import ParameterError, WorkbenchError
 
 OK, OPERATIONAL_ERROR, VIOLATED = 0, 1, 2
@@ -49,8 +57,6 @@ def _load_rule(args, domain) -> rules.Rule:
 
 
 def _cmd_rule_check(args) -> int:
-    from . import strategyproof
-
     domain = profiles.enumerate_np(args.n, args.m)
     rule = _load_rule(args, domain)
     witness = strategyproof.find_manipulation(rule)
@@ -86,14 +92,9 @@ def _cmd_scenario_list(args) -> int:
 
 
 def _cmd_scenario_run(args) -> int:
-    differential = None
-    if args.differential:
-        differential = True
-    elif args.no_differential:
-        differential = False
     report = verify.run_scenario(
         args.name, n=args.n, seed=args.seed,
-        differential=differential,
+        differential=args.differential,
         export_dimacs=args.export_dimacs,
         cache_dir=args.cache)
     if args.format == "structured":
@@ -211,9 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--export-dimacs", metavar="PATH")
     check = p_run.add_mutually_exclusive_group()
-    check.add_argument("--differential", action="store_true",
+    # one value for both flags: True requires the external check, False
+    # skips it, None runs it when an external solver is found
+    check.add_argument("--differential", action="store_const", const=True,
                        help="require external solver agreement")
-    check.add_argument("--no-differential", action="store_true",
+    check.add_argument("--no-differential", dest="differential",
+                       action="store_const", const=False,
                        help="skip the external solver even if available")
     p_run.add_argument("--cache", metavar="DIR",
                        help="cache scenario outcomes under DIR")

@@ -11,13 +11,13 @@ winner inside {w, z}).
 The descent follows a fixed case ladder.  The ladder only proposes
 candidate steps; each step is checked once, in `_checked_step` (domain
 membership, value condition, strictly smaller sigma), so a wrong branch
-can only cause a reported failure, never a wrong result.  A spec keeps,
-by profile index, the checked rest of the descent from every profile that
-the rule last descended under it has passed, and the sigma of every
-profile any descent has reached; a descent from a profile with a known
-rest is one lookup.  Each profile is searched at most once per rule: a
-pass of acceptance criterion 6 (86,976 descents, 154,608 moves) runs
-72,288 step searches.  Rank comparisons and bracket sizes are read from
+can only cause a reported failure, never a wrong result.  A spec holds
+the sigma of every source profile, computed once when it is made, and,
+by profile index, the checked rest of the descent from every profile
+that the rule last descended under it has passed; a descent from a
+profile with a known rest is one lookup.  Each profile is searched at
+most once per rule: a pass of acceptance criterion 6 (86,976 descents,
+154,608 moves) runs 72,288 step searches.  Rank comparisons and bracket sizes are read from
 `orders.rank_table`, and the candidate orderings of a bracket move are
 memoised per input, so a descent scans no ordering and permutes no
 segment more than once.
@@ -85,18 +85,13 @@ class CollapseSpec:
     x_star: int
     to_target: dict[int, int] = field(compare=False)
     to_source: dict[int, int] = field(compare=False)
-    # sigma of (w, z) by source profile index, None where no descent has
-    # reached the profile yet; filled by `reduce_to_contiguous` for every
-    # rule.
-    _sigma: list[int | None] = field(init=False, compare=False, repr=False)
+    # sigma of (w, z) by source profile index, for every rule
+    sigmas: tuple[int, ...] = field(compare=False, repr=False)
     # The ladder of the rule last descended under this spec, with the
     # descent tails it has checked; set and replaced by
     # `reduce_to_contiguous`.
     _descent: _Descent | None = field(default=None, init=False,
                                       compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_sigma", [None] * len(self.source))
 
     def describe(self) -> str:
         src_letters = orders.letters_for(self.source.m)
@@ -119,7 +114,8 @@ def make_spec(source: Domain, w: int, z: int) -> CollapseSpec:
     to_source = {i: a for a, i in to_target.items()}
     return CollapseSpec(w=w, z=z, source=source, target=target,
                         x_star=source.m - 2, to_target=to_target,
-                        to_source=to_source)
+                        to_source=to_source,
+                        sigmas=tuple(sigma_total(p, w, z) for p in source))
 
 
 def collapse_profile(r: Profile, spec: CollapseSpec) -> Profile:
@@ -257,33 +253,6 @@ def _with_voter(p: Profile, voter: int, ordering: Ordering) -> Profile:
 # -- sigma descent ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionContext:
-    """Snapshot of the named working sets at a descent position, for
-    failure reports and traces."""
-
-    pivot: int | None
-    winner: int
-    per_voter_sigma: tuple[int, ...]
-    sets: dict[str, tuple]
-
-    def render(self, m: int) -> str:
-        letters = orders.letters_for(m)
-
-        def names(alts):
-            return "{" + ",".join(letters[a] for a in alts) + "}"
-
-        parts = [f"winner={letters[self.winner]}",
-                 f"sigma={list(self.per_voter_sigma)}",
-                 f"pivot={'-' if self.pivot is None else self.pivot + 1}"]
-        for key, value in sorted(self.sets.items()):
-            if key in ("J", "H"):
-                parts.append(f"{key}={[v + 1 for v in value]}")
-            else:
-                parts.append(f"{key}={names(value)}")
-        return " ".join(parts)
-
-
 # Descent steps and results are named tuples, not frozen dataclasses: a
 # criterion-6 pass builds 159,264 steps and 86,976 results, and a frozen
 # dataclass sets each field through `object.__setattr__`, which takes about
@@ -300,8 +269,8 @@ class DescentStep(NamedTuple):
 class DescentResult(NamedTuple):
     steps: tuple[DescentStep, ...]
     ok: bool
-    failure: str | None = None
-    context: ReductionContext | None = None
+    # the working sets at the last step of a failed descent
+    context: str | None = None
 
     def render(self, m: int) -> str:
         letters = orders.letters_for(m)
@@ -311,9 +280,9 @@ class DescentResult(NamedTuple):
                          f"profile={profiles.encode_profile(step.profile)} "
                          f"value={letters[step.value]} move={step.move}")
         if not self.ok:
-            lines.append(f"FAILED: {self.failure}")
-            if self.context is not None:
-                lines.append(f"context: {self.context.render(m)}")
+            lines.append("FAILED: no case of the descent ladder applies; "
+                         "see the last step")
+            lines.append(f"context: {self.context}")
         return "\n".join(lines)
 
 
@@ -379,25 +348,34 @@ class _Descent:
                 out.append((z, w, rw - rz - 1, rz < rx < rw))
         return out
 
-    def snapshot(self, r: Profile, x: int) -> ReductionContext:
-        """Working sets at r, which selects x, for the failure report."""
+    def context(self, r: Profile, x: int) -> str:
+        """The failure report's context at r, which selects x: the
+        per-voter sigma, the pivot (a voter with the largest bracket) and
+        the ladder's sets in key order.  Voters are 1-based; J and H list
+        those ranking w above z, respectively z above w."""
         w, z = self.w, self.z
+        letters = self.letters
+
+        def names(alts):
+            return "{" + ",".join(letters[a] for a in alts) + "}"
+
         brackets = self._brackets([self.rank[v] for v in r], x)
-        per = tuple(size for _, _, size, _ in brackets)
-        pivot = None
-        sets: dict[str, tuple] = {
-            "J": tuple(i for i, b in enumerate(brackets) if b[0] == w),
-            "H": tuple(i for i, b in enumerate(brackets) if b[0] == z),
-        }
-        if x not in (w, z):
-            pivot = per.index(max(per))
-            top, bot, _, inside = brackets[pivot]
-            sets["Y"] = orders.between(r[pivot], w, z)
+        per = [size for _, _, size, _ in brackets]
+        pivot = "-"
+        sets = {"J": [i + 1 for i, b in enumerate(brackets) if b[0] == w],
+                "H": [i + 1 for i, b in enumerate(brackets) if b[0] == z]}
+        if x != w and x != z:
+            j = per.index(max(per))
+            pivot = j + 1
+            top, bot, _, inside = brackets[j]
+            sets["Y"] = names(orders.between(r[j], w, z))
             if inside:
-                sets["A"] = orders.between(r[pivot], top, x)
-                sets["B"] = orders.between(r[pivot], x, bot)
-        return ReductionContext(pivot=pivot, winner=x, per_voter_sigma=per,
-                                sets=sets)
+                sets["A"] = names(orders.between(r[j], top, x))
+                sets["B"] = names(orders.between(r[j], x, bot))
+        return " ".join([f"winner={letters[x]}", f"sigma={per}",
+                         f"pivot={pivot}"]
+                        + [f"{key}={value}"
+                           for key, value in sorted(sets.items())])
 
     # case handlers -------------------------------------------------------
     #
@@ -586,12 +564,11 @@ class _Descent:
 
 
 def _checked_step(descent: _Descent, last: DescentStep,
-                  sigmas: list[int | None]) -> tuple[int, DescentStep] | None:
+                  sigmas: tuple[int, ...]) -> tuple[int, DescentStep] | None:
     """The index and step of the first candidate from `last` that is in
-    the domain, meets the value condition and has strictly smaller sigma,
-    or None when no candidate does.  The only place a step is checked: one
-    domain lookup per candidate, and the sigma of each reached index is
-    computed once per spec."""
+    the domain, meets the value condition and has strictly smaller sigma
+    (read from the spec's `sigmas`), or None when no candidate does.  The
+    only place a step is checked: one domain lookup per candidate."""
     lookup = descent.domain.lookup
     table = descent.rule.table
     w, z = descent.w, descent.z
@@ -611,8 +588,6 @@ def _checked_step(descent: _Descent, last: DescentStep,
             elif value != x:
                 continue
             sigma_u = sigmas[j]
-            if sigma_u is None:
-                sigma_u = sigmas[j] = sigma_total(u, w, z)
             if sigma_u < last.sigma:
                 return j, DescentStep(u, sigma_u, value, move)
     return None
@@ -629,8 +604,7 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
     tail of every profile index a descent has passed: a descent from a
     profile with a known tail is one lookup, and a new walk searches only
     until it meets a known tail, then stores the tail of every profile on
-    its path.  The sigma of each reached index is kept on `spec` for every
-    rule."""
+    its path."""
     descent = spec._descent
     if descent is None or descent.rule is not rule:
         _check_source(rule, spec)
@@ -641,11 +615,8 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
         object.__setattr__(spec, "_descent", descent)
     else:
         i = rule.domain.index_of(r)
-    sigmas = spec._sigma
-    first = sigmas[i]
-    if first is None:
-        first = sigmas[i] = sigma_total(r, spec.w, spec.z)
-    start = DescentStep(r, first, rule.table[i], "start")
+    sigmas = spec.sigmas
+    start = DescentStep(r, sigmas[i], rule.table[i], "start")
     tails = descent.tails
     tail = tails[i]
     if tail is None:
@@ -666,8 +637,6 @@ def reduce_to_contiguous(rule: Rule, r: Profile, spec: CollapseSpec) -> DescentR
     last = steps[-1]
     if last.sigma > 0:
         return DescentResult(steps, ok=False,
-                             failure="no case of the descent ladder "
-                                     "applies; see the last step",
-                             context=descent.snapshot(last.profile,
-                                                      last.value))
+                             context=descent.context(last.profile,
+                                                     last.value))
     return DescentResult(steps, ok=True)

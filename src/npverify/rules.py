@@ -22,10 +22,9 @@ from .profiles import Domain, Profile
 
 @dataclass(frozen=True)
 class RangeReport:
-    """Alternatives a rule attains on a domain, with one witness each."""
+    """Alternatives a rule attains on a domain."""
 
     attained: frozenset[int]
-    witnesses: dict[int, int]  # alternative -> lowest profile index
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,8 @@ def builtin(name: str, domain: Domain) -> Rule:
 
 
 def range_of(rule: Rule) -> RangeReport:
-    """Attained alternatives over the rule's domain, with the lowest-index
-    witness profile for each."""
-    witnesses: dict[int, int] = {}
-    for i, value in enumerate(rule.table):
-        if value not in witnesses:
-            witnesses[value] = i
-    return RangeReport(frozenset(witnesses), witnesses)
+    """Attained alternatives over the rule's domain."""
+    return RangeReport(frozenset(rule.table))
 
 
 def is_dictatorial(rule: Rule) -> DictatorReport | None:

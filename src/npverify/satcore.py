@@ -73,11 +73,11 @@ The assignment is one table indexed by encoded literal, as in MiniSat:
 when its variable is unassigned, and every assignment or unassignment
 writes both ``values[lit]`` and ``values[lit ^ 1]``, so a propagation
 step reads a literal's value with one lookup.  `trail_lim` holds the trail
-length at which each decision or assumption level opened; a backjump cuts
-the trail there instead of walking back over it.  Neither changes the
-search: the trail order, conflicts, learned clauses and statistics are
-those of a variable-indexed table, pinned by the search digest in
-`tests/test_verify.py`.
+length at which each decision or assumption level opened, so its length
+is the current level; a backjump cuts the trail there instead of walking
+back over it.  Neither changes the search: the trail order, conflicts,
+learned clauses and statistics are those of a variable-indexed table,
+pinned by the search digest in `tests/test_verify.py`.
 """
 
 from __future__ import annotations
@@ -139,7 +139,9 @@ class _Loader:
         self.level = [0] * (num_vars + 1)
         self.reason = [UNDEF] * (num_vars + 1)
         self.trail: list[int] = base.trail[:]
-        self.current_level = 0
+        # trail_lim[d]: the trail length where level d + 1 opened; its
+        # length is the current decision level, 0 while loading.
+        self.trail_lim: list[int] = []
         # binaries[p]: the other literal of every binary clause holding
         # p; an entry that is still _shared[p] belongs to the index.
         self.binaries = base.binaries[:]
@@ -256,7 +258,7 @@ class _Loader:
         values[lit] = 1
         values[lit ^ 1] = 0
         var = lit >> 1
-        self.level[var] = self.current_level
+        self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
@@ -279,8 +281,6 @@ class Solver(_Loader):
         for clause in self.clauses:
             self._watch(clause[0], clause)
             self._watch(clause[1], clause)
-        # trail_lim[d]: the trail length where level d + 1 opened.
-        self.trail_lim: list[int] = []
         self.qhead = 0
         self.order = list(range(1, num_vars + 1)) if order is None else list(order)
         self.decisions = 0
@@ -316,14 +316,15 @@ class Solver(_Loader):
         again, so a clause watching one of them would never fire."""
         if not self.ok:
             return
-        if self.current_level > 0:
+        if self.trail_lim:
             self._backjump(0)
+        values = self.values
         kept = []
         for lit in clause:
-            enc = self._encode(lit)
-            if self._lit_true(enc):
+            value = values[self._encode(lit)]
+            if value == 1:
                 return  # satisfied for good
-            if not self._lit_false(enc):
+            if value != 0:
                 kept.append(lit)
         if not self._add_clause(kept):
             self.ok = False
@@ -338,14 +339,6 @@ class Solver(_Loader):
         formula is unsatisfiable on its own."""
         return list(self._failed)
 
-    # -- assignment primitives ------------------------------------------
-
-    def _lit_true(self, lit: int) -> bool:
-        return self.values[lit] == 1
-
-    def _lit_false(self, lit: int) -> bool:
-        return self.values[lit] == 0
-
     # -- search ----------------------------------------------------------
 
     def _propagate(self):
@@ -357,7 +350,7 @@ class Solver(_Loader):
         reason = self.reason
         watches = self.watches
         binaries = self.binaries
-        current = self.current_level
+        current = len(self.trail_lim)
         qhead = first = self.qhead
         confl = UNDEF
         while qhead < len(trail):
@@ -444,7 +437,7 @@ class Solver(_Loader):
         seen = self._seen
         level = self.level
         trail = self.trail
-        current = self.current_level
+        current = len(self.trail_lim)
         touched = []
         counter = 0
         p = UNDEF
@@ -497,7 +490,6 @@ class Solver(_Loader):
             reason[lit >> 1] = UNDEF
         del trail[cut:]
         self.qhead = cut
-        self.current_level = blevel
 
     def _record(self, learnt: list[int]):
         """Install a learnt clause; returns the reason of its first
@@ -540,13 +532,13 @@ class Solver(_Loader):
         self._failed = []
         if not self.ok:
             return False
-        if self.current_level > 0:
+        if self.trail_lim:
             self._backjump(0)
         while True:
             confl = self._propagate()
             if confl != UNDEF:
                 self.conflicts += 1
-                if self.current_level == 0:
+                if not self.trail_lim:
                     self.ok = False
                     return False
                 if self.conflicts > MAX_CONFLICTS:
@@ -556,14 +548,14 @@ class Solver(_Loader):
                 self._backjump(blevel)
                 self._enqueue(learnt[0], self._record(learnt))
                 continue
-            if self.current_level < len(assumptions):
-                lit = assumptions[self.current_level]
-                if self._lit_false(lit):
+            level = len(self.trail_lim)
+            if level < len(assumptions):
+                lit = assumptions[level]
+                if self.values[lit] == 0:
                     self._failed = self._analyze_final(lit)
                     return False
                 # An assumption already true opens an empty level.
                 self.trail_lim.append(len(self.trail))
-                self.current_level += 1
                 self._enqueue(lit, UNDEF)
                 continue
             if len(self.trail) == self.num_vars:
@@ -571,7 +563,6 @@ class Solver(_Loader):
             var = self._pick_branch_var()
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self.current_level += 1
             self._enqueue(2 * var, UNDEF)
 
     def _pick_branch_var(self) -> int:

@@ -50,14 +50,9 @@ def np_domain(n: int, m: int) -> Domain:
 
 
 @lru_cache(maxsize=None)
-def np_star_domain(n: int, m: int) -> Domain:
-    return profiles.np_star(np_domain(n, m))
-
-
-@lru_cache(maxsize=None)
 def np_star_indices(n: int, m: int) -> tuple[int, ...]:
     base = np_domain(n, m)
-    return tuple(base.index_of(p) for p in np_star_domain(n, m))
+    return tuple(base.index_of(p) for p in profiles.np_star(base))
 
 
 # -- profile lists ----------------------------------------------------------

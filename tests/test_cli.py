@@ -218,6 +218,39 @@ def test_usage_error_is_operational_error(capsys, argv):
     assert err.startswith("usage:") and "error:" in err
 
 
+@pytest.mark.parametrize("found", [True, False], ids=["found", "not_found"])
+@pytest.mark.parametrize("flags, found_line, missing_line", [
+    ([], "agree 1/1", "skipped(not found)"),
+    (["--differential"], "agree 1/1", None),
+    (["--no-differential"], "skipped(not requested)",
+     "skipped(not requested)"),
+], ids=["default", "differential", "no_differential"])
+def test_scenario_run_differential_flags(flags, found_line, missing_line,
+                                         found, monkeypatch, capsys):
+    """Each setting of the external check, with an external solver found
+    (a stand-in that agrees) and not found: the report's `external=`
+    line, or exit 1 when the check is required and no solver is found."""
+    calls = []
+
+    def agree(formula, binary, assumptions=()):
+        calls.append(binary)
+        return solver.SolveResult(status=True, model=None, stats={})
+
+    monkeypatch.setattr(solver, "find_external_solver",
+                        lambda: "stand-in" if found else None)
+    monkeypatch.setattr(solver, "solve_external", agree)
+    code = run(["scenario", "run", "sanity_sat"] + flags)
+    out, err = capsys.readouterr()
+    line = found_line if found else missing_line
+    if line is None:
+        assert code == 1
+        assert "no external solver found" in err
+    else:
+        assert code == 0
+        assert f"  external={line}\n" in out + "\n"
+    assert calls == (["stand-in"] if line == "agree 1/1" else [])
+
+
 def test_differential_flags_exclude_each_other(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["scenario", "run", "sanity_sat", "--differential",

@@ -317,13 +317,13 @@ def test_descent_from_a_path_profile_is_its_suffix(np34):
                 assert part == collapse.reduce_to_contiguous(
                     g, step.profile, make_spec(np34, A, B))
         descent = warm._descent
-        tails, sigmas = list(descent.tails), list(warm._sigma)
+        tails = list(descent.tails)
         dominated = ((A, B, C, D),) * 3
         for other in (g, rules.dictator(np34, 2)):
             with pytest.raises(MembershipError):
                 collapse.reduce_to_contiguous(other, dominated, warm)
             assert warm._descent is descent
-            assert warm._descent.tails == tails and warm._sigma == sigmas
+            assert warm._descent.tails == tails
 
 
 def test_collapse_profile_requires_contiguity(np34, spec):

@@ -7,6 +7,11 @@ attribute, or as an identifier string (the names `perfbench/spans.py`
 binds by string).  The tests do not count.  A definition that nothing
 names is dead code: give it a program path, or delete it with the tests
 that check only it.
+
+A field of a dataclass or NamedTuple counts as read when `src/npverify`
+or `perfbench` names it as an attribute or as an identifier string
+anywhere; a variable or a keyword argument of the same name does not
+count.  A field that nothing reads is state kept for the tests alone.
 """
 
 import ast
@@ -33,6 +38,15 @@ ALLOWED = {
         "waits on propagation-seeded encodings (ROADMAP item 4)",
 }
 
+ALLOWED_FIELDS = {
+    "collapse.SigmaStats.per_voter":
+        "perfbench binds collapse.sigma by name",
+    "collapse.SigmaStats.total":
+        "perfbench binds collapse.sigma by name",
+    "strategyproof.PropagationResult.contradiction":
+        "waits on propagation-seeded encodings (ROADMAP item 4)",
+}
+
 
 def _definitions(module: str, tree: ast.Module):
     """(qualified name, bare name, first line, last line) of each checked
@@ -50,11 +64,31 @@ def _definitions(module: str, tree: ast.Module):
                            item.lineno, item.end_lineno)
 
 
-def _references(tree: ast.Module):
-    """(name, line) of every Name, Attribute and identifier string."""
+def _fields(module: str, tree: ast.Module):
+    """(qualified name, bare name) of each field of a top-level dataclass
+    or NamedTuple class."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d
+                 for d in node.decorator_list] + node.bases
+        if not {getattr(mark, "id", None) for mark in marks} & {
+                "dataclass", "NamedTuple"}:
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                yield (f"{module}.{node.name}.{item.target.id}",
+                       item.target.id)
+
+
+def _references(tree: ast.Module, names: bool = True):
+    """(name, line) of every Attribute and identifier string, and of
+    every Name unless `names` is false."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            if names:
+                yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -62,11 +96,18 @@ def _references(tree: ast.Module):
             yield node.value, node.lineno
 
 
-def unreached(root: Path = ROOT) -> dict[str, bool]:
-    """Each unreferenced definition, mapped to whether it is allowed."""
+def _trees(root: Path):
+    """The package's source files, and the parse tree of each package and
+    perfbench file."""
     package = sorted((root / "src" / "npverify").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in package + sorted((root / "perfbench").glob("*.py"))}
+    return package, trees
+
+
+def unreached(root: Path = ROOT) -> dict[str, bool]:
+    """Each unreferenced definition, mapped to whether it is allowed."""
+    package, trees = _trees(root)
     seen: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for name, line in _references(tree):
@@ -81,8 +122,26 @@ def unreached(root: Path = ROOT) -> dict[str, bool]:
     return found
 
 
+def unread_fields(root: Path = ROOT) -> dict[str, bool]:
+    """Each field that nothing reads, mapped to whether it is allowed."""
+    package, trees = _trees(root)
+    read = {name for tree in trees.values()
+            for name, _ in _references(tree, names=False)}
+    return {qualname: qualname in ALLOWED_FIELDS
+            for path in package
+            for qualname, name in _fields(path.stem, trees[path])
+            if name not in read}
+
+
 def test_every_definition_has_a_program_path():
     found = unreached()
     assert sorted(q for q, allowed in found.items() if not allowed) == []
     # An allowed name that gained a caller or was deleted leaves the list.
     assert sorted(set(ALLOWED) - set(found)) == []
+
+
+def test_every_field_is_read():
+    found = unread_fields()
+    assert sorted(q for q, allowed in found.items() if not allowed) == []
+    # An allowed field that gained a reader or was deleted leaves the list.
+    assert sorted(set(ALLOWED_FIELDS) - set(found)) == []

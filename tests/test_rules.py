@@ -58,8 +58,6 @@ def test_range_witnesses(np33):
     g = rules.dictator(np33, 1)
     report = rules.range_of(g)
     assert report.attained == {X, Y, Z}
-    for alt, idx in report.witnesses.items():
-        assert g.evaluate(np33.profiles[idx]) == alt
 
 
 def test_is_dictatorial(np33, np43):

@@ -145,7 +145,6 @@ def check_value_table(core):
         assert (pos, neg) in {(satcore.UNDEF, satcore.UNDEF), (1, 0), (0, 1)}
     true_lits = [lit for lit, value in enumerate(values) if value == 1]
     assert sorted(true_lits) == sorted(core.trail)
-    assert len(core.trail_lim) == core.current_level
     for index, lit in enumerate(core.trail):
         assert core.level[lit >> 1] == bisect.bisect_right(core.trail_lim,
                                                            index)
