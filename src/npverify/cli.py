@@ -93,7 +93,7 @@ def _cmd_scenario_list(args) -> int:
 
 def _cmd_scenario_run(args) -> int:
     report = verify.run_scenario(
-        args.name, n=args.n, seed=args.seed,
+        verify.scenario(args.name, args.n), seed=args.seed,
         differential=args.differential,
         export_dimacs=args.export_dimacs,
         cache_dir=args.cache)
@@ -159,7 +159,7 @@ def _cmd_decisive_report(args) -> int:
         a, b = (orders.decode_letter(ch, args.m) for ch in args.pair.split(","))
     except ValueError:
         raise WorkbenchError(f"bad --pair {args.pair!r}; expected e.g. y,z")
-    report = decisiveness.minimal_decisive_families(rule, domain, a, b)
+    report = decisiveness.minimal_decisive_families(rule, a, b)
     print(report.render(domain.m))
     return OK
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from . import orders
 from .errors import InvalidPairError, SizeCapError
-from .profiles import Domain
 from .rules import Rule
 
 DECISIVE = "decisive"
@@ -40,17 +39,15 @@ class Coalition:
         return "{" + ",".join(str(v + 1) for v in sorted(self.members)) + "}"
 
 
-def _verdicts(rule: Rule, domain: Domain, a: int,
-              b: int) -> dict[frozenset[int], str]:
+def _verdicts(rule: Rule, a: int, b: int) -> dict[frozenset[int], str]:
     """DECISIVE / NOT_DECISIVE for every coalition with a test profile in
-    `domain`, from one pass; a coalition missing from the result is
-    vacuous."""
+    the rule's domain, from one pass; a coalition missing from the result
+    is vacuous."""
     if a == b:
         raise InvalidPairError("decisiveness needs two distinct alternatives")
-    rank = orders.rank_table(domain.m)
+    rank = orders.rank_table(rule.domain.m)
     verdicts: dict[frozenset[int], str] = {}
-    for p in domain:
-        value = rule.evaluate(p)
+    for p, value in zip(rule.domain, rule.table):
         members = frozenset(i for i, v in enumerate(p)
                             if rank[v][a] < rank[v][b])
         if verdicts.get(members) != NOT_DECISIVE:
@@ -94,16 +91,16 @@ class DecisivenessReport:
         return "\n".join(out)
 
 
-def minimal_decisive_families(rule: Rule, domain: Domain,
-                              a: int, b: int) -> DecisivenessReport:
-    """Classify every nonempty proper coalition, extract the
-    minimal-by-inclusion decisive ones and test upward monotonicity
-    (vacuous supersets do not falsify it)."""
-    n = domain.n
+def minimal_decisive_families(rule: Rule, a: int,
+                              b: int) -> DecisivenessReport:
+    """Classify every nonempty proper coalition over the rule's domain,
+    extract the minimal-by-inclusion decisive ones and test upward
+    monotonicity (vacuous supersets do not falsify it)."""
+    n = rule.domain.n
     if n > COALITION_CAP:
         raise SizeCapError(
             f"coalition enumeration capped at n <= {COALITION_CAP}")
-    table = _verdicts(rule, domain, a, b)
+    table = _verdicts(rule, a, b)
     verdicts = {members: table.get(members, VACUOUS)
                 for size in range(1, n)
                 for members in map(frozenset,

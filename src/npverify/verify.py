@@ -13,6 +13,9 @@ an expected-SAT scenario passes when some instance has a model, and every
 model is decoded and re-checked against the manipulation oracle, the
 scenario's own constraints and the instance's assumptions, recomputed from
 scratch.
+
+A report's verdict and external status are read from its instance records,
+which are all that the cache stores.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import os
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -37,11 +40,6 @@ from .profiles import Domain, Profile
 from .rules import Rule
 
 X, Y, Z = 0, 1, 2
-
-# The modules whose source decides a verdict or writes the report: the
-# cache key hashes their bytes, so changing any of them misses the cache.
-_KEYED_SOURCES = ("cnf", "satcore", "solver", "strategyproof", "profiles",
-                  "orders", "rules", "verify")
 
 
 @lru_cache(maxsize=None)
@@ -141,14 +139,15 @@ class Instance:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    n: int
-    m: int
+    n: int  # the catalogue entry holds the default voter count
     expected: str | None  # "SAT", "UNSAT", or None for exploratory
     description: str
+    recipe: Recipe = field(compare=False, repr=False)
+    m: int = 3
 
     def instances(self) -> list[Instance]:
         """The scenario's CNF instances, in solve order."""
-        return _CATALOGUE[self.name].recipe(self)
+        return self.recipe(self)
 
     def domain(self) -> Domain:
         return np_domain(self.n, self.m)
@@ -241,62 +240,58 @@ def _carries_x(triples: tuple[tuple[str, str, str], ...]) -> Recipe:
     return recipe
 
 
-@dataclass(frozen=True)
-class _Entry:
-    n: int  # the default voter count
-    expected: str
-    description: str
-    recipe: Recipe
-
-
-_CATALOGUE: dict[str, _Entry] = {
-    "gs_np": _Entry(
-        3, "UNSAT", "no strategy-proof full-range rule avoids dictatorship",
+_CATALOGUE: dict[str, Scenario] = {scn.name: scn for scn in (
+    Scenario(
+        "gs_np", 3, "UNSAT",
+        "no strategy-proof full-range rule avoids dictatorship",
         _single("gs", lambda scn, star, every: _full_range(scn) + [
             cnf.NotDictator(v, scn.domain()) for v in range(scn.n)])),
-    "sanity_sat": _Entry(
-        3, "SAT", "strategy-proof full-range rules exist (dictators)",
+    Scenario(
+        "sanity_sat", 3, "SAT",
+        "strategy-proof full-range rules exist (dictators)",
         _single("full-range", lambda scn, star, every: _full_range(scn))),
-    "nrange_part1": _Entry(
-        3, "UNSAT",
+    Scenario(
+        "nrange_part1", 3, "UNSAT",
         "two-alternative range on the agreeing subdomain excludes full range",
         _single("range-yz", lambda scn, star, every: [
             cnf.RangeSubset(frozenset({Y, Z}), star),
             cnf.Attains(Y, star),
             cnf.Attains(Z, star),
             cnf.Attains(X, every)])),
-    "nrange_part2": _Entry(
-        4, "UNSAT",
+    Scenario(
+        "nrange_part2", 4, "UNSAT",
         "one-alternative range on the agreeing subdomain excludes full range",
         _single("range-x", lambda scn, star, every: [
             cnf.RangeSubset(frozenset({X}), star),
             cnf.Attains(Y, every),
             cnf.Attains(Z, every)])),
-    "nrange_full": _Entry(
-        3, "UNSAT", "full range passes down to the agreeing subdomain",
+    Scenario(
+        "nrange_full", 3, "UNSAT",
+        "full range passes down to the agreeing subdomain",
         _nrange_full),
-    "example1_exists": _Entry(
-        4, "SAT",
+    Scenario(
+        "example1_exists", 4, "SAT",
         "a two-valued rule collapsing to one value on the agreeing "
         "subdomain exists",
         _single("two-valued", lambda scn, star, every: [
             cnf.RangeSubset(frozenset({X}), star),
             cnf.Attains(Y, every)])),
-    "lemma4_2": _Entry(
-        4, "UNSAT", "a head voter with x on top forces x",
+    Scenario(
+        "lemma4_2", 4, "UNSAT", "a head voter with x on top forces x",
         _sweep(lambda ordering: ordering[0] == X, X, -1)),
-    "lemma4_3": _Entry(
-        4, "UNSAT", "y is never chosen while a head voter has y at bottom",
+    Scenario(
+        "lemma4_3", 4, "UNSAT",
+        "y is never chosen while a head voter has y at bottom",
         _sweep(lambda ordering: ordering[-1] == Y, Y, 1)),
-    "lemma4_4": _Entry(
-        4, "UNSAT",
+    Scenario(
+        "lemma4_4", 4, "UNSAT",
         "x carries from each double-starred to its starred profile",
         _carries_x(tuple((f"j={j}", f"L{j}**", f"L{j}*")
                          for j in (1, 2, 3, 4)))),
-    "lemma4_5": _Entry(
-        4, "UNSAT", "x carries from L3** to L2**",
+    Scenario(
+        "lemma4_5", 4, "UNSAT", "x carries from L3** to L2**",
         _carries_x((("L3**->L2**", "L3**", "L2**"),))),
-}
+)}
 
 
 def scenario(name: str, n: int | None = None) -> Scenario:
@@ -312,15 +307,14 @@ def scenario(name: str, n: int | None = None) -> Scenario:
         # counterexample.
         raise ParameterError(
             f"scenario {name!r} needs n >= 3 voters, got n={n}")
-    expected = entry.expected
     if name == "example1_exists" and n <= 3:
-        expected = None  # stated for n > 3 only; run and record
-    return Scenario(name=name, n=n, m=3, expected=expected,
-                    description=entry.description)
+        # Stated for n > 3 only; run and record.
+        return replace(entry, n=n, expected=None)
+    return replace(entry, n=n)
 
 
 def list_scenarios() -> list[Scenario]:
-    return [scenario(name) for name in sorted(_CATALOGUE)]
+    return [_CATALOGUE[name] for name in sorted(_CATALOGUE)]
 
 
 # -- runner ------------------------------------------------------------------
@@ -333,27 +327,42 @@ class InstanceResult:
     stats: dict[str, int] = field(default_factory=dict)
     witness: Rule | None = None
     # check name -> status; "oracle": "ok" once the decoded witness passed
-    # the manipulation oracle, "external": "agree" or "disagree" once the
-    # external solver re-checked the instance.  Cached with the report.
+    # the manipulation oracle; "external": "agree" or "disagree" once the
+    # external solver re-checked the instance, else "not requested" or
+    # "not found".  Cached with the report.
     checks: dict[str, str] = field(default_factory=dict)
-
-
-EXTERNAL_NOT_REQUESTED = "skipped(not requested)"
-EXTERNAL_NOT_FOUND = "skipped(not found)"
 
 
 @dataclass
 class Report:
     scenario: Scenario
-    outcome: str  # "SAT" / "UNSAT" / "MIXED"
-    expectation_met: bool | None
     instances: list[InstanceResult]
     domain_size: int
     wall_time: float
     cached: bool = False
-    # Which external check ran: "agree k/n", "skipped(not requested)" or
-    # "skipped(not found)".
-    external: str = EXTERNAL_NOT_REQUESTED
+
+    @property
+    def outcome(self) -> str:  # "SAT" / "UNSAT" / "MIXED"
+        outcomes = {r.outcome for r in self.instances}
+        return outcomes.pop() if len(outcomes) == 1 else "MIXED"
+
+    @property
+    def expectation_met(self) -> bool | None:
+        """None for an exploratory scenario; False whenever the external
+        solver disagreed on some instance."""
+        if "disagree" in {r.checks["external"] for r in self.instances}:
+            return False
+        expected = self.scenario.expected
+        return None if expected is None else self.outcome == expected
+
+    @property
+    def external(self) -> str:
+        """"agree k/n" when the external solver re-checked the instances,
+        else "skipped(not requested)" or "skipped(not found)"."""
+        checks = [r.checks["external"] for r in self.instances]
+        if checks[0] in ("not requested", "not found"):
+            return f"skipped({checks[0]})"
+        return f"agree {checks.count('agree')}/{len(checks)}"
 
     def render(self) -> str:
         scn = self.scenario
@@ -412,32 +421,27 @@ def _verify_witness(instance: Instance, model: cnf.Model,
     return rule
 
 
-def run_scenario(scn: Scenario | str, n: int | None = None,
-                 seed: int | None = None,
+def run_scenario(scn: Scenario | str, *, seed: int | None = None,
                  differential: bool | None = None,
                  export_dimacs: str | None = None,
                  cache_dir: str | None = None) -> Report:
-    """Build, solve and cross-check one scenario.
+    """Build, solve and cross-check one scenario; a name runs at the
+    scenario's default n, and `scenario(name, n)` at another.
 
     differential: None = use the external solver when one is discoverable,
     True = require it, False = skip it.
     """
     if isinstance(scn, str):
-        scn = scenario(scn, n)
+        scn = scenario(scn)
     start = time.monotonic()
-    external = None
+    external, external_check = None, "not requested"
     if differential is not False:
         external = solver.find_external_solver()
         if differential is True and external is None:
             raise ScenarioError(
                 "differential check requested but no external solver found; "
                 "build tools/extsolver or set NPVERIFY_EXT_SOLVER")
-    if external is not None:
-        external_check = "run"
-    elif differential is False:
-        external_check = EXTERNAL_NOT_REQUESTED
-    else:
-        external_check = EXTERNAL_NOT_FOUND
+        external_check = "not found" if external is None else "run"
     if export_dimacs:
         # Checked before solving, so a missing directory fails at once.
         export_dir = Path(export_dimacs).parent
@@ -465,43 +469,32 @@ def run_scenario(scn: Scenario | str, n: int | None = None,
             session = None  # free the old core before loading the next
             session = solver.Session(instance.base, seed=seed)
         res = session.solve(instance.assumptions)
-        outcome = "SAT" if res.status else "UNSAT"
-        record = InstanceResult(tag=instance.tag, outcome=outcome,
-                                stats=res.stats)
-        if res.status:
-            record.witness = _verify_witness(instance, res.model, domain)
-            record.checks["oracle"] = "ok"
         if export_dimacs:
             path = Path(export_dimacs)
             if idx > 0:
                 path = path.with_name(f"{path.stem}-{idx:04d}{path.suffix}")
             with path.open("w") as fh:
                 cnf.export_dimacs(instance.base, fh, instance.assumptions)
-        if external is not None:
+        if external is None:
+            check = external_check
+        else:
             ext = solver.solve_external(instance.base, external,
                                         instance.assumptions)
-            record.checks["external"] = ("agree" if ext.status == res.status
-                                         else "disagree")
             if ext.status and not res.status:
                 raise ContractError(
                     f"external solver found {instance.tag} SAT where the "
                     "built-in solver reported UNSAT")
+            check = "agree" if ext.status == res.status else "disagree"
+        record = InstanceResult(tag=instance.tag,
+                                outcome="SAT" if res.status else "UNSAT",
+                                stats=res.stats, checks={"external": check})
+        if res.status:
+            record.witness = _verify_witness(instance, res.model, domain)
+            record.checks["oracle"] = "ok"
         results.append(record)
 
-    outcomes = {r.outcome for r in results}
-    overall = outcomes.pop() if len(outcomes) == 1 else "MIXED"
-    met = None if scn.expected is None else overall == scn.expected
-    external_checks = [r.checks.get("external") for r in results]
-    if "disagree" in external_checks:
-        met = False
-    external_status = external_check
-    if external is not None:
-        agreed = external_checks.count("agree")
-        external_status = f"agree {agreed}/{len(results)}"
-    report = Report(scenario=scn, outcome=overall, expectation_met=met,
-                    instances=results, domain_size=len(domain),
-                    wall_time=time.monotonic() - start,
-                    external=external_status)
+    report = Report(scenario=scn, instances=results, domain_size=len(domain),
+                    wall_time=time.monotonic() - start)
     if cache_path is not None:
         _cache_store(cache_path, report)
     return report
@@ -535,14 +528,13 @@ def enumerate_models(scn: Scenario | str, k: int) -> list[Rule]:
 # -- result cache ------------------------------------------------------------
 
 # The Report fields a cache file holds; `instances` as (tag, outcome,
-# stats, checks) lists.
-_CACHED_FIELDS = ("outcome", "expectation_met", "instances", "domain_size",
-                  "wall_time", "external")
+# stats, checks) lists, from which a cached report reads its verdict.
+_CACHED_FIELDS = ("instances", "domain_size", "wall_time")
 
 
 def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
                 seed: int | None, external_check: str) -> Path:
-    """Keyed on content: the source bytes of the `_KEYED_SOURCES` modules,
+    """Keyed on content: the source bytes of every module of the package,
     the variable count and every clause of each instance formula (the
     encoded base and the scenario clauses layered on it, each layer with
     its length) and each instance's tag and assumptions, so changed code, a
@@ -552,10 +544,9 @@ def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
     import hashlib
 
     digest = hashlib.sha256()
-    package = Path(__file__).parent
-    for name in _KEYED_SOURCES:
-        source = (package / f"{name}.py").read_bytes()
-        digest.update(f"{name}|{len(source)}|".encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.name}|{len(source)}|".encode())
         digest.update(source)
     digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
                   f"{external_check}".encode())
@@ -580,6 +571,8 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
         fields["instances"] = [
             InstanceResult(tag=t, outcome=o, stats=dict(s), checks=dict(c))
             for t, o, s, c in fields["instances"]]
+        if not all("external" in r.checks for r in fields["instances"]):
+            raise KeyError("external")
         return Report(scenario=scn, cached=True, **fields)
     except (ValueError, KeyError, TypeError) as exc:
         raise TextFormatError(

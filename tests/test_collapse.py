@@ -1,4 +1,5 @@
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -272,12 +273,13 @@ def test_descent_failure_context(np34, spec, start):
     assert result.render(4) == FAILED_DESCENTS[start]
 
 
-def test_descent_shared_spec_matches_fresh(np34):
+def test_descent_shared_spec_matches_fresh(np34, spec):
     """Descents of several rules in turn under one spec, which keeps the
     checked steps of the rule last descended, equal descents under a fresh
     spec: a dictator, a rule whose descents can fail, then the same
-    dictator again, each over one shuffled sample of start profiles."""
-    shared = make_spec(np34, A, B)
+    dictator again, each over one shuffled sample of start profiles.  A
+    copy of `spec` is a fresh spec: an empty memo and the same sigmas."""
+    shared = dataclasses.replace(spec)
     dictator = rules.dictator(np34, 0)
     failing = _top_unless_pair_leads(np34)
     rng = random.Random(17)
@@ -288,7 +290,8 @@ def test_descent_shared_spec_matches_fresh(np34):
     for g in (dictator, failing, dictator):
         for r in starts:
             result = collapse.reduce_to_contiguous(g, r, shared)
-            fresh = collapse.reduce_to_contiguous(g, r, make_spec(np34, A, B))
+            fresh = collapse.reduce_to_contiguous(g, r,
+                                                  dataclasses.replace(spec))
             assert result == fresh, profiles.encode_profile(r)
             if not fresh.ok:
                 failed += 1
@@ -296,12 +299,12 @@ def test_descent_shared_spec_matches_fresh(np34):
     assert failed >= len(FAILED_DESCENTS)
 
 
-def test_descent_from_a_path_profile_is_its_suffix(np34):
+def test_descent_from_a_path_profile_is_its_suffix(np34, spec):
     """On a warmed spec, a descent started at any profile on another
     descent's path is that descent's suffix with the first step relabelled
-    `start`, and equals the descent under a fresh spec; a start outside
-    the domain raises and leaves the memo as it was."""
-    warm = make_spec(np34, A, B)
+    `start`, and equals the descent under a fresh spec (a copy of `spec`);
+    a start outside the domain raises and leaves the memo as it was."""
+    warm = dataclasses.replace(spec)
     rng = random.Random(29)
     starts = rng.sample(np34.profiles, 60)
     starts += [profiles.decode_profile(s, 3, 4) for s in FAILED_DESCENTS]
@@ -315,7 +318,7 @@ def test_descent_from_a_path_profile_is_its_suffix(np34):
                 start = step._replace(move="start")
                 assert part.steps == (start,) + whole.steps[k + 1:]
                 assert part == collapse.reduce_to_contiguous(
-                    g, step.profile, make_spec(np34, A, B))
+                    g, step.profile, dataclasses.replace(spec))
         descent = warm._descent
         tails = list(descent.tails)
         dominated = ((A, B, C, D),) * 3

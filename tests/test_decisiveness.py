@@ -22,20 +22,20 @@ def pair_rule(domain, voter, a, b):
 
 def test_constant_rule_every_coalition_decisive(np33):
     g = rules.constant(np33, X)
-    report = decisiveness.minimal_decisive_families(g, np33, X, Y)
+    report = decisiveness.minimal_decisive_families(g, X, Y)
     assert len(report.decisive) == 6
     assert not report.vacuous
     assert report.monotone
     assert {c.members for c in report.minimal} == {
         frozenset({0}), frozenset({1}), frozenset({2})}
-    reverse = decisiveness.minimal_decisive_families(g, np33, Y, X)
+    reverse = decisiveness.minimal_decisive_families(g, Y, X)
     assert not reverse.decisive
 
 
 def test_two_valued_dictator_minimal_families(np33):
     g = pair_rule(np33, 1, X, Y)
     for a, b in ((X, Y), (Y, X)):
-        report = decisiveness.minimal_decisive_families(g, np33, a, b)
+        report = decisiveness.minimal_decisive_families(g, a, b)
         assert {c.members for c in report.minimal} == {frozenset({1})}
         assert report.monotone
 
@@ -47,9 +47,9 @@ def test_is_decisive_guards(np33):
     because that voter's top can be z."""
     g = pair_rule(np33, 0, X, Y)
     with pytest.raises(InvalidPairError):
-        decisiveness.minimal_decisive_families(g, np33, X, X)
+        decisiveness.minimal_decisive_families(g, X, X)
     report = decisiveness.minimal_decisive_families(
-        rules.dictator(np33, 0), np33, X, Y)
+        rules.dictator(np33, 0), X, Y)
     assert dict((c.members, v) for c, v in report.verdicts)[
         frozenset({0})] == NOT_DECISIVE
 
@@ -66,27 +66,26 @@ def _sample_rules(domain):
     return found
 
 
-@pytest.mark.parametrize("source,queried", [
-    ("np33", "np33"), ("np43", "np43"), ("np43", "star43")])
-def test_verdicts_match_brute_force(request, source, queried):
+@pytest.mark.parametrize("domain", ["np33", "np43", "star43"])
+def test_verdicts_match_brute_force(request, domain):
     """Every coalition, the full one included, and every ordered pair:
-    the one-pass verdicts equal the per-coalition two-sided scan."""
-    source = request.getfixturevalue(source)
-    domain = request.getfixturevalue(queried)
+    the one-pass verdicts over the rule's domain equal the per-coalition
+    two-sided scan."""
+    domain = request.getfixturevalue(domain)
     n = domain.n
     coalitions = [frozenset(c) for size in range(1, n + 1)
                   for c in itertools.combinations(range(n), size)]
     seen = set()
-    for g in _sample_rules(source):
-        choice = dict(zip(source.profiles, g.table))
+    for g in _sample_rules(domain):
+        choice = dict(zip(domain.profiles, g.table))
         for a, b in itertools.permutations(range(domain.m), 2):
             expected = {c: oracles.decisiveness(choice, domain.profiles,
                                                 c, a, b)
                         for c in coalitions}
-            verdicts = decisiveness._verdicts(g, domain, a, b)
+            verdicts = decisiveness._verdicts(g, a, b)
             for c in coalitions:
                 assert verdicts.get(c, VACUOUS) == expected[c]
-            report = decisiveness.minimal_decisive_families(g, domain, a, b)
+            report = decisiveness.minimal_decisive_families(g, a, b)
             assert dict((c.members, v) for c, v in report.verdicts) == {
                 c: v for c, v in expected.items() if len(c) < n}
             seen.update(expected.values())
@@ -95,7 +94,7 @@ def test_verdicts_match_brute_force(request, source, queried):
 
 def test_report_rendering(np33):
     g = rules.constant(np33, X)
-    report = decisiveness.minimal_decisive_families(g, np33, X, Y)
+    report = decisiveness.minimal_decisive_families(g, X, Y)
     text = report.render(np33.m)
     assert "{1} x>y : decisive" in text
     assert "monotone=true" in text
@@ -106,7 +105,7 @@ def test_coalition_cap():
         (((0, 1),) * 13,), n=13, m=2, kind=profiles.CUSTOM)
     g = rules.constant(domain, 0)
     with pytest.raises(SizeCapError):
-        decisiveness.minimal_decisive_families(g, domain, 0, 1)
+        decisiveness.minimal_decisive_families(g, 0, 1)
 
 
 def test_two_valued_np_rules_transfer(np43):
@@ -132,7 +131,7 @@ def test_two_valued_np_rules_transfer(np43):
     for g in found:
         for pair in ((Y, Z), (Z, Y)):
             report = decisiveness.minimal_decisive_families(
-                g, np43, *pair)
+                g, *pair)
             assert report.monotone
 
 
@@ -144,5 +143,5 @@ def test_sat_model_rules_have_monotone_families(np43):
     for rule in found:
         for pair in ((X, Y), (Y, X)):
             report = decisiveness.minimal_decisive_families(
-                rule, rule.domain, *pair)
+                rule, *pair)
             assert report.monotone

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -180,7 +181,8 @@ def test_golden_search_digest():
     for name in sorted(verify._CATALOGUE):
         if name in ("lemma4_2", "lemma4_3"):
             continue
-        report = verify.run_scenario(name, n=4, seed=7, differential=False)
+        report = verify.run_scenario(verify.scenario(name, 4), seed=7,
+                                     differential=False)
         for r in report.instances:
             table = None if r.witness is None else list(r.witness.table)
             digest.update(json.dumps([name, r.tag, r.outcome,
@@ -264,7 +266,8 @@ def test_stretch_scenarios_at_n5():
     for name, outcome in (("lemma4_4", "UNSAT"), ("lemma4_5", "UNSAT"),
                           ("nrange_part2", "UNSAT"),
                           ("example1_exists", "SAT")):
-        report = verify.run_scenario(name, n=5, differential=False)
+        report = verify.run_scenario(verify.scenario(name, 5),
+                                     differential=False)
         assert report.outcome == outcome and report.expectation_met
 
 
@@ -345,7 +348,7 @@ def test_each_base_is_loaded_once(monkeypatch):
     monkeypatch.setattr(satcore, "Solver", CountedSolver)
     _reset_caches()
     for name in ("lemma4_3", "lemma4_4", "lemma4_5"):
-        assert verify.run_scenario(name, n=4,
+        assert verify.run_scenario(verify.scenario(name, 4),
                                    differential=False).expectation_met
     assert len(built) == 1 and len(opened) == 3
     assert all(index is built[0] for index in opened)
@@ -353,7 +356,7 @@ def test_each_base_is_loaded_once(monkeypatch):
     opened.clear()
     _reset_caches()
     assert gone() is None
-    assert verify.run_scenario("nrange_full", n=4,
+    assert verify.run_scenario(verify.scenario("nrange_full", 4),
                                differential=False).expectation_met
     assert len(built) == 1 and len(opened) == 3
     assert all(index is built[0] for index in opened)
@@ -386,7 +389,7 @@ def test_export_writes_the_layers_unchanged(tmp_path):
         assert text == cnf.export_dimacs(inst.formula)
     for name in ("gs_np", "lemma4_5"):
         path = tmp_path / f"{name}.cnf"
-        verify.run_scenario(name, n=4, differential=False,
+        verify.run_scenario(verify.scenario(name, 4), differential=False,
                             export_dimacs=str(path))
         assert _sha256(path.read_text()) == _EXPORTS[name, 0]
 
@@ -419,7 +422,42 @@ def test_cached_report_renders_the_fresh_instance_lines(tmp_path):
     lines = fresh.render().splitlines()
     assert "  instance full-range: SAT, witness verified" in lines
     assert cached.render().splitlines()[1:] == lines[1:]
-    assert [r.checks for r in cached.instances] == [{"oracle": "ok"}]
+    assert [r.checks for r in cached.instances] == [
+        {"oracle": "ok", "external": "not requested"}]
+
+
+def _masked(report):
+    """The text and structured forms of `report`, with the time and the
+    cache marker masked."""
+    text = re.sub(r"time=\S+", "time=*", report.render())
+    data = report.structured()
+    del data["wall_time"], data["cached"]
+    return text.replace(" (cached)", ""), data
+
+
+@pytest.mark.parametrize("name", sorted(verify._CATALOGUE))
+def test_cached_report_reads_as_the_fresh_one(tmp_path, name):
+    fresh, cached = (verify.run_scenario(name, differential=False,
+                                         cache_dir=str(tmp_path))
+                     for _ in range(2))
+    assert not fresh.cached and cached.cached
+    assert _masked(cached) == _masked(fresh)
+
+
+def test_cached_verdict_is_read_from_the_cached_records(tmp_path):
+    """The cache stores instance records only: a record whose outcome was
+    edited in the file turns the cached verdict with it."""
+    verify.run_scenario("nrange_full", differential=False,
+                        cache_dir=str(tmp_path))
+    [path] = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    data["instances"][1][1] = "SAT"
+    path.write_text(json.dumps(data))
+    report = verify.run_scenario("nrange_full", differential=False,
+                                 cache_dir=str(tmp_path))
+    assert report.cached
+    assert report.outcome == "MIXED" and report.expectation_met is False
+    assert "  instance never-y-on-star: SAT" in report.render().splitlines()
 
 
 PACKAGE = Path(verify.__file__).resolve().parent
@@ -442,10 +480,10 @@ def test_a_run_without_a_cache_never_loads_hashlib(tmp_path):
     script = """if True:
         import sys
         from npverify import verify
-        verify.run_scenario("sanity_sat", n=3, differential=False)
+        verify.run_scenario("sanity_sat", differential=False)
         print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
         for _ in range(2):
-            print(verify.run_scenario("sanity_sat", n=3, differential=False,
+            print(verify.run_scenario("sanity_sat", differential=False,
                                       cache_dir=sys.argv[1]).cached)
     """
     out = _fresh_python(script, PACKAGE.parent, tmp_path)
@@ -454,9 +492,10 @@ def test_a_run_without_a_cache_never_loads_hashlib(tmp_path):
 
 
 def test_cache_misses_when_the_satcore_source_changes(tmp_path):
-    """The key hashes the source of the modules that decide a verdict: a
-    copy of the package whose `satcore.py` gained one comment line misses
-    the cache that the unchanged copy hit."""
+    """The key hashes the source of every module of the package: a copy
+    of the package whose `satcore.py` gained one comment line misses the
+    cache that the unchanged copy hit, and so does the copy once a new
+    module is added to it."""
     root = tmp_path / "src"
     shutil.copytree(PACKAGE, root / "npverify",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -476,20 +515,30 @@ def test_cache_misses_when_the_satcore_source_changes(tmp_path):
         fh.write("# changed\n")
     assert _fresh_python(script, root, cache)[1] == "False"
     assert len(list(cache.iterdir())) == 2
+    (root / "npverify" / "added.py").write_text("# a new module\n")
+    assert _fresh_python(script, root, cache)[1] == "False"
+    assert len(list(cache.iterdir())) == 3
 
 
 def _truncate(text):
     return text[:len(text) // 2]
 
 
-def _drop_outcome(text):
+def _drop_domain_size(text):
     data = json.loads(text)
-    del data["outcome"]
+    del data["domain_size"]
     return json.dumps(data)
 
 
-@pytest.mark.parametrize("damage", [_truncate, _drop_outcome],
-                         ids=["truncated", "missing_key"])
+def _drop_external_status(text):
+    data = json.loads(text)
+    del data["instances"][0][3]["external"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "damage", [_truncate, _drop_domain_size, _drop_external_status],
+    ids=["truncated", "missing_key", "missing_check"])
 def test_malformed_cache_file_is_an_operational_error(tmp_path, capsys,
                                                       damage):
     verify.run_scenario("sanity_sat", differential=False,
