@@ -119,7 +119,6 @@ class ClauseStore:
 
 @dataclass(frozen=True)
 class CnfFormula:
-    num_vars: int
     clauses: ClauseStore
     m: int
     domain_size: int
@@ -129,6 +128,10 @@ class CnfFormula:
         if not isinstance(self.clauses, ClauseStore):
             object.__setattr__(self, "clauses",
                                ClauseStore.of(self.clauses))
+
+    @property
+    def num_vars(self) -> int:  # one per (profile, alternative) pair
+        return self.domain_size * self.m
 
     def var(self, profile_index: int, alt: int) -> int:
         if not (0 <= profile_index < self.domain_size and 0 <= alt < self.m):
@@ -144,8 +147,7 @@ class CnfFormula:
     def extended(self, extra: Iterable[Clause]) -> "CnfFormula":
         """This formula followed by the clauses `extra`, layered on its
         base store rather than copying it."""
-        return CnfFormula(self.num_vars,
-                          self.clauses + ClauseStore.of(extra),
+        return CnfFormula(self.clauses + ClauseStore.of(extra),
                           self.m, self.domain_size)
 
 
@@ -212,9 +214,7 @@ def encode_base(domain: Domain) -> CnfFormula:
             lits.fromlist(buf)
             buf.clear()
     lits.fromlist(buf)
-    return CnfFormula(num_vars=len(domain) * m,
-                      clauses=ClauseStore(lits, count),
-                      m=domain.m, domain_size=len(domain))
+    return CnfFormula(ClauseStore(lits, count), m, len(domain))
 
 
 # -- scenario constraints -------------------------------------------------

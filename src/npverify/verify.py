@@ -15,7 +15,7 @@ scenario's own constraints and the instance's assumptions, recomputed from
 scratch.
 
 A report's verdict and external status are read from its instance records,
-which are all that the cache stores.
+which are all that the cache stores; a cache hit builds no instance.
 """
 
 from __future__ import annotations
@@ -320,16 +320,19 @@ def list_scenarios() -> list[Scenario]:
 # -- runner ------------------------------------------------------------------
 
 
+# The statuses each check records: "oracle" is "ok" for a verified witness;
+# "external" agrees, disagrees or says why the external solver did not run.
+_STATUSES = {"oracle": ("ok",),
+             "external": ("agree", "disagree", "not requested", "not found")}
+
+
 @dataclass
 class InstanceResult:
     tag: str
     outcome: str  # "SAT" / "UNSAT"
     stats: dict[str, int] = field(default_factory=dict)
     witness: Rule | None = None
-    # check name -> status; "oracle": "ok" once the decoded witness passed
-    # the manipulation oracle; "external": "agree" or "disagree" once the
-    # external solver re-checked the instance, else "not requested" or
-    # "not found".  Cached with the report.
+    # check name -> one of its _STATUSES; cached with the report
     checks: dict[str, str] = field(default_factory=dict)
 
 
@@ -448,15 +451,14 @@ def run_scenario(scn: Scenario | str, *, seed: int | None = None,
         if not export_dir.is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory",
                                     str(export_dir))
-    instances = scn.instances()
-    # A cached report stands in only for a run making the same external
-    # check, and never for an export, which must write its files.
+    # A cached report answers only the same external check by the same
+    # solver, and never an export, which must write its files.
     cache_path = None
     if cache_dir is not None:
         # Made before solving, so an unusable directory fails at once.
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        cache_path = _cache_path(cache_dir, scn, instances, seed,
-                                 external_check)
+        cache_path = _cache_path(cache_dir, scn, seed, external_check,
+                                 external)
         cached = None if export_dimacs else _cache_load(cache_path, scn)
         if cached is not None:
             return cached
@@ -464,7 +466,7 @@ def run_scenario(scn: Scenario | str, *, seed: int | None = None,
     domain = scn.domain()
     results = []
     session = None
-    for idx, instance in enumerate(instances):
+    for idx, instance in enumerate(scn.instances()):
         if session is None or session.formula is not instance.base:
             session = None  # free the old core before loading the next
             session = solver.Session(instance.base, seed=seed)
@@ -532,13 +534,13 @@ def enumerate_models(scn: Scenario | str, k: int) -> list[Rule]:
 _CACHED_FIELDS = ("instances", "domain_size", "wall_time")
 
 
-def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
-                seed: int | None, external_check: str) -> Path:
-    """Keyed on content: the source bytes of every module of the package,
-    the variable count and every clause of each instance formula (the
-    encoded base and the scenario clauses layered on it, each layer with
-    its length) and each instance's tag and assumptions, so changed code, a
-    changed encoding or a changed scenario clause misses."""
+def _cache_path(cache_dir: str, scn: Scenario, seed: int | None,
+                external_check: str, external: str | None) -> Path:
+    """Keyed on exactly the inputs of a report's records: the source bytes
+    of every module of the package, which fix every formula, tag and
+    assumption; the scenario's name, n and m; the seed; the external
+    check; and, when the check runs, the bytes of the external solver.
+    No formula is read, so a hit builds none."""
     # Imported here, the one place that hashes: hashlib loads OpenSSL,
     # about 3.6 MB resident that a run without a cache never uses.
     import hashlib
@@ -548,17 +550,10 @@ def _cache_path(cache_dir: str, scn: Scenario, instances: list[Instance],
         source = path.read_bytes()
         digest.update(f"{path.name}|{len(source)}|".encode())
         digest.update(source)
-    digest.update(f"{scn.name}|{scn.n}|{scn.m}|{scn.expected}|{seed}|"
+    digest.update(f"{scn.name}|{scn.n}|{scn.m}|{seed}|"
                   f"{external_check}".encode())
-    formula = None
-    for instance in instances:
-        if instance.base is not formula:  # a sweep shares one formula
-            formula = instance.base
-            digest.update(f"|{formula.num_vars}|".encode())
-            for lits in formula.clauses.layers():
-                digest.update(f"{len(lits)}|".encode())
-                digest.update(lits)
-        digest.update(f"|{instance.tag}|{instance.assumptions}".encode())
+    if external is not None:
+        digest.update(b"|" + Path(external).read_bytes())
     return Path(cache_dir) / f"{scn.name}-{digest.hexdigest()[:16]}.json"
 
 
@@ -571,8 +566,12 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
         fields["instances"] = [
             InstanceResult(tag=t, outcome=o, stats=dict(s), checks=dict(c))
             for t, o, s, c in fields["instances"]]
-        if not all("external" in r.checks for r in fields["instances"]):
-            raise KeyError("external")
+        if not fields["instances"] or any(
+                r.outcome not in ("SAT", "UNSAT") or "external" not in r.checks
+                or any(status not in _STATUSES.get(check, ())
+                       for check, status in r.checks.items())
+                for r in fields["instances"]):
+            raise ValueError("no records, or one that no run writes")
         return Report(scenario=scn, cached=True, **fields)
     except (ValueError, KeyError, TypeError) as exc:
         raise TextFormatError(

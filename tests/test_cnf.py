@@ -100,7 +100,7 @@ def test_not_dictator_constraint_checks(base33, np33):
 
 
 def test_dimacs_format_exact():
-    f = cnf.CnfFormula(num_vars=1, clauses=((1,),), m=1, domain_size=1)
+    f = cnf.CnfFormula(clauses=((1,),), m=1, domain_size=1)
     assert cnf.export_dimacs(f) == "p cnf 1 1\n1 0\n"
 
 
@@ -118,7 +118,7 @@ def test_base_encoding_pinned(np33, np43, np34, star43):
 
 
 def test_import_model():
-    f = cnf.CnfFormula(num_vars=2, clauses=((1, -2),), m=2, domain_size=1)
+    f = cnf.CnfFormula(clauses=((1, -2),), m=2, domain_size=1)
     model = cnf.import_model("c comment\nv 1 -2 0\ns SATISFIABLE\n", f)
     assert model == {1: True, 2: False}
     with pytest.raises(TextFormatError):
@@ -142,7 +142,7 @@ def test_clause_store_round_trip():
     more = store + cnf.ClauseStore.of([(5,)])
     assert len(more) == 5 and list(more) == clauses + [(5,)]
     assert list(store) == clauses  # the operands are unchanged
-    f = cnf.CnfFormula(num_vars=4, clauses=clauses, m=1, domain_size=4)
+    f = cnf.CnfFormula(clauses=clauses, m=1, domain_size=4)
     assert f.clauses == store
     assert cnf.export_dimacs(f) == "p cnf 4 4\n1 -2 0\n3 0\n0\n-1 2 -3 4 0\n"
     for bad in ([(1, 0)], [(2**40,)]):
@@ -154,8 +154,7 @@ def test_layered_store_shares_its_base():
     """Clauses added to a formula sit on its plain base store, which is
     never copied: adding to a layered formula copies only the clauses
     above the base."""
-    f = cnf.CnfFormula(num_vars=3, clauses=[(1, 2), (-3,)], m=1,
-                       domain_size=3)
+    f = cnf.CnfFormula(clauses=[(1, 2), (-3,)], m=1, domain_size=3)
     once = f.extended([(3, -1, 2)])
     twice = once.extended([(-2,)])
     assert once.clauses.base is f.clauses is twice.clauses.base

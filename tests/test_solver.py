@@ -16,8 +16,7 @@ from npverify.errors import (
 
 def clause_formula(num_vars, clauses):
     """A formula over bare variables: one "profile" per variable."""
-    return cnf.CnfFormula(num_vars=num_vars,
-                          clauses=tuple(tuple(c) for c in clauses),
+    return cnf.CnfFormula(clauses=tuple(tuple(c) for c in clauses),
                           m=1, domain_size=num_vars)
 
 
@@ -491,7 +490,7 @@ def test_stats_counters_populate():
 def test_external_model_is_checked(tmp_path):
     """An external SAT verdict is accepted only with a model that
     satisfies every clause."""
-    f = cnf.CnfFormula(num_vars=2, clauses=((1, -2),), m=2, domain_size=1)
+    f = cnf.CnfFormula(clauses=((1, -2),), m=2, domain_size=1)
     stand_in = tmp_path / "stand-in-solver"
 
     def answer(model):
@@ -510,7 +509,7 @@ def test_external_model_is_checked(tmp_path):
 def test_external_model_is_checked_against_the_assumptions(tmp_path):
     """The assumptions are written as unit clauses after the formula, and
     a claimed model must satisfy them as well as every clause."""
-    f = cnf.CnfFormula(num_vars=2, clauses=((1, 2),), m=2, domain_size=1)
+    f = cnf.CnfFormula(clauses=((1, 2),), m=2, domain_size=1)
     stand_in = tmp_path / "stand-in-solver"
     stand_in.write_text("#!/bin/sh\necho 'v 1 -2 0'\n"
                         "echo 's SATISFIABLE'\n")

@@ -1,5 +1,4 @@
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -282,40 +281,6 @@ def test_report_cache_round_trip(tmp_path):
     assert second.expectation_met is True
 
 
-def test_cache_misses_when_the_encoding_changes(tmp_path, monkeypatch):
-    """The key covers the formulas: a base one clause short is a miss."""
-    assert not verify.run_scenario("gs_np", differential=False,
-                                   cache_dir=str(tmp_path)).cached
-    base = verify._encoded_base(3, 3)
-    shorter = dataclasses.replace(
-        base, clauses=cnf.ClauseStore.of(list(base.clauses)[:-1]))
-    monkeypatch.setattr(verify, "_encoded_base", lambda n, m: shorter)
-    again = verify.run_scenario("gs_np", differential=False,
-                                cache_dir=str(tmp_path))
-    assert not again.cached
-    assert len(list(tmp_path.iterdir())) == 2
-
-
-def test_cache_misses_when_a_scenario_clause_changes(tmp_path, monkeypatch):
-    """The key covers the scenario clauses layered on the base, not only
-    the base: one scenario clause a literal short is a miss."""
-    for cached in (False, True):
-        report = verify.run_scenario("gs_np", differential=False,
-                                     cache_dir=str(tmp_path))
-        assert report.cached is cached
-    clauses = cnf.NotDictator.clauses
-
-    def shorter(self, f):
-        [clause] = clauses(self, f)
-        return [clause[:-1]]
-
-    monkeypatch.setattr(cnf.NotDictator, "clauses", shorter)
-    again = verify.run_scenario("gs_np", differential=False,
-                                cache_dir=str(tmp_path))
-    assert not again.cached
-    assert len(list(tmp_path.iterdir())) == 2
-
-
 def _reset_caches():
     """The benchmark's own cache reset, `perfbench/workloads.py`."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -397,7 +362,8 @@ def test_export_writes_the_layers_unchanged(tmp_path):
 @pytest.mark.parametrize("name,built", [("gs_np", 1), ("nrange_full", 3)])
 def test_cache_miss_builds_each_instance_once(tmp_path, monkeypatch, name,
                                               built):
-    """The cache key and the solve loop share one list of instances."""
+    """A miss builds each instance once, in the solve loop: the cache key
+    reads no instance."""
     calls = []
     add_scenario = cnf.add_scenario
 
@@ -410,6 +376,27 @@ def test_cache_miss_builds_each_instance_once(tmp_path, monkeypatch, name,
                                  cache_dir=str(tmp_path))
     assert not report.cached and len(report.instances) == built
     assert len(calls) == built
+
+
+def test_cache_hit_builds_no_formula(tmp_path, monkeypatch):
+    """A hit is looked up before the scenario is built: with every
+    in-process cache dropped, it enumerates no domain, encodes no base and
+    layers no scenario clause."""
+    names = ("gs_np", "nrange_full", "lemma4_3", "lemma4_4")
+    for name in names:
+        verify.run_scenario(name, differential=False, cache_dir=str(tmp_path))
+    calls = []
+    for module, attr in ((profiles, "enumerate_np"), (cnf, "encode_base"),
+                         (cnf, "add_scenario")):
+        def counted(*args, _real=getattr(module, attr), _attr=attr):
+            calls.append(_attr)
+            return _real(*args)
+        monkeypatch.setattr(module, attr, counted)
+    _reset_caches()
+    for name in names:
+        assert verify.run_scenario(name, differential=False,
+                                   cache_dir=str(tmp_path)).cached
+    assert calls == []
 
 
 def test_cached_report_renders_the_fresh_instance_lines(tmp_path):
@@ -491,18 +478,57 @@ def test_a_run_without_a_cache_never_loads_hashlib(tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_cache_misses_when_the_satcore_source_changes(tmp_path):
-    """The key hashes the source of every module of the package: a copy
-    of the package whose `satcore.py` gained one comment line misses the
-    cache that the unchanged copy hit, and so does the copy once a new
-    module is added to it."""
+def _append_comment(package):
+    with (package / "satcore.py").open("a") as fh:
+        fh.write("# changed\n")
+
+
+def _add_module(package):
+    (package / "added.py").write_text("# a new module\n")
+
+
+def _source_edit(module, old, new):
+    def edit(package):
+        path = package / module
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    return edit
+
+
+# Each edit, with whether it changes the gs_np formula.
+_SOURCE_EDITS = {
+    "satcore_comment": (_append_comment, False),
+    "added_module": (_add_module, False),
+    # every profile's at-least-one clause with its literals reversed
+    "encoder": (_source_edit("cnf.py", "buf.extend(range(base, base + m))",
+                             "buf.extend(reversed(range(base, base + m)))"),
+                True),
+    # gs_np's non-dictator clauses in reverse voter order
+    "recipe": (_source_edit("verify.py", "for v in range(scn.n)])",
+                            "for v in reversed(range(scn.n))])"),
+               True),
+}
+
+
+@pytest.mark.parametrize("edit,changes_formula", _SOURCE_EDITS.values(),
+                         ids=_SOURCE_EDITS)
+def test_cache_misses_when_the_source_changes(tmp_path, edit,
+                                              changes_formula):
+    """The key hashes the source of every module of the package, which
+    fixes every formula: a copy of the package misses the cache that it
+    hit before one edit to its source, whether the edit changes the
+    formula (the encoder, a recipe) or not (a comment, a new module)."""
     root = tmp_path / "src"
     shutil.copytree(PACKAGE, root / "npverify",
                     ignore=shutil.ignore_patterns("__pycache__"))
     script = """if True:
-        import sys
-        from npverify import verify
+        import hashlib, sys
+        from npverify import cnf, verify
         print(verify.__file__)
+        [instance] = verify.scenario("gs_np").instances()
+        text = cnf.export_dimacs(instance.base)
+        print(hashlib.sha256(text.encode()).hexdigest())
         print(verify.run_scenario("gs_np", differential=False,
                                   cache_dir=sys.argv[1]).cached)
     """
@@ -510,35 +536,46 @@ def test_cache_misses_when_the_satcore_source_changes(tmp_path):
     runs = [_fresh_python(script, root, cache) for _ in range(2)]
     assert Path(runs[0][0]).resolve() \
         == (root / "npverify" / "verify.py").resolve()
-    assert [run[1] for run in runs] == ["False", "True"]
-    with (root / "npverify" / "satcore.py").open("a") as fh:
-        fh.write("# changed\n")
-    assert _fresh_python(script, root, cache)[1] == "False"
+    assert [run[2] for run in runs] == ["False", "True"]
+    edit(root / "npverify")
+    _, formula, cached = _fresh_python(script, root, cache)
+    assert cached == "False"
+    assert (formula != runs[0][1]) is changes_formula
     assert len(list(cache.iterdir())) == 2
-    (root / "npverify" / "added.py").write_text("# a new module\n")
-    assert _fresh_python(script, root, cache)[1] == "False"
-    assert len(list(cache.iterdir())) == 3
 
 
 def _truncate(text):
     return text[:len(text) // 2]
 
 
-def _drop_domain_size(text):
-    data = json.loads(text)
-    del data["domain_size"]
-    return json.dumps(data)
+def _edited(change):
+    """A damage that applies `change` to the decoded cache payload."""
+    def damage(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+    return damage
 
 
-def _drop_external_status(text):
-    data = json.loads(text)
-    del data["instances"][0][3]["external"]
-    return json.dumps(data)
+def _set_outcome(data):
+    data["instances"][0][1] = "MAYBE"
 
 
-@pytest.mark.parametrize(
-    "damage", [_truncate, _drop_domain_size, _drop_external_status],
-    ids=["truncated", "missing_key", "missing_check"])
+_DAMAGES = {
+    "truncated": _truncate,
+    "missing_key": _edited(lambda data: data.pop("domain_size")),
+    "missing_check": _edited(
+        lambda data: data["instances"][0][3].pop("external")),
+    "no_records": _edited(lambda data: data["instances"].clear()),
+    "unknown_outcome": _edited(_set_outcome),
+    "unknown_external_status": _edited(
+        lambda data: data["instances"][0][3].update(external="sometimes")),
+    "unknown_oracle_status": _edited(
+        lambda data: data["instances"][0][3].update(oracle="failed")),
+}
+
+
+@pytest.mark.parametrize("damage", _DAMAGES.values(), ids=_DAMAGES)
 def test_malformed_cache_file_is_an_operational_error(tmp_path, capsys,
                                                       damage):
     verify.run_scenario("sanity_sat", differential=False,
@@ -582,6 +619,30 @@ def test_cache_hit_never_skips_the_external_check(tmp_path, monkeypatch):
     assert [r.checks["external"] for r in again.instances] == (
         ["agree"] * calls)
     assert log.read_text().count("call") == calls
+
+
+def test_cache_key_covers_the_external_solver(tmp_path, monkeypatch,
+                                              capsys):
+    """A report one external solver agreed with never answers a run with
+    another: the broken solver, whose model gives variable 1 both signs,
+    is run and rejected instead of being served the other's agreement."""
+    agree, broken = tmp_path / "a", tmp_path / "b"
+    agree.write_text('#!/bin/sh\necho "s UNSATISFIABLE"\n')
+    broken.write_text('#!/bin/sh\necho "s SATISFIABLE"\necho "v 1 -1 0"\n')
+    for stand_in in (agree, broken):
+        stand_in.chmod(0o755)
+    cache = str(tmp_path / "cache")
+    monkeypatch.setenv("NPVERIFY_EXT_SOLVER", str(agree))
+    for cached in (False, True):
+        report = verify.run_scenario("gs_np", differential=True,
+                                     cache_dir=cache)
+        assert report.cached is cached and report.external == "agree 1/1"
+    monkeypatch.setenv("NPVERIFY_EXT_SOLVER", str(broken))
+    with pytest.raises(TextFormatError, match="variable 1 both signs"):
+        verify.run_scenario("gs_np", differential=True, cache_dir=cache)
+    assert cli.main(["scenario", "run", "gs_np", "--differential",
+                     "--cache", cache]) == 1
+    assert "(cached)" not in capsys.readouterr().out
 
 
 def test_cache_hit_never_skips_the_export(tmp_path, capsys):
