@@ -9,6 +9,7 @@ across runs.  Voters are 0-based internally; all user-facing text is 1-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import orders
@@ -106,11 +107,13 @@ def enumerate_np(n: int, m: int) -> Domain:
         raise ParameterError(f"need at least 2 voters, got n={n}")
     if m < 1:
         raise ParameterError(f"need at least 1 alternative, got m={m}")
-    universe = orders.all_orderings(m)
-    raw = len(universe) ** n
+    # Checked before the m! orderings are built: at m = 9 they alone
+    # take 60 MB.
+    raw = math.factorial(m) ** n
     if raw > DEFAULT_RAW_CAP:
         raise SizeCapError(f"(m!)^n = {raw} raw profiles exceeds the cap "
                            f"of {DEFAULT_RAW_CAP}")
+    universe = orders.all_orderings(m)
     rank = orders.rank_table(m)
     pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
     above = {}

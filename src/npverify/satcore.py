@@ -34,39 +34,32 @@ first two; that list object is what `watches` holds, what `reason` holds
 for the literal it implies, and what `_propagate` returns when it is
 falsified.  A literal implied by a binary clause whose other literal
 ``q`` is false has the reason code ``BINARY - q``, and a falsified binary
-clause is returned as a fresh two-literal list; `_analyze` expands a
-binary reason code in place and `_analyze_final` through `_clause`.
+clause is returned as a fresh two-literal list; `_analyze` and
+`_analyze_final` expand a binary reason code in place.
 Learned binary clauses take the same path.  Each list keeps its clauses
 in load order, so the search is a fixed function of the formula, its
 clause order and the branching order.
 
-A base is loaded once, into a read-only `BaseIndex`: the literal table,
-the implication lists, the long clauses, the level-0 units and `ok`.
-Every solver opens on one, `Solver(num_vars, clauses, base=index)`, and
-the sessions of one base share it copy-on-write.  A solver copies the
-index's value table and trail, shares its literal table, copies only the
-outer list of `binaries`, and replaces an inner list with a copy the
-first time it appends to it (a learned binary clause, or one of its own
-clauses).  Long clauses are few (one per profile in an NP encoding), and
-watching reorders a clause's literals, so each solver copies them and
-rebuilds their watches in index order.  Then it loads `clauses` on top.
-Every list thus holds the base's entries first, in load order, then the
-solver's own: the state, and so the search, are those of one load of the
-base followed by `clauses`.  A solver made with no index opens on an
-empty one and loads all of `clauses`.
+The clause database is one class, `BaseIndex`, and `Solver` is the
+search on top of it.  A database starts empty, or opens copy-on-write on
+an index: it copies the value table and trail, shares the literal table,
+copies only the outer list of `binaries`, and replaces an inner list with
+a copy the first time it appends to it.  It copies each long clause (one
+per profile in an NP encoding), as watching reorders its literals.  Then
+it loads its own clauses through the one clause-add path, which reads a
+`cnf.ClauseStore` layer by layer, three entries at a time: a binary
+clause with its 0 fills a triple and goes straight into the implication
+lists, and any other clause takes the general path, which reads on to
+its 0 and so realigns the triples.  A base is loaded once, into an index
+that keeps no search state and is read-only from then on, and every
+session on that base opens its solver on it.  Every list holds the
+base's entries first, in load order, then the solver's own, so the
+search is that of one load of the base followed by the solver's clauses.
 
 Only a watched literal has a watch list: ``watches[p]`` is None until a
 long clause first watches ``p``, as MiniSat's scheme needs lists only
 for watched literals, so a core on NP(6, 3) holds 85,334 watch lists,
 not one for each of its 255,998 literals.
-
-The index and every solver load through one clause-add path (`_Loader`):
-it reads a `cnf.ClauseStore`, each layer's flat zero-terminated array of
-DIMACS literals in turn, in one loop three entries at a time.  A binary
-clause with its 0 fills a triple and goes straight into the implication
-lists, and any other clause (a unit, an empty or a long one) takes the
-general path, which reads on to its 0 and so realigns the triples.  Any
-other sequence of clauses is made a store first.
 
 The assignment is one table indexed by encoded literal, as in MiniSat:
 ``values[lit]`` is 1 when ``lit`` is true, 0 when it is false and UNDEF
@@ -93,62 +86,63 @@ MAX_CONFLICTS = 5_000_000  # per solve() call; exceeding it raises
 
 
 class BaseIndex:
-    """The read-only load of one clause store, shared by every `Solver`
-    opened on it: the literal table, the implication lists, the long
-    clauses in load order (never watched, so never reordered), the
-    level-0 assignment and trail its units leave, and `ok`.  It is built
-    through the clause-add path of `_Loader`, as a solver's own clauses
-    are, and nothing writes to it afterwards."""
+    """One core's clause database: the literal table, the implication
+    lists, the long clauses in load order, the level-0 assignment and
+    trail, and `ok`.  Built on its own, it is the read-only index of one
+    base that every `Solver` on it shares."""
 
-    def __init__(self, num_vars: int, clauses=()):
-        size = 2 * num_vars + 2
+    def __init__(self, num_vars: int, clauses=(),
+                 base: BaseIndex | None = None):
+        self._open(num_vars, base)
+        self.ok = self.ok and self._load_store(clauses)
+        # Only a search reads or appends to these after the load.
+        del self.level, self.reason, self.trail_lim, self._shared
+
+    def _open(self, num_vars: int, base: BaseIndex | None) -> None:
+        """Start empty, or on the index `base` copy-on-write.  Its long
+        clauses are copied through `_store`, so a solver watches them,
+        in index order, before its own."""
+        if base is None:
+            size = 2 * num_vars + 2
+            # lits: DIMACS literal -> encoded literal; anything else, 0
+            # included, is out of range.
+            self.lits = lits = {}
+            for var in range(1, num_vars + 1):
+                lits[var] = 2 * var
+                lits[-var] = 2 * var + 1
+            # values[lit]: 1 when lit is true, 0 when it is false, UNDEF
+            # when its variable is unassigned; values[2*v] is v's own value.
+            self.values = [UNDEF] * size
+            self.trail: list[int] = []
+            # One empty list for every literal, copied before its first
+            # append.
+            shared: list[list[int]] = [[]] * size
+            self.ok = True
+        elif base.num_vars != num_vars:
+            raise ValueError(f"index over {base.num_vars} variables, "
+                             f"not {num_vars}")
+        else:
+            self.lits = base.lits
+            self.values = base.values[:]
+            self.trail = base.trail[:]
+            shared = base.binaries
+            self.ok = base.ok
         self.num_vars = num_vars
-        # lits: DIMACS literal -> encoded literal; anything else, 0
-        # included, is out of range.
-        self.lits = lits = {}
-        for var in range(1, num_vars + 1):
-            lits[var] = 2 * var
-            lits[-var] = 2 * var + 1
-        self.values = [UNDEF] * size
-        self.trail: list[int] = []
-        # One empty list for every literal: a loader copies it before its
-        # first append.
-        self.binaries: list[list[int]] = [[]] * size
-        self.clauses: list[list[int]] = []
-        self.ok = True
-        if len(clauses):
-            loader = _Loader(self)
-            self.ok = loader._load_store(clauses)
-            self.values, self.trail = loader.values, loader.trail
-            self.binaries, self.clauses = loader.binaries, loader.clauses
-
-
-class _Loader:
-    """A core's clause database opened on a `BaseIndex`, and the one
-    clause-add path.  It copies the index's value table, trail and long
-    clauses, shares its literal table, and copies only the outer list of
-    `binaries`: an inner list is replaced by a copy the first time this
-    core appends to it.  It watches nothing; `Solver` adds the watches."""
-
-    def __init__(self, base: BaseIndex):
-        num_vars = self.num_vars = base.num_vars
-        self._lits = base.lits
-        # values[lit]: 1 when lit is true, 0 when it is false, UNDEF when
-        # its variable is unassigned; values[2*v] is v's own value.
-        self.values = base.values[:]
         self.level = [0] * (num_vars + 1)
         self.reason = [UNDEF] * (num_vars + 1)
-        self.trail: list[int] = base.trail[:]
         # trail_lim[d]: the trail length where level d + 1 opened; its
         # length is the current decision level, 0 while loading.
         self.trail_lim: list[int] = []
         # binaries[p]: the other literal of every binary clause holding
-        # p; an entry that is still _shared[p] belongs to the index.
-        self.binaries = base.binaries[:]
-        self._shared = base.binaries
+        # p; an entry that is still _shared[p] is not this core's own.
+        self.binaries = shared[:]
+        self._shared = shared
         # clauses: every long clause, base or learned, as one list of
         # encoded literals.
-        self.clauses = [clause[:] for clause in base.clauses]
+        self.clauses: list[list[int]] = []
+        if base is not None:
+            for clause in base.clauses:
+                self._store(clause[:])
 
     def _load_store(self, clauses) -> bool:
         """Load `clauses`, a `cnf.ClauseStore` (each of its layers in
@@ -163,7 +157,7 @@ class _Loader:
         the implication lists, and any other clause, from the first entry
         of the three on, through `_add_clause`.  Returns False when a
         clause is empty or contradicts the units before it."""
-        lits = self._lits
+        lits = self.lits
         binaries = self.binaries
         shared = self._shared
         it = iter(flat)
@@ -246,7 +240,7 @@ class _Loader:
         return out
 
     def _encode(self, lit: int) -> int:
-        enc = self._lits.get(lit)
+        enc = self.lits.get(lit)
         if enc is None:
             raise ValueError(f"literal {lit} out of range")
         return enc
@@ -264,23 +258,16 @@ class _Loader:
         return True
 
 
-class Solver(_Loader):
+class Solver(BaseIndex):
     def __init__(self, num_vars: int, clauses, order=None, base=None):
         """A core on the index `base` with `clauses` loaded on top, or,
-        with no index, on an empty one with every clause of `clauses`."""
-        if base is None:
-            base = BaseIndex(num_vars)
-        elif base.num_vars != num_vars:
-            raise ValueError(f"index over {base.num_vars} variables, "
-                             f"not {num_vars}")
-        super().__init__(base)
+        with no index, on an empty database with every clause of
+        `clauses`."""
         # watches[p]: the long clauses watching p, base ones first in
         # index order; None until a clause first watches p.
         self.watches: list[list[list[int]] | None] = [None] * (
             2 * num_vars + 2)
-        for clause in self.clauses:
-            self._watch(clause[0], clause)
-            self._watch(clause[1], clause)
+        self._open(num_vars, base)
         self.qhead = 0
         self.order = list(range(1, num_vars + 1)) if order is None else list(order)
         self.decisions = 0
@@ -290,25 +277,22 @@ class Solver(_Loader):
         self._assumptions: list[int] = []
         self._failed: list[int] = []
         self._seen = [False] * (num_vars + 1)
-        self.ok = base.ok and self._load_store(clauses)
+        self.ok = self.ok and self._load_store(clauses)
 
     def _store(self, out: list[int]):
-        """`_Loader._store`, with a long clause watched on its first two
-        literals."""
-        reason = super()._store(out)
-        if reason is out:
-            self._watch(out[0], out)
-            self._watch(out[1], out)
-        return reason
-
-    def _watch(self, lit: int, clause: list[int]) -> None:
-        """Append `clause` to the watch list of `lit`, giving `lit` its
-        list on first use."""
-        ws = self.watches[lit]
-        if ws is None:
-            self.watches[lit] = [clause]
-        else:
-            ws.append(clause)
+        """`BaseIndex._store`, with a long clause watched on its first two
+        literals; a literal gets its watch list on first use."""
+        if len(out) == 2:
+            return super()._store(out)
+        self.clauses.append(out)
+        watches = self.watches
+        for lit in out[0], out[1]:
+            ws = watches[lit]
+            if ws is None:
+                watches[lit] = [out]
+            else:
+                ws.append(out)
+        return out
 
     def add_clause(self, clause) -> None:
         """Add a clause between `solve()` calls.  It is simplified against
@@ -396,7 +380,7 @@ class Solver(_Loader):
                     if values[q] != 0:
                         c[1] = q
                         c[k] = false_lit
-                        # Inlined `_watch`.
+                        # As in `_store`: a list on first use.
                         into = watches[q]
                         if into is None:
                             watches[q] = [c]
@@ -421,14 +405,6 @@ class Solver(_Loader):
         self.propagations += qhead - first
         self.qhead = qhead
         return confl
-
-    @staticmethod
-    def _clause(reason, implied: int) -> list[int]:
-        """The literals of a reason or conflict; `implied` is the literal
-        it implied, needed only for a binary reason code."""
-        if type(reason) is list:
-            return reason
-        return [implied, BINARY - reason]
 
     def _analyze(self, confl) -> tuple[list[int], int]:
         """First-UIP conflict analysis; returns (learnt, backjump level)
@@ -519,7 +495,9 @@ class Solver(_Loader):
                 if reason == UNDEF:
                     core.append(q)
                     continue
-                for other in self._clause(reason, q):
+                if type(reason) is not list:  # a binary reason code
+                    reason = (q, BINARY - reason)
+                for other in reason:
                     other >>= 1
                     if other != var and self.level[other] > 0:
                         seen[other] = True

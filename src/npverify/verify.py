@@ -125,16 +125,6 @@ class Instance:
     assumptions: tuple[int, ...]
     constraints: tuple[cnf.ScenarioConstraint, ...]
 
-    @property
-    def formula(self) -> cnf.CnfFormula:
-        """The complete formula: `base` plus one unit clause per
-        assumption, layered on the encoded base.  The runner never builds
-        it: it solves `base` under the assumptions, and the export and the
-        external check write the units after `base`."""
-        if not self.assumptions:
-            return self.base
-        return self.base.extended((lit,) for lit in self.assumptions)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -566,8 +556,14 @@ def _cache_load(path: Path, scn: Scenario) -> Report | None:
         fields["instances"] = [
             InstanceResult(tag=t, outcome=o, stats=dict(s), checks=dict(c))
             for t, o, s, c in fields["instances"]]
+        if type(fields["domain_size"]) is not int or type(
+                fields["wall_time"]) not in (int, float):
+            raise ValueError("a domain size or wall time of the wrong type")
         if not fields["instances"] or any(
-                r.outcome not in ("SAT", "UNSAT") or "external" not in r.checks
+                type(r.tag) is not str or r.outcome not in ("SAT", "UNSAT")
+                or "external" not in r.checks
+                or any(type(key) is not str or type(value) is not int
+                       for key, value in r.stats.items())
                 or any(status not in _STATUSES.get(check, ())
                        for check, status in r.checks.items())
                 for r in fields["instances"]):

@@ -217,6 +217,7 @@ def test_external_dimacs_agreement(base33, external_solver):
     assert ours.status == theirs.status
     gs = verify.scenario("gs_np")
     instance = gs.instances()[0]
-    ours = solver.solve_formula(instance.formula)
-    theirs = solver.solve_external(instance.formula, binary)
+    assert not instance.assumptions
+    ours = solver.solve_formula(instance.base)
+    theirs = solver.solve_external(instance.base, binary)
     assert ours.status == theirs.status is False

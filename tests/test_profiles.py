@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from npverify import profiles, verify
+from npverify import orders, profiles, verify
 from npverify.errors import (
     DomainKindError,
     MembershipError,
@@ -69,6 +69,17 @@ def test_np_parameter_guards():
     with pytest.raises(SizeCapError):
         profiles.enumerate_np(8, 4)
     assert len(profiles.enumerate_np(2, 3)) == 6
+
+
+def test_size_cap_builds_no_orderings(monkeypatch):
+    """(m!)^n is checked before the m! orderings are built: rejecting
+    NP(2, 12), with 479,001,600 orderings, allocates nothing."""
+    def refuse(m):
+        raise AssertionError(f"all {m}! orderings built")
+
+    monkeypatch.setattr(orders, "all_orderings", refuse)
+    with pytest.raises(SizeCapError):
+        profiles.enumerate_np(2, 12)
 
 
 def test_enumerate_np_matches_direct_filter(np35):

@@ -9,6 +9,7 @@ from npverify import cnf, satcore, solver, verify
 from npverify.errors import (
     ContractError,
     ExternalSolverError,
+    ParameterError,
     SolverCapError,
     TextFormatError,
 )
@@ -283,7 +284,10 @@ def test_loader_parity_on_the_catalogue():
     for scn in verify.list_scenarios():
         instances = verify.scenario(scn.name, 4).instances()
         formulas = {id(i.base): i.base for i in instances}
-        formulas["first"] = instances[0].formula
+        first = instances[0]
+        if first.assumptions:
+            formulas["first"] = first.base.extended(
+                (lit,) for lit in first.assumptions)
         for f in formulas.values():
             if f is not base:
                 assert_loads_alike(f.num_vars, list(f.clauses))
@@ -357,6 +361,35 @@ def test_sessions_on_one_index_leave_it_and_each_other_alone():
     got, want = b.solve(), fresh.solve()
     assert got == want and not got.status
     assert got.stats["conflicts"] > 0
+
+
+def core_state(core):
+    return (core.binaries, core.clauses, core.watches, core.trail,
+            core.values, core.ok)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_opened_core_equals_a_fresh_load(n):
+    """Every distinct formula of the catalogue at n voters, and the first
+    instance of each scenario with its assumptions as units: a core
+    opened on the shared base index ends in the state of one load of all
+    its clauses into an empty core."""
+    for scn in verify.list_scenarios():
+        try:
+            instances = verify.scenario(scn.name, n).instances()
+        except ParameterError:
+            continue  # the scenario needs more voters
+        formulas = {id(i.base): i.base for i in instances}
+        first = instances[0]
+        if first.assumptions:
+            formulas["first"] = first.base.extended(
+                (lit,) for lit in first.assumptions)
+        for f in formulas.values():
+            opened = solver.Session(f)._core
+            base = f.clauses if f.clauses.base is None else f.clauses.base
+            assert opened._shared is base.index.binaries
+            assert core_state(opened) == core_state(
+                satcore.Solver(f.num_vars, f.clauses))
 
 
 def watched_literals(core):
@@ -456,7 +489,8 @@ def test_learned_binary_clause_as_a_reason_in_analyze_final():
 def test_unsat_stable_across_seeds():
     scn = verify.scenario("gs_np")
     instance = scn.instances()[0]
-    outcomes = {solver.solve_formula(instance.formula, seed=s).status
+    assert not instance.assumptions
+    outcomes = {solver.solve_formula(instance.base, seed=s).status
                 for s in (None, 1, 2, 3)}
     assert outcomes == {False}
 
@@ -464,10 +498,11 @@ def test_unsat_stable_across_seeds():
 def test_sat_model_valid_across_seeds():
     scn = verify.scenario("sanity_sat")
     instance = scn.instances()[0]
+    assert not instance.assumptions
     for seed in (None, 7, 99):
-        res = solver.solve_formula(instance.formula, seed=seed)
+        res = solver.solve_formula(instance.base, seed=seed)
         assert res.status
-        dimacs_clauses = [list(c) for c in instance.formula.clauses]
+        dimacs_clauses = [list(c) for c in instance.base.clauses]
         assert oracles.eval_clauses(dimacs_clauses, res.model)
 
 

@@ -130,6 +130,12 @@ def test_example1_exists_n3_recorded():
     assert report.expectation_met is None
 
 
+def with_units(inst):
+    """The complete formula of `inst`: its base with one unit clause per
+    assumption."""
+    return inst.base.extended((lit,) for lit in inst.assumptions)
+
+
 def test_lemma_sweeps_iterate_qualifying_profiles(np43):
     """Spot-check the sweep structure: counts match the qualifying
     predicate and a couple of sample instances are UNSAT."""
@@ -138,13 +144,13 @@ def test_lemma_sweeps_iterate_qualifying_profiles(np43):
     assert len(instances) == head_top
     sample = instances[:3] + instances[-3:]
     for inst in sample:
-        assert not solver.solve_formula(inst.formula).status
+        assert not solver.solve_formula(with_units(inst)).status
 
     bottom_y = sum(1 for p in np43 if any(v[-1] == Y for v in p[:2]))
     instances3 = verify.scenario("lemma4_3").instances()
     assert len(instances3) == bottom_y
     for inst in instances3[:3]:
-        assert not solver.solve_formula(inst.formula).status
+        assert not solver.solve_formula(with_units(inst)).status
 
 
 @pytest.mark.parametrize("name", ["lemma4_4", "lemma4_5"])
@@ -159,9 +165,10 @@ def test_lemma_session_verdicts_match_full_formulas(name):
     for record, inst in zip(report.instances, instances):
         assert record.outcome == "UNSAT"
         assert record.stats["decisions"] == 0
-        assert not solver.solve_formula(inst.formula, seed=3).status
-        assert len(inst.formula.clauses) == (len(inst.base.clauses)
-                                             + len(inst.assumptions))
+        formula = with_units(inst)
+        assert not solver.solve_formula(formula, seed=3).status
+        assert len(formula.clauses) == (len(inst.base.clauses)
+                                        + len(inst.assumptions))
 
 
 # Taken when binary clauses moved into implication lists, on the core
@@ -327,8 +334,8 @@ def test_each_base_is_loaded_once(monkeypatch):
     assert all(index is built[0] for index in opened)
 
 
-# SHA-256 of `export_dimacs(instance.formula)` before the export wrote the
-# layers of an instance in turn: the text must not change.
+# SHA-256 of `export_dimacs(with_units(instance))` before the export wrote
+# the layers of an instance in turn: the text must not change.
 _EXPORTS = {
     ("lemma4_3", 263): "0fa52e5903ddef3a782d0799b5d4539d"
                        "9320e2ccb3dce89cb2dbdf3b581cda29",
@@ -351,7 +358,7 @@ def test_export_writes_the_layers_unchanged(tmp_path):
         inst = verify.scenario(name, 4).instances()[idx]
         text = cnf.export_dimacs(inst.base, assumptions=inst.assumptions)
         assert _sha256(text) == digest
-        assert text == cnf.export_dimacs(inst.formula)
+        assert text == cnf.export_dimacs(with_units(inst))
     for name in ("gs_np", "lemma4_5"):
         path = tmp_path / f"{name}.cnf"
         verify.run_scenario(verify.scenario(name, 4), differential=False,
@@ -561,6 +568,10 @@ def _set_outcome(data):
     data["instances"][0][1] = "MAYBE"
 
 
+def _set_tag(data):
+    data["instances"][0][0] = 7
+
+
 _DAMAGES = {
     "truncated": _truncate,
     "missing_key": _edited(lambda data: data.pop("domain_size")),
@@ -572,6 +583,13 @@ _DAMAGES = {
         lambda data: data["instances"][0][3].update(external="sometimes")),
     "unknown_oracle_status": _edited(
         lambda data: data["instances"][0][3].update(oracle="failed")),
+    "tag_not_a_string": _edited(_set_tag),
+    "stat_not_an_int": _edited(
+        lambda data: data["instances"][0][2].update(decisions="many")),
+    "domain_size_not_an_int": _edited(
+        lambda data: data.update(domain_size="6")),
+    "wall_time_not_a_number": _edited(
+        lambda data: data.update(wall_time="slow")),
 }
 
 
