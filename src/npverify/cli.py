@@ -26,10 +26,14 @@ OK, OPERATIONAL_ERROR, VIOLATED = 0, 1, 2
 
 def _emit(args, rows) -> None:
     """Print `(key, value, sentence)` rows: `key=value` with the bare
-    value in structured mode, the sentence in text mode."""
+    value in structured mode, the sentence in text mode.  A row without
+    a key is text only, a row without a sentence structured only."""
     structured = args.format == "structured"
     for key, value, sentence in rows:
-        print(f"{key}={value}" if structured else sentence)
+        if structured and key is not None:
+            print(f"{key}={value}")
+        elif not structured and sentence is not None:
+            print(sentence)
 
 
 def _cmd_domain_enum(args) -> int:
@@ -39,14 +43,12 @@ def _cmd_domain_enum(args) -> int:
     if args.wz:
         w, z = (orders.decode_letter(ch, args.m) for ch in args.wz)
         domain = collapse.contiguous_domain(domain, w, z)
-    if args.format == "structured":
-        print(f"kind={domain.kind}")
-        print(f"n={domain.n}")
-        print(f"m={domain.m}")
-        print(f"size={len(domain)}")
-    else:
-        print(f"# {domain.describe()}")
-        sys.stdout.write(profiles.dump_domain(domain))
+    rows = [("kind", domain.kind, f"# {domain.describe()}"),
+            ("n", domain.n, None), ("m", domain.m, None),
+            ("size", len(domain), None)]
+    rows += [(None, None, line)
+             for line in profiles.dump_domain(domain).splitlines()]
+    _emit(args, rows)
     return OK
 
 
@@ -85,9 +87,10 @@ def _cmd_rule_check(args) -> int:
 
 
 def _cmd_scenario_list(args) -> int:
-    for scn in verify.list_scenarios():
-        print(f"{scn.name:18s} n={scn.n} m={scn.m} "
-              f"expected={scn.expected or 'record'}  {scn.description}")
+    _emit(args, [(scn.name, scn.expected or "record",
+                  f"{scn.name:18s} n={scn.n} m={scn.m} "
+                  f"expected={scn.expected or 'record'}  {scn.description}")
+                 for scn in verify.list_scenarios()])
     return OK
 
 
@@ -97,14 +100,8 @@ def _cmd_scenario_run(args) -> int:
         differential=args.differential,
         export_dimacs=args.export_dimacs,
         cache_dir=args.cache)
-    if args.format == "structured":
-        for key, value in report.structured().items():
-            print(f"{key}={value}")
-    else:
-        print(report.render())
-    if report.expectation_met is False:
-        return VIOLATED
-    return OK
+    _emit(args, report.rows())
+    return VIOLATED if report.expectation_met is False else OK
 
 
 def _cmd_collapse_run(args) -> int:
@@ -136,18 +133,16 @@ def _cmd_collapse_run(args) -> int:
         full = rng == frozenset(range(spec.target.m))
         lines.append(("full_range", full, f"collapsed range is full: {full}"))
         ok = ok and full
-    descended = 0
     failures = 0
     for r in source:
         result = collapse.reduce_to_contiguous(rule, r, spec)
-        descended += 1
         if not result.ok:
             failures += 1
             if args.trace_failures:
-                print(result.render(args.m))
-    lines.append(("descents", descended, f"descents run: {descended}"))
-    lines.append(("descent_failures", failures,
-                  f"descent failures: {failures}"))
+                _emit(args, [("failure", profiles.encode_profile(r),
+                              result.render(args.m))])
+    lines += [("descents", len(source), f"descents run: {len(source)}"),
+              ("descent_failures", failures, f"descent failures: {failures}")]
     _emit(args, lines)
     return OK if ok and failures == 0 else VIOLATED
 
@@ -160,7 +155,7 @@ def _cmd_decisive_report(args) -> int:
     except ValueError:
         raise WorkbenchError(f"bad --pair {args.pair!r}; expected e.g. y,z")
     report = decisiveness.minimal_decisive_families(rule, a, b)
-    print(report.render(domain.m))
+    _emit(args, report.rows(domain.m))
     return OK
 
 

@@ -151,7 +151,8 @@ class CnfFormula:
                           self.m, self.domain_size)
 
 
-Model = dict[int, bool]
+# A truth value per variable, indexed by variable; entry 0 is unused.
+Model = list[bool]
 
 _FLUSH = 1 << 12  # entries of encode_base's literal buffer
 _EXPORT_CHUNK = 1 << 16  # literals per write of export_dimacs
@@ -309,7 +310,7 @@ def export_dimacs(f: CnfFormula, out: IO[str] | None = None,
 def import_model(text: str, f: CnfFormula) -> Model:
     """Parse solver ``v``-lines into a variable assignment; a variable
     given with both signs is an error."""
-    model: Model = {}
+    model: list[bool | None] = [False] + [None] * f.num_vars
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line.startswith("v"):
@@ -325,11 +326,13 @@ def import_model(text: str, f: CnfFormula) -> Model:
             var = abs(lit)
             if not 1 <= var <= f.num_vars:
                 raise TextFormatError(f"model literal {lit} out of range")
-            if model.setdefault(var, lit > 0) != (lit > 0):
+            if model[var] is None:
+                model[var] = lit > 0
+            elif model[var] != (lit > 0):
                 raise TextFormatError(
                     f"model gives variable {var} both signs")
-    if len(model) < f.num_vars:
-        missing = f.num_vars - len(model)
+    missing = model.count(None)
+    if missing:
         raise TextFormatError(f"model leaves {missing} variables unassigned")
     return model
 
@@ -350,10 +353,9 @@ def decode_model(model: Model, f: CnfFormula, domain: Domain) -> Rule:
 
 def rule_assignment(rule: Rule, f: CnfFormula) -> Model:
     """The model corresponding to a table rule (for completeness checks)."""
-    model: Model = {}
+    model = [False] * (f.num_vars + 1)
     for i, value in enumerate(rule.table):
-        for a in range(f.m):
-            model[f.var(i, a)] = a == value
+        model[f.var(i, value)] = True
     return model
 
 

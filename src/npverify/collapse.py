@@ -37,19 +37,12 @@ from .profiles import Domain, Profile
 from .rules import Rule
 
 
-@dataclass(frozen=True)
-class SigmaStats:
-    per_voter: tuple[int, ...]
-    total: int
-
-
-def sigma(profile: Profile, a: int, b: int) -> SigmaStats:
+def sigma(profile: Profile, a: int, b: int) -> tuple[int, ...]:
     """Per-voter counts of alternatives strictly between `a` and `b`."""
     if a == b:
         raise InvalidPairError("sigma needs two distinct alternatives")
     rank = orders.rank_table(len(profile[0]))
-    per = tuple(abs(rank[v][a] - rank[v][b]) - 1 for v in profile)
-    return SigmaStats(per, sum(per))
+    return tuple(abs(rank[v][a] - rank[v][b]) - 1 for v in profile)
 
 
 def sigma_total(profile: Profile, a: int, b: int) -> int:

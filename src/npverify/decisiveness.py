@@ -79,16 +79,22 @@ class DecisivenessReport:
         return tuple(Coalition(c) for c in decided
                      if not any(d < c for d in decided))
 
-    def render(self, m: int) -> str:
+    def rows(self, m: int):
+        """`(key, value, sentence)` rows for `cli._emit`: the counts, then
+        one verdict per coalition."""
         letters = orders.letters_for(m)
         a, b = self.pair
         pair = f"{letters[a]}>{letters[b]}"
-        out = [f"pair {pair}: {len(self.decisive)} decisive, "
-               f"{len(self.minimal)} minimal, {len(self.vacuous)} vacuous, "
-               f"monotone={str(self.monotone).lower()}"]
-        for coalition, verdict in self.verdicts:
-            out.append(f"{coalition.render()} {pair} : {verdict}")
-        return "\n".join(out)
+        counts = {"decisive": len(self.decisive),
+                  "minimal": len(self.minimal), "vacuous": len(self.vacuous)}
+        header = ", ".join(f"{count} {key}" for key, count in counts.items())
+        rows = [("pair", pair, f"pair {pair}: {header}, "
+                 f"monotone={str(self.monotone).lower()}")]
+        rows += [(key, count, None) for key, count in counts.items()]
+        rows.append(("monotone", self.monotone, None))
+        rows += [(c.render(), verdict, f"{c.render()} {pair} : {verdict}")
+                 for c, verdict in self.verdicts]
+        return rows
 
 
 def minimal_decisive_families(rule: Rule, a: int,

@@ -91,12 +91,8 @@ class Session:
         """Decide the formula with the literals `assumptions` held true."""
         self._core.assume(assumptions)
         status = self._core.solve()
-        model = None
-        if status:
-            values = self._core.model()
-            model = {var: values[var]
-                     for var in range(1, self.formula.num_vars + 1)}
-        return SolveResult(status=status, model=model,
+        return SolveResult(status=status,
+                           model=self._core.model() if status else None,
                            stats=self._core.stats())
 
 

@@ -357,42 +357,39 @@ class Report:
             return f"skipped({checks[0]})"
         return f"agree {checks.count('agree')}/{len(checks)}"
 
-    def render(self) -> str:
+    def rows(self):
+        """`(key, value, sentence)` rows for `cli._emit`: the eleven keyed
+        facts, and a header sentence, a counter sentence and one sentence
+        per instance of interest."""
         scn = self.scenario
         status = ("ok" if self.expectation_met
                   else "recorded" if self.expectation_met is None
                   else "EXPECTATION VIOLATED")
-        lines = [f"scenario {scn.name} (n={scn.n}, m={scn.m}): "
-                 f"{self.outcome} expected={scn.expected or 'none'} [{status}]"
-                 f" instances={len(self.instances)}"
-                 f" domain={self.domain_size}"
-                 f" time={self.wall_time:.2f}s"
-                 + (" (cached)" if self.cached else "")]
+        header = (f"scenario {scn.name} (n={scn.n}, m={scn.m}): "
+                  f"{self.outcome} expected={scn.expected or 'none'} "
+                  f"[{status}] instances={len(self.instances)}"
+                  f" domain={self.domain_size} time={self.wall_time:.2f}s"
+                  + (" (cached)" if self.cached else ""))
+        rows = [("scenario", scn.name, header), ("n", scn.n, None),
+                ("m", scn.m, None), ("outcome", self.outcome, None),
+                ("expected", scn.expected, None),
+                ("expectation_met", self.expectation_met, None),
+                ("instances", len(self.instances), None),
+                ("domain_size", self.domain_size, None),
+                ("wall_time", round(self.wall_time, 3), None),
+                ("cached", self.cached, None)]
         conflicts = sum(r.stats.get("conflicts", 0) for r in self.instances)
         decisions = sum(r.stats.get("decisions", 0) for r in self.instances)
-        lines.append(f"  conflicts={conflicts} decisions={decisions}")
+        rows.append((None, None,
+                     f"  conflicts={conflicts} decisions={decisions}"))
         for r in self.instances:
             if r.outcome == "SAT" and r.checks.get("oracle") == "ok":
-                lines.append(f"  instance {r.tag}: SAT, witness verified")
+                rows.append((None, None,
+                             f"  instance {r.tag}: SAT, witness verified"))
             elif len(self.instances) <= 8:
-                lines.append(f"  instance {r.tag}: {r.outcome}")
-        lines.append(f"  external={self.external}")
-        return "\n".join(lines)
-
-    def structured(self) -> dict:
-        return {
-            "scenario": self.scenario.name,
-            "n": self.scenario.n,
-            "m": self.scenario.m,
-            "outcome": self.outcome,
-            "expected": self.scenario.expected,
-            "expectation_met": self.expectation_met,
-            "instances": len(self.instances),
-            "domain_size": self.domain_size,
-            "wall_time": round(self.wall_time, 3),
-            "cached": self.cached,
-            "external": self.external,
-        }
+                rows.append((None, None, f"  instance {r.tag}: {r.outcome}"))
+        rows.append(("external", self.external, f"  external={self.external}"))
+        return rows
 
 
 def _verify_witness(instance: Instance, model: cnf.Model,

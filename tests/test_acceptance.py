@@ -202,7 +202,7 @@ def test_criterion_7_property_suites():
     source = verify.np_domain(3, 4)
     wz = collapse.contiguous_domain(source, 0, 1)
     sigma_ok = all(
-        (collapse.sigma(p, 0, 1).total == 0) == (p in wz) for p in source)
+        (sum(collapse.sigma(p, 0, 1)) == 0) == (p in wz) for p in source)
 
     ok = sound and lists_ok and symmetry and sigma_ok
     elapsed = time.monotonic() - start

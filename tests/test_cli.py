@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from npverify import cli, profiles, rules, solver
@@ -120,8 +122,20 @@ def test_collapse_run(capsys):
     (["rule", "check", "--builtin", "constant:y", "--n", "3", "--m", "3"], 0,
      ["rule=constant(y)", "range=y", "dictator=degenerate",
       "strategyproof=True"]),
+    (["scenario", "list"], 0,
+     ["example1_exists=SAT", "gs_np=UNSAT", "lemma4_2=UNSAT",
+      "lemma4_3=UNSAT", "lemma4_4=UNSAT", "lemma4_5=UNSAT",
+      "nrange_full=UNSAT", "nrange_part1=UNSAT", "nrange_part2=UNSAT",
+      "sanity_sat=SAT"]),
+    (["decisive", "report", "--rule", "example1", "--n", "4", "--m", "3",
+      "--pair", "x,y"], 0,
+     ["pair=x>y", "decisive=12", "minimal=3", "vacuous=0", "monotone=True",
+      "{1}=decisive", "{2}=decisive", "{3}=not", "{4}=not"]
+     + [f"{{{c}}}=decisive" for c in ("1,2", "1,3", "1,4", "2,3", "2,4",
+                                       "3,4", "1,2,3", "1,2,4", "1,3,4",
+                                       "2,3,4")]),
 ], ids=["collapse_run", "rule_check", "rule_check_dictator",
-        "rule_check_degenerate"])
+        "rule_check_degenerate", "scenario_list", "decisive_report"])
 def test_structured_values_are_bare(capsys, argv, code, expected):
     """Structured output gives each key its bare value, not the sentence
     that text mode prints."""
@@ -153,15 +167,26 @@ def test_three_voter_paths_run_without_warnings(capsys):
 
 def test_collapse_run_trace_failures(capsys, monkeypatch):
     """No built-in rule fails a descent, so the rule is swapped for one
-    that is not strategy-proof; each failure is printed with its context."""
+    that is not strategy-proof; each failure is printed with its context in
+    text mode, and as its start profile before the summary in structured
+    mode."""
     def not_strategy_proof(name, domain):
         return rules.from_function(
             domain, lambda p: p[0][0] if p[1][0] in (0, 1) else p[1][0],
             label="top unless pair leads")
 
     monkeypatch.setattr(rules, "builtin", not_strategy_proof)
-    code = run(["collapse", "run", "--n", "3", "--m", "4",
-                "--w", "a", "--z", "b", "--trace-failures"])
+    argv = ["collapse", "run", "--n", "3", "--m", "4",
+            "--w", "a", "--z", "b", "--trace-failures"]
+    assert run(["--format", "structured"] + argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0] for line in lines[:254]] == ["failure"] * 254
+    assert "failure=cadb|bdca|abcd" in lines[:254]
+    assert lines[254:] == [
+        "spec=collapse a,b -> z (c->x, d->y)", "disagreements=0", "missing=0",
+        "range=xyz", "full_range=True", "descents=3624",
+        "descent_failures=254"]
+    code = run(argv)
     assert code == 2
     out = capsys.readouterr().out
     assert out.count("FAILED: no case of the descent ladder applies") == 254
@@ -170,6 +195,23 @@ def test_collapse_run_trace_failures(capsys, monkeypatch):
             "FAILED: no case of the descent ladder applies; see the last step\n"
             "context: winner=c sigma=[1, 2, 0] pivot=2 A={d} B={} H=[2] "
             "J=[1, 3] Y={d,c}\n") in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["domain", "enum", "--n", "3", "--m", "4", "--wz", "a", "b"],
+    ["rule", "check", "--builtin", "constant:y", "--n", "3", "--m", "3"],
+    ["scenario", "list"],
+    ["scenario", "run", "nrange_full", "--no-differential"],
+    ["collapse", "run", "--n", "3", "--m", "3", "--w", "x", "--z", "y"],
+    ["decisive", "report", "--rule", "constant:x", "--n", "4", "--m", "3",
+     "--pair", "x,y"],
+], ids=["domain_enum", "rule_check", "scenario_list", "scenario_run",
+        "collapse_run", "decisive_report"])
+def test_structured_lines_are_key_value(capsys, argv):
+    """Structured mode prints nothing but `key=value` lines."""
+    run(["--format", "structured"] + argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(re.fullmatch(r"[^\s=]+=.*", line) for line in lines)
 
 
 def test_decisive_report(capsys):

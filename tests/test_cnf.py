@@ -120,7 +120,7 @@ def test_base_encoding_pinned(np33, np43, np34, star43):
 def test_import_model():
     f = cnf.CnfFormula(clauses=((1, -2),), m=2, domain_size=1)
     model = cnf.import_model("c comment\nv 1 -2 0\ns SATISFIABLE\n", f)
-    assert model == {1: True, 2: False}
+    assert model == [False, True, False]
     with pytest.raises(TextFormatError):
         cnf.import_model("v 1 0\n", f)  # incomplete
     with pytest.raises(TextFormatError):
@@ -131,7 +131,7 @@ def test_import_model():
         cnf.import_model("v 1 -1 -2 0\n", f)
     with pytest.raises(TextFormatError, match="variable 2 both signs"):
         cnf.import_model("v 1 -2\nv 2 0\n", f)  # across lines
-    assert cnf.import_model("v 1 1 -2 0\n", f) == {1: True, 2: False}
+    assert cnf.import_model("v 1 1 -2 0\n", f) == [False, True, False]
 
 
 def test_clause_store_round_trip():

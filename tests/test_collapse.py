@@ -28,13 +28,12 @@ def spec(np34):
 def test_sigma_examples():
     # voter (w, y, z, x): exactly y between w and z
     voter = (A, C, B, D)
-    stats = collapse.sigma((voter,), A, B)
-    assert stats.per_voter == (1,) and stats.total == 1
+    assert collapse.sigma((voter,), A, B) == (1,)
     contiguous = ((A, B, C, D),)
-    assert collapse.sigma(contiguous, A, B).total == 0
+    assert collapse.sigma(contiguous, A, B) == (0,)
     p = ((A, C, B, D), (D, A, C, B), (B, D, C, A))
-    stats = collapse.sigma(p, A, B)
-    assert stats.total == sum(stats.per_voter)
+    assert collapse.sigma(p, A, B) == (1, 1, 2)
+    assert collapse.sigma_total(p, A, B) == 4
     with pytest.raises(InvalidPairError):
         collapse.sigma(p, A, A)
     with pytest.raises(InvalidPairError):
@@ -58,8 +57,7 @@ def test_position_tables_against_brute_force(m):
             above = orders.ranks_above(ordering, a, b)
             assert (rank[ordering][a] < rank[ordering][b]) == above
             assert collapse.sigma_total((ordering,), a, b) == len(interior)
-            assert collapse.sigma((ordering,), a, b).per_voter == (
-                len(interior),)
+            assert collapse.sigma((ordering,), a, b) == (len(interior),)
             for x in range(m):
                 (record,) = ladder._brackets([rank[ordering]], x)
                 assert record == ((a, b) if above else (b, a)) + (
@@ -105,12 +103,12 @@ def test_contiguous_domain(np34):
     wz = collapse.contiguous_domain(np34, A, B)
     assert len(wz) > 0
     for p in wz:
-        assert collapse.sigma(p, A, B).total == 0
+        assert sum(collapse.sigma(p, A, B)) == 0
         assert p in np34
     # sigma zero exactly characterizes membership
     members = set(wz.profiles)
     for p in np34:
-        assert (collapse.sigma(p, A, B).total == 0) == (p in members)
+        assert (sum(collapse.sigma(p, A, B)) == 0) == (p in members)
     # an explicit member: adjacent pair everywhere, no dominated pair
     explicit = ((A, B, C, D), (D, C, B, A), (B, A, D, C))
     assert explicit in wz
@@ -131,7 +129,7 @@ def test_extend_profile_exhaustive(np34, spec):
         assert extensions
         for r in extensions:
             assert r in np34
-            assert collapse.sigma(r, A, B).total == 0
+            assert sum(collapse.sigma(r, A, B)) == 0
             assert collapse.collapse_profile(r, spec) == p
             for voter_r, voter_p in zip(r, p):
                 kept = tuple(a for a in voter_r if a in (C, D))
@@ -233,7 +231,7 @@ def test_descent_golden_digest(np34, spec):
 
 def test_descent_trace_rendering(np34, spec):
     g = rules.dictator(np34, 2)
-    r = next(p for p in np34 if collapse.sigma(p, A, B).total > 1)
+    r = next(p for p in np34 if sum(collapse.sigma(p, A, B)) > 1)
     result = collapse.reduce_to_contiguous(g, r, spec)
     text = result.render(4)
     assert "σ=" in text and "profile=" in text and "move=" in text
@@ -330,7 +328,7 @@ def test_descent_from_a_path_profile_is_its_suffix(np34, spec):
 
 
 def test_collapse_profile_requires_contiguity(np34, spec):
-    r = next(p for p in np34 if collapse.sigma(p, A, B).total > 0)
+    r = next(p for p in np34 if sum(collapse.sigma(p, A, B)) > 0)
     with pytest.raises(MembershipError):
         collapse.collapse_profile(r, spec)
 

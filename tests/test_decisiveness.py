@@ -95,9 +95,10 @@ def test_verdicts_match_brute_force(request, domain):
 def test_report_rendering(np33):
     g = rules.constant(np33, X)
     report = decisiveness.minimal_decisive_families(g, X, Y)
-    text = report.render(np33.m)
-    assert "{1} x>y : decisive" in text
-    assert "monotone=true" in text
+    rows = report.rows(np33.m)
+    assert ("{1}", "decisive", "{1} x>y : decisive") in rows
+    assert "monotone=true" in rows[0][2]
+    assert ("monotone", True, None) in rows
 
 
 def test_coalition_cap():

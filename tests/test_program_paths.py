@@ -4,9 +4,10 @@ A top-level function or class of a package module, or a public method or
 property of such a class, counts as reached when `src/npverify` or
 `perfbench` names it outside its own definition: as a variable, as an
 attribute, or as an identifier string (the names `perfbench/spans.py`
-binds by string).  The tests do not count.  A definition that nothing
-names is dead code: give it a program path, or delete it with the tests
-that check only it.
+binds by string).  The tests do not count, and neither does a name
+used inside a definition that is itself unreached or allowed.  A
+definition that nothing names is dead code: give it a program path, or
+delete it with the tests that check only it.
 
 A field of a dataclass or NamedTuple counts as read when `src/npverify`
 or `perfbench` names it as an attribute or as an identifier string
@@ -34,15 +35,17 @@ ALLOWED = {
         "waits on scenario models (ROADMAP item 9)",
     "strategyproof.forced_value_propagation":
         "waits on propagation-seeded encodings (ROADMAP item 4)",
+    "strategyproof.PropagationResult":
+        "built only by forced_value_propagation (ROADMAP item 4)",
     "strategyproof.PropagationResult.forced":
         "waits on propagation-seeded encodings (ROADMAP item 4)",
+    "solver.Session.add_clause":
+        "reached only from verify.enumerate_models (ROADMAP item 9)",
+    "satcore.Solver.add_clause":
+        "reached only from verify.enumerate_models (ROADMAP item 9)",
 }
 
 ALLOWED_FIELDS = {
-    "collapse.SigmaStats.per_voter":
-        "perfbench binds collapse.sigma by name",
-    "collapse.SigmaStats.total":
-        "perfbench binds collapse.sigma by name",
     "strategyproof.PropagationResult.contradiction":
         "waits on propagation-seeded encodings (ROADMAP item 4)",
 }
@@ -106,20 +109,32 @@ def _trees(root: Path):
 
 
 def unreached(root: Path = ROOT) -> dict[str, bool]:
-    """Each unreferenced definition, mapped to whether it is allowed."""
+    """Each unreferenced definition, mapped to whether it is allowed.  A
+    reference made inside an allowed or an unreferenced definition does
+    not count, so this is a fixed point: dropping those references can
+    leave more definitions unreferenced."""
     package, trees = _trees(root)
-    seen: dict[str, list[tuple[Path, int]]] = {}
-    for path, tree in trees.items():
-        for name, line in _references(tree):
-            seen.setdefault(name, []).append((path, line))
-    found = {}
-    for path in package:
-        for qualname, name, first, last in _definitions(path.stem,
-                                                        trees[path]):
-            if not any(where != path or not first <= line <= last
-                       for where, line in seen.get(name, ())):
-                found[qualname] = qualname in ALLOWED
-    return found
+    definitions = [(path, *definition) for path in package
+                   for definition in _definitions(path.stem, trees[path])]
+    references = [(path, name, line) for path, tree in trees.items()
+                  for name, line in _references(tree)]
+    found: dict[str, bool] = {}
+    while True:
+        dead = [(path, first, last)
+                for path, qualname, _, first, last in definitions
+                if qualname in found]
+        seen: dict[str, list[tuple[Path, int]]] = {}
+        for path, name, line in references:
+            if not any(where == path and first <= line <= last
+                       for where, first, last in dead):
+                seen.setdefault(name, []).append((path, line))
+        now = {qualname: qualname in ALLOWED
+               for path, qualname, name, first, last in definitions
+               if not any(where != path or not first <= line <= last
+                          for where, line in seen.get(name, ()))}
+        if now == found:
+            return found
+        found = now
 
 
 def unread_fields(root: Path = ROOT) -> dict[str, bool]:

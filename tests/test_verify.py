@@ -96,11 +96,21 @@ def test_scenario_registry():
         verify.scenario("nope")
 
 
+def _sentences(report):
+    """The lines that text mode prints for `report`."""
+    return [sentence for _, _, sentence in report.rows() if sentence]
+
+
+def _keyed(report):
+    """The values that structured mode prints for `report`, by key."""
+    return {key: value for key, value, _ in report.rows() if key}
+
+
 def test_small_scenarios_meet_expectations():
     for name in ("sanity_sat", "gs_np", "nrange_part1", "nrange_full",
                  "nrange_part2", "lemma4_4", "lemma4_5"):
         report = verify.run_scenario(name, differential=False)
-        assert report.expectation_met, report.render()
+        assert report.expectation_met, _sentences(report)
 
 
 def test_sat_witness_is_cross_checked(np33):
@@ -413,20 +423,18 @@ def test_cached_report_renders_the_fresh_instance_lines(tmp_path):
                                          cache_dir=str(tmp_path))
                      for _ in range(2))
     assert not fresh.cached and cached.cached
-    lines = fresh.render().splitlines()
+    lines = _sentences(fresh)
     assert "  instance full-range: SAT, witness verified" in lines
-    assert cached.render().splitlines()[1:] == lines[1:]
+    assert _sentences(cached)[1:] == lines[1:]
     assert [r.checks for r in cached.instances] == [
         {"oracle": "ok", "external": "not requested"}]
 
 
 def _masked(report):
-    """The text and structured forms of `report`, with the time and the
-    cache marker masked."""
-    text = re.sub(r"time=\S+", "time=*", report.render())
-    data = report.structured()
-    del data["wall_time"], data["cached"]
-    return text.replace(" (cached)", ""), data
+    """The rows of `report` without the time and the cache marker."""
+    return [(key, value, sentence and re.sub(r" time=.*", "", sentence))
+            for key, value, sentence in report.rows()
+            if key not in ("wall_time", "cached")]
 
 
 @pytest.mark.parametrize("name", sorted(verify._CATALOGUE))
@@ -451,7 +459,7 @@ def test_cached_verdict_is_read_from_the_cached_records(tmp_path):
                                  cache_dir=str(tmp_path))
     assert report.cached
     assert report.outcome == "MIXED" and report.expectation_met is False
-    assert "  instance never-y-on-star: SAT" in report.render().splitlines()
+    assert "  instance never-y-on-star: SAT" in _sentences(report)
 
 
 PACKAGE = Path(verify.__file__).resolve().parent
@@ -677,22 +685,22 @@ def test_cache_hit_never_skips_the_export(tmp_path, capsys):
 def test_report_names_external_check(monkeypatch, external_solver):
     off = verify.run_scenario("sanity_sat", differential=False)
     assert off.external == "skipped(not requested)"
-    assert "external=skipped(not requested)" in off.render()
+    assert "  external=skipped(not requested)" in _sentences(off)
     with monkeypatch.context() as patched:
         patched.setattr(solver, "find_external_solver", lambda: None)
         missing = verify.run_scenario("sanity_sat")
-    assert missing.structured()["external"] == "skipped(not found)"
-    assert "external=skipped(not found)" in missing.render()
+    assert _keyed(missing)["external"] == "skipped(not found)"
+    assert "  external=skipped(not found)" in _sentences(missing)
     if external_solver is None:
         pytest.skip("no external solver")
     checked = verify.run_scenario("nrange_full", differential=True)
-    assert checked.structured()["external"] == "agree 3/3"
-    assert "external=agree 3/3" in checked.render()
+    assert _keyed(checked)["external"] == "agree 3/3"
+    assert "  external=agree 3/3" in _sentences(checked)
 
 
 def test_report_structured_keys():
     report = verify.run_scenario("sanity_sat", differential=False)
-    data = report.structured()
+    data = _keyed(report)
     assert data["scenario"] == "sanity_sat"
     assert data["outcome"] == "SAT"
     assert data["expectation_met"] is True
