@@ -15,12 +15,21 @@ binary clause (NP(4, 3)'s base retains 0.44 MB instead of 4.39 MB under
 tracemalloc).  `len()` is the clause count and iteration yields each
 clause as a tuple; `satcore` reads the arrays themselves.
 
+The encoded base is the one store that starts without its array.
+`encode_base` returns the `BaseWalk` of the encoding, which yields each
+profile's exactly-one group and each variant pair's clause template, and
+two writers read it: `satcore` writes the clauses straight into the
+solver index of the base, and `_write_dimacs` writes the array, only when
+something reads the literals (export, the external check, iteration,
+``==``).  A run that only solves never builds the array, and no index
+parses it back.
+
 Scenario clauses are layered on the base, not copied with it: a store
 may sit on a plain `base` store, and its clauses are then those of the
 base followed by its own.  `CnfFormula.extended` on a plain formula makes
 the plain store the base of the result; on a layered one it copies only
 the clauses above the base.  So every scenario formula of one domain
-shares the one encoded base, `satcore` loads that base once into a
+shares the one encoded base, `satcore` writes that base once into a
 read-only index for every session opened on it (`solver.Session`), and
 `export_dimacs` writes the base, then the clauses above it, then one unit
 per assumption, straight to the handle.
@@ -52,18 +61,25 @@ class ClauseStore:
     `lits`.  A store with a `base` (a plain store, shared and never
     copied) holds the clauses of `base` first, then those of `lits`.
     `index` is left to `solver`, which keeps the core's read-only load of
-    a plain store there, so it lives exactly as long as the store."""
+    a plain store there, so it lives exactly as long as the store.
 
-    __slots__ = ("lits", "count", "base", "index")
+    The store of `encode_base` holds the `walk` of a base encoding
+    instead: the walk writes its `lits` on first read, and `satcore`
+    writes its index from the walk, never from `lits`.  Its count is
+    known once `lits` is written; before that, `count` walks the encoding
+    without writing it."""
+
+    __slots__ = ("_lits", "_count", "base", "index", "walk")
 
     def __init__(self, lits: array, count: int,
                  base: "ClauseStore | None" = None):
         if base is not None and base.base is not None:
             raise ValueError("a store's base must be a plain store")
-        self.lits = lits
-        self.count = count
+        self._lits = lits
+        self._count = count
         self.base = base
         self.index = None
+        self.walk = None
 
     @classmethod
     def of(cls, clauses: Iterable[Sequence[int]]) -> "ClauseStore":
@@ -82,6 +98,18 @@ class ClauseStore:
             lits.append(0)
             count += 1
         return cls(lits, count)
+
+    @property
+    def lits(self) -> array:
+        if self._lits is None:
+            self._lits, self._count = _write_dimacs(self.walk)
+        return self._lits
+
+    @property
+    def count(self) -> int:
+        if self._count is None:
+            self._count = self.walk.count()
+        return self._count
 
     def layers(self) -> tuple[array, ...]:
         """The literal arrays in clause order: the base's, then this
@@ -154,21 +182,94 @@ class CnfFormula:
 # A truth value per variable, indexed by variable; entry 0 is unused.
 Model = list[bool]
 
-_FLUSH = 1 << 12  # entries of encode_base's literal buffer
+_FLUSH = 1 << 12  # entries of _write_dimacs's literal buffer
 _EXPORT_CHUNK = 1 << 16  # literals per write of export_dimacs
 
 
 def encode_base(domain: Domain) -> CnfFormula:
     """Exactly-one per profile plus both directions of the
-    strategy-proofness constraint for every h-variant pair."""
-    m = domain.m
+    strategy-proofness constraint for every h-variant pair, as the walk
+    of the encoding: nothing is written until a session or a reader of
+    the literals needs it."""
+    store = ClauseStore(None, None)
+    store.walk = BaseWalk(domain)
+    return CnfFormula(store, domain.m, len(domain))
+
+
+class BaseWalk:
+    """The base encoding of `domain`, walked once per writer: `satcore`
+    writes it into a solver index, `_write_dimacs` into a literal array,
+    and both write the same clauses in the same order.
+
+    Profile i's variables are base + 0 .. base + m - 1, for base =
+    i * m + 1 in `groups`; its clauses are the group itself (at least
+    one) and, for each (a, b) of `alt_pairs`, -(base + a) -(base + b)
+    (at most one).  After every group, `pairs()` yields each variant
+    pair's clauses as a template: see there."""
+
+    __slots__ = ("domain", "m", "groups", "alt_pairs")
+
+    def __init__(self, domain: Domain):
+        self.domain = domain
+        self.m = m = domain.m
+        self.groups = range(1, len(domain) * m + 1, m)
+        self.alt_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+
+    def pairs(self):
+        """Yield (i, j, forward, backward) per h-variant pair of profiles
+        i and j, in `profiles.variant_pairs` order.  With neg_i = -(i * m
+        + 1) and neg_j likewise, the pair's clauses are neg_i - a, neg_j -
+        b for each (a, b) of `forward`, then neg_j - a, neg_i - b for each
+        (a, b) of `backward`.  One item per pair, not per clause: the
+        writers inline the loop over a template."""
+        m = self.m
+        # A pair's clauses depend only on the deviating voter's two
+        # orderings; each side's template is a list of (a, b) offsets:
+        # "this side picks a while the other picks b" is forbidden.
+        templates: dict[tuple[Ordering, Ordering], tuple[list, list]] = {}
+
+        def template(p: Ordering, q: Ordering) -> tuple[list, list]:
+            rank_p = orders.rank_table(m)[p]
+            sides = []
+            for ordering, from_j in ((p, False), (q, True)):
+                # voter would deviate from this side to the other to
+                # trade a for b
+                offsets = []
+                for pos_b in range(m):
+                    for pos_a in range(pos_b + 1, m):
+                        a, b = ordering[pos_a], ordering[pos_b]
+                        # from j to i, this repeats the i-to-j clause for
+                        # (b, a) exactly when p ranks a above b
+                        if not from_j or rank_p[b] < rank_p[a]:
+                            offsets.append((a, b))
+                sides.append(offsets)
+            templates[p, q] = tuple(sides)
+            return templates[p, q]
+
+        # No clause recurs across pairs: its two variables name the pair.
+        members = self.domain.profiles
+        for i, j, voter in profiles.variant_pairs(self.domain):
+            p, q = members[i][voter], members[j][voter]
+            forward, backward = templates.get((p, q)) or template(p, q)
+            yield i, j, forward, backward
+
+    def count(self) -> int:
+        """The number of clauses, walked without writing them."""
+        return len(self.groups) * (1 + len(self.alt_pairs)) + sum(
+            len(forward) + len(backward)
+            for _, _, forward, backward in self.pairs())
+
+
+def _write_dimacs(walk: BaseWalk) -> tuple[array, int]:
+    """The DIMACS writer: the clauses of `walk` as a literal array, and
+    their count."""
+    m = walk.m
+    alt_pairs = walk.alt_pairs
     lits = array("i")
     # Literals gather in `buf` and move to `lits` whenever it passes
     # _FLUSH entries, so they never sit in a list the size of the formula.
     buf: list[int] = []
-    # Profile i's variables are base + 0 .. base + m - 1, base = i * m + 1.
-    alt_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    for base in range(1, len(domain) * m + 1, m):
+    for base in walk.groups:
         buf.extend(range(base, base + m))
         buf.append(0)
         for a, b in alt_pairs:
@@ -176,35 +277,8 @@ def encode_base(domain: Domain) -> CnfFormula:
         if len(buf) > _FLUSH:
             lits.fromlist(buf)
             buf.clear()
-    count = len(domain) * (1 + len(alt_pairs))
-
-    # A pair's clauses depend only on the deviating voter's two orderings;
-    # each side's template is a list of (a, b) offsets: "this side picks a
-    # while the other picks b" is forbidden.
-    templates: dict[tuple[Ordering, Ordering], tuple[list, list]] = {}
-
-    def template(p: Ordering, q: Ordering) -> tuple[list, list]:
-        rank_p = orders.rank_table(m)[p]
-        sides = []
-        for ordering, from_j in ((p, False), (q, True)):
-            # voter would deviate from this side to the other to trade a for b
-            offsets = []
-            for pos_b in range(m):
-                for pos_a in range(pos_b + 1, m):
-                    a, b = ordering[pos_a], ordering[pos_b]
-                    # from j to i, this repeats the i-to-j clause for (b, a)
-                    # exactly when p ranks a above b
-                    if not from_j or rank_p[b] < rank_p[a]:
-                        offsets.append((a, b))
-            sides.append(offsets)
-        templates[p, q] = tuple(sides)
-        return templates[p, q]
-
-    # No clause recurs across pairs: its two variables name the pair.
-    members = domain.profiles
-    for i, j, voter in profiles.variant_pairs(domain):
-        p, q = members[i][voter], members[j][voter]
-        forward, backward = templates.get((p, q)) or template(p, q)
+    count = len(walk.groups) * (1 + len(alt_pairs))
+    for i, j, forward, backward in walk.pairs():
         neg_i, neg_j = -(i * m + 1), -(j * m + 1)
         for a, b in forward:
             buf += (neg_i - a, neg_j - b, 0)
@@ -215,7 +289,7 @@ def encode_base(domain: Domain) -> CnfFormula:
             lits.fromlist(buf)
             buf.clear()
     lits.fromlist(buf)
-    return CnfFormula(ClauseStore(lits, count), m, len(domain))
+    return lits, count
 
 
 # -- scenario constraints -------------------------------------------------
@@ -298,8 +372,11 @@ def export_dimacs(f: CnfFormula, out: IO[str] | None = None,
         text = io.StringIO()
         export_dimacs(f, text, assumptions)
         return text.getvalue()
+    # The layers first: writing an encoded base's literals also counts
+    # them, so the header needs no walk of its own.
+    layers = f.clauses.layers()
     out.write(f"p cnf {f.num_vars} {len(f.clauses) + len(assumptions)}\n")
-    for lits in f.clauses.layers():
+    for lits in layers:
         for start in range(0, len(lits), _EXPORT_CHUNK):
             out.write("".join([f"{lit} " if lit else "0\n"
                                for lit in lits[start:start + _EXPORT_CHUNK]]))

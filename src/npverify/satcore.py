@@ -16,7 +16,8 @@ One solver answers many questions about one formula.  `assume(lits)` sets
 the assumptions (DIMACS literals) of the next `solve()`, which places them
 as pseudo-decisions at levels 1..k before searching; they are not counted
 as decisions.  When an assumption is found false, `solve()` returns False
-and `failed()` names a subset of the assumptions that the formula refutes.
+and `failed()` names a subset of the assumptions that the formula refutes,
+analysed from the trail only when it is asked for.
 Learned clauses and level-0 facts carry over from call to call, and
 `add_clause` adds a clause between calls; a conflict at level 0 makes the
 solver unsatisfiable for good.  `stats()` and the conflict cap cover the
@@ -46,15 +47,20 @@ an index: it copies the value table and trail, shares the literal table,
 copies only the outer list of `binaries`, and replaces an inner list with
 a copy the first time it appends to it.  It copies each long clause (one
 per profile in an NP encoding), as watching reorders its literals.  Then
-it loads its own clauses through the one clause-add path, which reads a
-`cnf.ClauseStore` layer by layer, three entries at a time: a binary
-clause with its 0 fills a triple and goes straight into the implication
-lists, and any other clause takes the general path, which reads on to
-its 0 and so realigns the triples.  A base is loaded once, into an index
-that keeps no search state and is read-only from then on, and every
-session on that base opens its solver on it.  Every list holds the
-base's entries first, in load order, then the solver's own, so the
-search is that of one load of the base followed by the solver's clauses.
+it loads its own clauses, a `cnf.ClauseStore`, in one of two ways.  The
+encoded base of a domain is written from the walk of its encoding
+(`cnf.BaseWalk`) by `_write`: each profile's exactly-one group, then the
+clauses of each variant pair, two list appends a clause, with no DIMACS
+array in between.  Any other store is read from its literal arrays by
+`_load`, three entries at a time: a binary clause with its 0 fills a
+triple and goes straight into the implication lists, and any other clause
+takes the general path, which reads on to its 0 and so realigns the
+triples.  Both give the lists of one load of the base's DIMACS array.  A
+base is written once, into an index that keeps no search state and is
+read-only from then on, and every session on that base opens its solver
+on it.  Every list holds the base's entries first, in load order, then
+the solver's own, so the search is that of one load of the base followed
+by the solver's clauses.
 
 Only a watched literal has a watch list: ``watches[p]`` is None until a
 long clause first watches ``p``, as MiniSat's scheme needs lists only
@@ -145,11 +151,63 @@ class BaseIndex:
                 self._store(clause[:])
 
     def _load_store(self, clauses) -> bool:
-        """Load `clauses`, a `cnf.ClauseStore` (each of its layers in
-        turn) or any other sequence of clauses, made a store first."""
+        """Load `clauses`, a `cnf.ClauseStore` or any other sequence of
+        clauses, made a store first: written from the walk of an encoded
+        base, else read from each literal array in turn."""
         if not isinstance(clauses, ClauseStore):
             clauses = ClauseStore.of(clauses)
+        if clauses.walk is not None:
+            return self._write(clauses.walk)
         return all(self._load(lits) for lits in clauses.layers())
+
+    def _write(self, walk) -> bool:
+        """The index writer: the clauses of the base encoding `walk`,
+        written straight into the lists in the order the DIMACS writer
+        gives them, so the lists are those `_load` builds from its array.
+        A profile's exactly-one group makes the implication list of each
+        of its negative literals this core's own (when m > 1), so a
+        variant pair's clauses append to those lists without a check."""
+        lits = self.lits
+        binaries = self.binaries
+        shared = self._shared
+        m = walk.m
+        alt_pairs = walk.alt_pairs
+        # negs[i][a]: the encoded literal -(i * m + a + 1); imps[i][a]: its
+        # implication list.
+        negs = []
+        imps = []
+        for base in walk.groups:
+            if m > 1:
+                self._store([lits[v] for v in range(base, base + m)])
+            elif not self._enqueue(lits[base], UNDEF):
+                return False
+            row = [lits[-v] for v in range(base, base + m)]
+            for a, b in alt_pairs:
+                x = row[a]
+                y = row[b]
+                # Inlined `_own`: a copy before the first append.
+                into = binaries[x]
+                if into is shared[x]:
+                    into = binaries[x] = into[:]
+                into.append(y)
+                into = binaries[y]
+                if into is shared[y]:
+                    into = binaries[y] = into[:]
+                into.append(x)
+            negs.append(row)
+            imps.append([binaries[x] for x in row])
+        for i, j, forward, backward in walk.pairs():
+            neg_i = negs[i]
+            neg_j = negs[j]
+            imp_i = imps[i]
+            imp_j = imps[j]
+            for a, b in forward:
+                imp_i[a].append(neg_j[b])
+                imp_j[b].append(neg_i[a])
+            for a, b in backward:
+                imp_j[a].append(neg_i[b])
+                imp_i[b].append(neg_j[a])
+        return True
 
     def _load(self, flat) -> bool:
         """Load a store's zero-terminated literals, three entries at a
@@ -275,7 +333,9 @@ class Solver(BaseIndex):
         self.propagations = 0
         self.learned = 0
         self._assumptions: list[int] = []
-        self._failed: list[int] = []
+        # The assumption the last solve() found false, if any; read by
+        # failed() until the next solve() or add_clause().
+        self._refuted = None
         self._seen = [False] * (num_vars + 1)
         self.ok = self.ok and self._load_store(clauses)
 
@@ -300,6 +360,7 @@ class Solver(BaseIndex):
         again, so a clause watching one of them would never fire."""
         if not self.ok:
             return
+        self._refuted = None
         if self.trail_lim:
             self._backjump(0)
         values = self.values
@@ -318,10 +379,14 @@ class Solver(BaseIndex):
         self._assumptions = [self._encode(lit) for lit in lits]
 
     def failed(self) -> list[int]:
-        """After `solve()` returned False: the assumptions (DIMACS
-        literals) that the formula refutes together; empty when the
-        formula is unsatisfiable on its own."""
-        return list(self._failed)
+        """After `solve()` returned False, and before the next `solve()`
+        or `add_clause()`: the assumptions (DIMACS literals) that the
+        formula refutes together; empty when the formula is unsatisfiable
+        on its own.  Analysed on request from the trail that `solve()`
+        left, so a sweep that never asks pays nothing for it."""
+        if self._refuted is None:
+            return []
+        return self._analyze_final(self._refuted)
 
     # -- search ----------------------------------------------------------
 
@@ -507,7 +572,7 @@ class Solver(BaseIndex):
         assumptions, self._assumptions = self._assumptions, []
         self.decisions = self.conflicts = 0
         self.propagations = self.learned = 0
-        self._failed = []
+        self._refuted = None
         if not self.ok:
             return False
         if self.trail_lim:
@@ -530,7 +595,7 @@ class Solver(BaseIndex):
             if level < len(assumptions):
                 lit = assumptions[level]
                 if self.values[lit] == 0:
-                    self._failed = self._analyze_final(lit)
+                    self._refuted = lit
                     return False
                 # An assumption already true opens an empty level.
                 self.trail_lim.append(len(self.trail))

@@ -8,11 +8,12 @@ The lemma sweeps answer all their instances on one session this way, and
 own call only.
 
 A formula's clauses are a base store with the scenario clauses layered on
-top (`cnf.ClauseStore`).  The base is loaded once, into a read-only
-`satcore.BaseIndex` kept on the base store itself, so it lives exactly as
-long as the store; every session on that base opens its core on the shared
-index, copy-on-write, and loads only the clauses above the base, through
-the same clause-add path that built the index.
+top (`cnf.ClauseStore`).  The first session on a base builds its
+read-only `satcore.BaseIndex`, written straight from the walk of the
+encoding with no DIMACS array in between, and keeps it on the base store
+itself, so it lives exactly as long as the store; every session on that
+base opens its core on the shared index, copy-on-write, and loads only
+the clauses above the base.
 
 For differential acceptance an independent external solver can re-check
 exported DIMACS files.  Any binary speaking the conventional interface

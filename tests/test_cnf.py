@@ -183,9 +183,10 @@ def test_export_to_a_handle_matches_the_text(base33, tmp_path):
 
 
 def test_store_memory(np43):
-    """The NP(4, 3) base is one flat literal array: it retains under 1 MB
-    (a tuple per clause retains 4.4 MB), and adding scenario clauses
-    layers them on the base, copying neither."""
+    """Encoding the NP(4, 3) base retains under 1 MB, as it writes no
+    clause until a session or a reader of its literals asks (its literal
+    array is 0.44 MB, where a tuple per clause retains 4.4 MB), and
+    adding scenario clauses layers them on the base, copying neither."""
     cnf.encode_base(np43)  # warm the per-m tables
     star = verify.np_star_indices(4, 3)
     tracemalloc.start()

@@ -1,11 +1,12 @@
 import bisect
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from npverify import cnf, satcore, solver, verify
+from npverify import cnf, profiles, satcore, solver, verify
 from npverify.errors import (
     ContractError,
     ExternalSolverError,
@@ -364,6 +365,22 @@ def test_sessions_on_one_index_leave_it_and_each_other_alone():
     assert got.stats["conflicts"] > 0
 
 
+def test_index_writer_equals_a_load_of_the_dimacs_array(np33, np43, np34,
+                                                       star43):
+    """The index that the walk writes equals the one that `_load` reads
+    from the DIMACS writer's array, on the pinned bases, NP(5, 3), and
+    NP(3, 2) and NP(2, 1), whose exactly-one groups are a binary clause
+    and a unit."""
+    for domain in (np33, np43, np34, star43, profiles.enumerate_np(5, 3),
+                   profiles.enumerate_np(3, 2), profiles.enumerate_np(2, 1)):
+        base = cnf.encode_base(domain)
+        written = satcore.BaseIndex(base.num_vars, base.clauses)
+        loaded = satcore.BaseIndex(base.num_vars, cnf.ClauseStore(
+            base.clauses.lits, base.clauses.count))
+        assert index_state(written) == index_state(loaded)
+        assert written.lits == loaded.lits
+
+
 def core_state(core):
     return (core.binaries, core.clauses, core.watches, core.trail,
             core.values, core.ok)
@@ -485,6 +502,32 @@ def test_learned_binary_clause_as_a_reason_in_analyze_final():
     assert core.solve() is False
     assert core.reason[2] == satcore.BINARY - core._encode(-1)
     assert sorted(core.failed()) == [1, 2]
+
+
+# SHA-256 of the refuted assumptions of every instance of the lemma4_3
+# sweep and the lemma4_4 and lemma4_5 families at n = 4, in order, as
+# `solve()` computed them when it analysed every refuted assumption.
+_EAGER_CORES = ("a0864bca398f4b5d4b7594e7685325da"
+                "5e8927b5cbec9874f66898b305774d0f")
+
+
+def test_failed_names_the_eagerly_computed_assumptions():
+    """`failed()` analyses the refuted assumption only when asked, from
+    the trail that `solve()` left: on each of the 531 sweep instances it
+    names the assumptions that the eager analysis named, asked twice."""
+    cores = []
+    for name in ("lemma4_3", "lemma4_4", "lemma4_5"):
+        instances = verify.scenario(name, 4).instances()
+        session = solver.Session(instances[0].base)
+        for instance in instances:
+            assert instance.base is session.formula
+            assert not session.solve(instance.assumptions).status
+            core = session._core.failed()
+            assert core and set(core) <= set(instance.assumptions)
+            assert session._core.failed() == core
+            cores.append(tuple(core))
+    assert len(cores) == 531
+    assert hashlib.sha256(repr(cores).encode()).hexdigest() == _EAGER_CORES
 
 
 def test_unsat_stable_across_seeds():

@@ -344,6 +344,28 @@ def test_each_base_is_loaded_once(monkeypatch):
     assert all(index is built[0] for index in opened)
 
 
+def test_a_plain_run_writes_no_dimacs_array(monkeypatch):
+    """lemma4_3 with no external check opens its session on the index
+    that the walk of the base wrote: the base's DIMACS array is written
+    only by a later export, which still gives the pinned text."""
+    written = []
+    write = cnf._write_dimacs
+
+    def counted(walk):
+        written.append(walk)
+        return write(walk)
+
+    monkeypatch.setattr(cnf, "_write_dimacs", counted)
+    _reset_caches()
+    assert verify.run_scenario("lemma4_3",
+                               differential=False).expectation_met
+    base = verify._encoded_base(4, 3)
+    assert base.clauses.index is not None and written == []
+    text = cnf.export_dimacs(base)
+    assert written == [base.clauses.walk]
+    assert _sha256(text).startswith("f3422dfdc596567c")
+
+
 # SHA-256 of `export_dimacs(with_units(instance))` before the export wrote
 # the layers of an instance in turn: the text must not change.
 _EXPORTS = {
