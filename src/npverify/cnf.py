@@ -13,7 +13,8 @@ clause arena (Een & Sorensson, "An Extensible SAT-solver", SAT 2003).  It
 costs 4 bytes a literal where a tuple per clause cost about 130 bytes a
 binary clause (NP(4, 3)'s base retains 0.44 MB instead of 4.39 MB under
 tracemalloc).  `len()` is the clause count and iteration yields each
-clause as a tuple; `satcore` reads the arrays themselves.
+clause as a tuple, which is how `satcore` reads every store but the
+encoded base.
 
 The encoded base is the one store that starts without its array.
 `encode_base` returns the `BaseWalk` of the encoding, which yields each

@@ -47,20 +47,21 @@ an index: it copies the value table and trail, shares the literal table,
 copies only the outer list of `binaries`, and replaces an inner list with
 a copy the first time it appends to it.  It copies each long clause (one
 per profile in an NP encoding), as watching reorders its literals.  Then
-it loads its own clauses, a `cnf.ClauseStore`, in one of two ways.  The
-encoded base of a domain is written from the walk of its encoding
-(`cnf.BaseWalk`) by `_write`: each profile's exactly-one group, then the
-clauses of each variant pair, two list appends a clause, with no DIMACS
-array in between.  Any other store is read from its literal arrays by
-`_load`, three entries at a time: a binary clause with its 0 fills a
-triple and goes straight into the implication lists, and any other clause
-takes the general path, which reads on to its 0 and so realigns the
-triples.  Both give the lists of one load of the base's DIMACS array.  A
-base is written once, into an index that keeps no search state and is
-read-only from then on, and every session on that base opens its solver
-on it.  Every list holds the base's entries first, in load order, then
-the solver's own, so the search is that of one load of the base followed
-by the solver's clauses.
+it loads its own clauses in one of two ways.  The encoded base of a
+domain is written from the walk of its encoding (`cnf.BaseWalk`) by
+`_write`: each profile's exactly-one group, then the clauses of each
+variant pair, two list appends a clause, with no DIMACS array in
+between.  Every other clause (a scenario layer holds only units and
+clauses over a whole index set, and tests build clause lists) goes
+through `_add_clause` one at a time, as a clause that `add_clause` adds
+between calls does: it drops repeated literals and tautologies and files
+the clause by its length.  Both give the lists of one load of the base's
+DIMACS array, clause by clause.  A base is written once, into an index
+that keeps no search state and is read-only from then on, and every
+session on that base opens its solver on it.  Every list holds the
+base's entries first, in load order, then the solver's own, so the
+search is that of one load of the base followed by the solver's
+clauses.
 
 Only a watched literal has a watch list: ``watches[p]`` is None until a
 long clause first watches ``p``, as MiniSat's scheme needs lists only
@@ -81,9 +82,8 @@ pinned by the search digest in `tests/test_verify.py`.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+import random
 
-from .cnf import ClauseStore
 from .errors import SolverCapError
 
 UNDEF = -1
@@ -97,9 +97,8 @@ class BaseIndex:
     trail, and `ok`.  Built on its own, it is the read-only index of one
     base that every `Solver` on it shares."""
 
-    def __init__(self, num_vars: int, clauses=(),
-                 base: BaseIndex | None = None):
-        self._open(num_vars, base)
+    def __init__(self, num_vars: int, clauses):
+        self._open(num_vars, None)
         self.ok = self.ok and self._load_store(clauses)
         # Only a search reads or appends to these after the load.
         del self.level, self.reason, self.trail_lim, self._shared
@@ -151,19 +150,20 @@ class BaseIndex:
                 self._store(clause[:])
 
     def _load_store(self, clauses) -> bool:
-        """Load `clauses`, a `cnf.ClauseStore` or any other sequence of
-        clauses, made a store first: written from the walk of an encoded
-        base, else read from each literal array in turn."""
-        if not isinstance(clauses, ClauseStore):
-            clauses = ClauseStore.of(clauses)
-        if clauses.walk is not None:
-            return self._write(clauses.walk)
-        return all(self._load(lits) for lits in clauses.layers())
+        """Load `clauses`: the store of an encoded base is written from
+        its walk; any other store or sequence of clauses goes through
+        `_add_clause` clause by clause.  Returns False when a clause is
+        empty or contradicts the units before it, and loads no further."""
+        walk = getattr(clauses, "walk", None)
+        if walk is not None:
+            return self._write(walk)
+        return all(map(self._add_clause, clauses))
 
     def _write(self, walk) -> bool:
         """The index writer: the clauses of the base encoding `walk`,
         written straight into the lists in the order the DIMACS writer
-        gives them, so the lists are those `_load` builds from its array.
+        gives them, so the lists are those that `_add_clause` builds from
+        its array clause by clause.
         A profile's exactly-one group makes the implication list of each
         of its negative literals this core's own (when m > 1), so a
         variant pair's clauses append to those lists without a check."""
@@ -207,58 +207,6 @@ class BaseIndex:
             for a, b in backward:
                 imp_j[a].append(neg_i[b])
                 imp_i[b].append(neg_j[a])
-        return True
-
-    def _load(self, flat) -> bool:
-        """Load a store's zero-terminated literals, three entries at a
-        time: a binary clause (two literals and its 0) goes straight into
-        the implication lists, and any other clause, from the first entry
-        of the three on, through `_add_clause`.  Returns False when a
-        clause is empty or contradicts the units before it."""
-        lits = self.lits
-        binaries = self.binaries
-        shared = self._shared
-        it = iter(flat)
-        # zip_longest pads the last triple with None past the final 0.
-        for x, y, z in zip_longest(it, it, it):
-            if not z:
-                try:
-                    a = lits[x]
-                    b = lits[y]
-                except KeyError:  # a 0, None or an out-of-range literal
-                    a = 0
-                if a:
-                    if a == b:
-                        if not self._enqueue(a, UNDEF):
-                            return False
-                    elif a != b ^ 1:  # a tautology is dropped
-                        # Inlined `_own`: a copy before the first append.
-                        into = binaries[a]
-                        if into is shared[a]:
-                            into = binaries[a] = into[:]
-                        into.append(b)
-                        into = binaries[b]
-                        if into is shared[b]:
-                            into = binaries[b] = into[:]
-                        into.append(a)
-                    continue
-            clause = []
-            for lit in (x, y, z):
-                if lit is None:  # past the final 0
-                    return True
-                if lit:
-                    clause.append(lit)
-                elif not self._add_clause(clause):
-                    return False
-                else:
-                    clause = []
-            if clause:  # read the rest of a clause begun in this triple
-                for lit in it:
-                    if not lit:
-                        break
-                    clause.append(lit)
-                if not self._add_clause(clause):
-                    return False
         return True
 
     def _own(self, lit: int) -> list[int]:
@@ -317,17 +265,21 @@ class BaseIndex:
 
 
 class Solver(BaseIndex):
-    def __init__(self, num_vars: int, clauses, order=None, base=None):
+    def __init__(self, num_vars: int, clauses, seed=None, base=None):
         """A core on the index `base` with `clauses` loaded on top, or,
         with no index, on an empty database with every clause of
-        `clauses`."""
+        `clauses`.  It branches on the variables in order, or in an
+        order shuffled by `seed` when that is nonzero."""
         # watches[p]: the long clauses watching p, base ones first in
         # index order; None until a clause first watches p.
         self.watches: list[list[list[int]] | None] = [None] * (
             2 * num_vars + 2)
         self._open(num_vars, base)
         self.qhead = 0
-        self.order = list(range(1, num_vars + 1)) if order is None else list(order)
+        # The branching order, built at the first decision: a core whose
+        # questions propagation alone answers never shuffles one.
+        self.order: list[int] | None = None
+        self._seed = seed
         self.decisions = 0
         self.conflicts = 0
         self.propagations = 0
@@ -609,7 +561,12 @@ class Solver(BaseIndex):
             self._enqueue(2 * var, UNDEF)
 
     def _pick_branch_var(self) -> int:
-        for var in self.order:
+        order = self.order
+        if order is None:
+            order = self.order = list(range(1, self.num_vars + 1))
+            if self._seed:
+                random.Random(self._seed).shuffle(order)
+        for var in order:
             if self.values[2 * var] == UNDEF:
                 return var
         raise AssertionError("no unassigned variable to branch on")

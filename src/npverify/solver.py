@@ -30,7 +30,6 @@ checked against every clause before it is accepted.
 from __future__ import annotations
 
 import os
-import random
 import shutil
 import subprocess
 import tempfile
@@ -57,14 +56,6 @@ class SolveResult:
     stats: dict[str, int]
 
 
-def branching_order(num_vars: int, seed: int | None) -> list[int]:
-    """Variable branching priority: identity, or a seeded shuffle."""
-    order = list(range(1, num_vars + 1))
-    if seed:
-        random.Random(seed).shuffle(order)
-    return order
-
-
 class Session:
     """One solver core on the base index of `formula`, solved
     repeatedly."""
@@ -80,9 +71,8 @@ class Session:
         if base.index is None:
             base.index = satcore.BaseIndex(num_vars, base)
         # The core class is looked up at call time: tracing rebinds it.
-        self._core = satcore.Solver(
-            num_vars, top, order=branching_order(num_vars, seed),
-            base=base.index)
+        self._core = satcore.Solver(num_vars, top, seed=seed,
+                                    base=base.index)
 
     def add_clause(self, clause) -> None:
         """Strengthen the formula for every later call."""

@@ -1,13 +1,14 @@
 """Every definition in `src/npverify` has a program path.
 
-A top-level function or class of a package module, or a public method or
-property of such a class, counts as reached when `src/npverify` or
-`perfbench` names it outside its own definition: as a variable, as an
-attribute, or as an identifier string (the names `perfbench/spans.py`
-binds by string).  The tests do not count, and neither does a name
-used inside a definition that is itself unreached or allowed.  A
-definition that nothing names is dead code: give it a program path, or
-delete it with the tests that check only it.
+A top-level function or class of a package module, private ones
+included, or a method or property of such a class other than a dunder
+counts as reached when `src/npverify` or `perfbench` names it outside
+its own definition: as a variable, as an attribute, or as an
+identifier string (the names `perfbench/spans.py` binds by string).
+The tests do not count, and neither does a name used inside a
+definition that is itself unreached or allowed.  A definition that
+nothing names is dead code: give it a program path, or delete it with
+the tests that check only it.
 
 A field of a dataclass or NamedTuple counts as read when `src/npverify`
 or `perfbench` names it as an attribute or as an identifier string
@@ -62,7 +63,8 @@ def _definitions(module: str, tree: ast.Module):
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not item.name.startswith("_")):
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
                     yield (f"{module}.{node.name}.{item.name}", item.name,
                            item.lineno, item.end_lineno)
 

@@ -117,7 +117,7 @@ def test_incremental_matches_fresh_solves(clauses, calls, seed):
     """One core answering a sequence of assumption sets (with clauses
     added between calls) agrees with a fresh solve of the formula plus
     the assumptions as unit clauses."""
-    core = CountingSolver(6, clauses, order=solver.branching_order(6, seed))
+    core = CountingSolver(6, clauses, seed=seed)
     formula = [list(c) for c in clauses]
     for assumptions, added in calls:
         if added is not None:
@@ -157,7 +157,7 @@ def check_value_table(core):
                 max_size=25),
        incremental_calls, st.integers(min_value=0, max_value=3))
 def test_value_table_mirrors_trail(clauses, calls, seed):
-    core = satcore.Solver(6, clauses, order=solver.branching_order(6, seed))
+    core = satcore.Solver(6, clauses, seed=seed)
     check_value_table(core)
     for assumptions, added in calls:
         if added is not None:
@@ -250,55 +250,10 @@ def test_binary_clause_loading():
     assert core.solve() is True and core.model()[1:] == [True, False]
 
 
-def clause_by_clause(num_vars, clauses):
-    """A core loaded one clause at a time through the general path, as
-    clauses were loaded before they came in a store: the reference for
-    the store loader, which reads binary clauses three entries at a
-    time."""
-    core = satcore.Solver(num_vars, [])
-    for clause in clauses:
-        if not core._add_clause(clause):
-            core.ok = False
-            break
-    return core
-
-
-def load_state(core):
-    return (core.binaries, core.clauses, core.watches, core.trail, core.ok)
-
-
-def assert_loads_alike(num_vars, clauses):
-    """A core loaded from a store, one from the same clauses as tuples and
-    the clause-by-clause reference end in the same state."""
-    store = cnf.ClauseStore.of(clauses)
-    from_store = satcore.Solver(num_vars, store)
-    from_tuples = satcore.Solver(num_vars, [tuple(c) for c in clauses])
-    reference = clause_by_clause(num_vars, clauses)
-    assert load_state(from_store) == load_state(from_tuples) \
-        == load_state(reference)
-
-
-def test_loader_parity_on_the_catalogue():
-    """The NP(4, 3) base and every distinct formula of the catalogue at
-    n = 4: its bases and the first instance with its assumptions."""
-    base = verify._encoded_base(4, 3)
-    assert_loads_alike(base.num_vars, list(base.clauses))
-    for scn in verify.list_scenarios():
-        instances = verify.scenario(scn.name, 4).instances()
-        formulas = {id(i.base): i.base for i in instances}
-        first = instances[0]
-        if first.assumptions:
-            formulas["first"] = first.base.extended(
-                (lit,) for lit in first.assumptions)
-        for f in formulas.values():
-            if f is not base:
-                assert_loads_alike(f.num_vars, list(f.clauses))
-
-
 @pytest.mark.parametrize("clauses", [
     [[1]],  # a unit alone
     [[1, 2], [3]],  # a unit last
-    [[2], [1, 2], [-3, 1]],  # a unit first shifts the triples
+    [[2], [1, 2], [-3, 1]],  # a unit first
     [[1, 1], [-2, 3]],  # a repeated literal is a unit
     [[1, -1], [2, 3]],  # a tautology is dropped
     [[1, 2, 3], [1, -1, 2], [3, 3, 3]],  # long clauses, reduced or dropped
@@ -309,14 +264,15 @@ def test_loader_parity_on_the_catalogue():
     [[1, 2], [-2, 3, 1, 2], [3], [-1, -3]],
 ], ids=["unit", "unit-last", "unit-first", "repeated", "tautology", "long",
         "empty-last", "empty-first", "unit-empty", "contradiction", "mixed"])
-def test_loader_parity_on_hand_made_clauses(clauses):
-    assert_loads_alike(3, clauses)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(literal6, max_size=4), max_size=25))
-def test_loader_parity_on_random_clauses(clauses):
-    assert_loads_alike(6, clauses)
+def test_loader_edge_cases_against_brute_force(clauses):
+    """A core loaded with the clauses, and one opened on an index of
+    them, decide them as exhaustion does."""
+    sat = oracles.brute_sat(3, clauses) is not None
+    for core in (satcore.Solver(3, clauses),
+                 satcore.Solver(3, [], base=satcore.BaseIndex(3, clauses))):
+        assert core.solve() is sat
+        if sat:
+            assert oracles.eval_clauses(clauses, core.model())
 
 
 def index_state(index):
@@ -367,10 +323,10 @@ def test_sessions_on_one_index_leave_it_and_each_other_alone():
 
 def test_index_writer_equals_a_load_of_the_dimacs_array(np33, np43, np34,
                                                        star43):
-    """The index that the walk writes equals the one that `_load` reads
-    from the DIMACS writer's array, on the pinned bases, NP(5, 3), and
-    NP(3, 2) and NP(2, 1), whose exactly-one groups are a binary clause
-    and a unit."""
+    """The index that the walk writes equals the one that the general
+    clause path builds from the DIMACS writer's array clause by clause,
+    on the pinned bases, NP(5, 3), and NP(3, 2) and NP(2, 1), whose
+    exactly-one groups are a binary clause and a unit."""
     for domain in (np33, np43, np34, star43, profiles.enumerate_np(5, 3),
                    profiles.enumerate_np(3, 2), profiles.enumerate_np(2, 1)):
         base = cnf.encode_base(domain)
@@ -390,8 +346,9 @@ def core_state(core):
 def test_opened_core_equals_a_fresh_load(n):
     """Every distinct formula of the catalogue at n voters, and the first
     instance of each scenario with its assumptions as units: a core
-    opened on the shared base index ends in the state of one load of all
-    its clauses into an empty core."""
+    opened on the shared base index, written from the walk, ends in the
+    state of an empty core loaded with the whole formula, whose base a
+    scenario formula reads from the DIMACS array clause by clause."""
     for scn in verify.list_scenarios():
         try:
             instances = verify.scenario(scn.name, n).instances()
@@ -454,8 +411,7 @@ def test_session_rejects_an_index_of_another_size():
     [[1, 4]], [[4, 1]], [[1], [-4]], [[1, 2, 3, -4]], [[1, 2], [3, 5, 1]]])
 def test_loader_rejects_out_of_range_literals(clauses):
     for load in (lambda: satcore.Solver(3, cnf.ClauseStore.of(clauses)),
-                 lambda: satcore.Solver(3, clauses),
-                 lambda: clause_by_clause(3, clauses)):
+                 lambda: satcore.Solver(3, clauses)):
         with pytest.raises(ValueError, match="out of range"):
             load()
 
@@ -550,12 +506,31 @@ def test_sat_model_valid_across_seeds():
         assert oracles.eval_clauses(dimacs_clauses, res.model)
 
 
+def branching_order(seed):
+    """The order that a core over 5 free variables builds to decide."""
+    core = satcore.Solver(5, [], seed=seed)
+    assert core.order is None
+    assert core.solve() is True and core.stats()["decisions"] == 5
+    return core.order
+
+
 def test_branching_order_is_seeded_permutation():
-    assert solver.branching_order(5, None) == [1, 2, 3, 4, 5]
-    shuffled = solver.branching_order(5, 123)
+    assert branching_order(None) == branching_order(0) == [1, 2, 3, 4, 5]
+    shuffled = branching_order(123)
     assert shuffled != [1, 2, 3, 4, 5]
     assert sorted(shuffled) == [1, 2, 3, 4, 5]
-    assert solver.branching_order(5, 123) == shuffled
+    assert branching_order(123) == shuffled
+
+
+def test_a_sweep_without_decisions_builds_no_order():
+    """Propagation answers every lemma4_3 instance at n = 4, so a seeded
+    session never shuffles a branching order."""
+    instances = verify.scenario("lemma4_3", 4).instances()
+    session = solver.Session(instances[0].base, seed=7)
+    for instance in instances:
+        result = session.solve(instance.assumptions)
+        assert not result.status and result.stats["decisions"] == 0
+    assert session._core.order is None
 
 
 def test_stats_counters_populate():
