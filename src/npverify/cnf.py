@@ -7,40 +7,33 @@ so formulas are reproducible across runs.  The base encoding states that
 every profile picks exactly one alternative and that no voter can gain by
 switching to any variant; scenario constraints are appended on top.
 
-A formula's clauses live in one `ClauseStore`: a flat ``array('i')`` of
-DIMACS literals in clause order, each clause ended by a 0, as in MiniSat's
-clause arena (Een & Sorensson, "An Extensible SAT-solver", SAT 2003).  It
-costs 4 bytes a literal where a tuple per clause cost about 130 bytes a
-binary clause (NP(4, 3)'s base retains 0.44 MB instead of 4.39 MB under
-tracemalloc).  `len()` is the clause count and iteration yields each
-clause as a tuple, which is how `satcore` reads every store but the
-encoded base.
-
-The encoded base is the one store that starts without its array.
-`encode_base` returns the `BaseWalk` of the encoding, which yields each
-profile's exactly-one group and each variant pair's clause template, and
-two writers read it: `satcore` writes the clauses straight into the
-solver index of the base, and `_write_dimacs` writes the array, only when
-something reads the literals (export, the external check, iteration,
-``==``).  A run that only solves never builds the array, and no index
-parses it back.
+The encoded base is never held as clauses.  `encode_base` returns a
+store whose clauses are the `BaseWalk` of the encoding, which yields
+each profile's exactly-one group and each variant pair's clause
+template, and two readers walk it: `satcore` writes the clauses straight
+into the solver index of the base, and iterating the walk yields them as
+tuples, in the same order, to whatever reads the clauses (export, the
+external check, ``==``).  A run that only solves never iterates it, and
+nothing the size of the base outlives a reader.
 
 Scenario clauses are layered on the base, not copied with it: a store
 may sit on a plain `base` store, and its clauses are then those of the
-base followed by its own.  `CnfFormula.extended` on a plain formula makes
-the plain store the base of the result; on a layered one it copies only
-the clauses above the base.  So every scenario formula of one domain
-shares the one encoded base, `satcore` writes that base once into a
-read-only index for every session opened on it (`solver.Session`), and
-`export_dimacs` writes the base, then the clauses above it, then one unit
-per assumption, straight to the handle.
+base followed by its own, a tuple of clause tuples.  `CnfFormula.extended`
+on a plain formula makes the plain store the base of the result; on a
+layered one it copies only the clauses above the base.  So every
+scenario formula of one domain shares the one encoded base, `satcore`
+writes that base once into a read-only index for every session opened
+on it (`solver.Session`) and loads the clauses above it one by one, and
+`export_dimacs` streams the base, then the clauses above it, then one
+unit per assumption, straight to the handle.
 """
 
 from __future__ import annotations
 
 import io
-from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import eq
 from typing import IO, Iterable, Sequence
 
 from . import orders, profiles
@@ -57,93 +50,57 @@ Clause = tuple[int, ...]
 
 
 class ClauseStore:
-    """Clauses in order, as one flat ``array('i')`` of DIMACS literals
-    with a 0 after each clause; `count` is the number of clauses in
-    `lits`.  A store with a `base` (a plain store, shared and never
-    copied) holds the clauses of `base` first, then those of `lits`.
-    `index` is left to `solver`, which keeps the core's read-only load of
-    a plain store there, so it lives exactly as long as the store.
+    """Clauses in order: `own`, a tuple of clause tuples, or the
+    `BaseWalk` of an encoded base.  A store with a `base` (a plain store,
+    shared and never copied) holds the clauses of `base` first, then
+    those of `own`.  `index` is left to `solver`, which keeps the core's
+    read-only load of a plain store there, so it lives exactly as long as
+    the store."""
 
-    The store of `encode_base` holds the `walk` of a base encoding
-    instead: the walk writes its `lits` on first read, and `satcore`
-    writes its index from the walk, never from `lits`.  Its count is
-    known once `lits` is written; before that, `count` walks the encoding
-    without writing it."""
+    __slots__ = ("own", "base", "index")
 
-    __slots__ = ("_lits", "_count", "base", "index", "walk")
-
-    def __init__(self, lits: array, count: int,
+    def __init__(self, own: "tuple[Clause, ...] | BaseWalk",
                  base: "ClauseStore | None" = None):
         if base is not None and base.base is not None:
             raise ValueError("a store's base must be a plain store")
-        self._lits = lits
-        self._count = count
+        self.own = own
         self.base = base
         self.index = None
-        self.walk = None
 
     @classmethod
     def of(cls, clauses: Iterable[Sequence[int]]) -> "ClauseStore":
         """A plain store holding `clauses` (sequences of nonzero
         literals)."""
-        lits = array("i")
-        count = 0
-        for clause in clauses:
-            if 0 in clause:
-                raise ValueError("literal 0 out of range")
-            try:
-                lits.extend(clause)
-            except OverflowError:
-                raise ValueError(
-                    f"a literal of {tuple(clause)} is out of range") from None
-            lits.append(0)
-            count += 1
-        return cls(lits, count)
+        own = tuple(map(tuple, clauses))
+        if any(0 in clause for clause in own):
+            raise ValueError("literal 0 out of range")
+        return cls(own)
 
     @property
-    def lits(self) -> array:
-        if self._lits is None:
-            self._lits, self._count = _write_dimacs(self.walk)
-        return self._lits
-
-    @property
-    def count(self) -> int:
-        if self._count is None:
-            self._count = self.walk.count()
-        return self._count
-
-    def layers(self) -> tuple[array, ...]:
-        """The literal arrays in clause order: the base's, then this
-        store's own."""
-        if self.base is None:
-            return (self.lits,)
-        return (self.base.lits, self.lits)
+    def walk(self) -> "BaseWalk | None":
+        """The walk of an encoded base, which `satcore` writes its index
+        from; None for any other store."""
+        return self.own if isinstance(self.own, BaseWalk) else None
 
     def __len__(self) -> int:
-        return self.count + (0 if self.base is None else self.base.count)
+        return len(self.own) + (0 if self.base is None else len(self.base))
 
     def __iter__(self):
-        clause = []
-        for lits in self.layers():
-            for lit in lits:
-                if lit:
-                    clause.append(lit)
-                else:
-                    yield tuple(clause)
-                    clause = []
+        if self.base is None:
+            return iter(self.own)
+        return chain(self.base.own, self.own)
 
     def __add__(self, other: "ClauseStore") -> "ClauseStore":
         """`self` followed by the plain store `other`, on the base of
         `self`, or on `self` itself when it is plain: no base is copied."""
         if self.base is None:
-            return ClauseStore(other.lits, other.count, base=self)
-        return ClauseStore(self.lits + other.lits, self.count + other.count,
-                           base=self.base)
+            return ClauseStore(other.own, base=self)
+        return ClauseStore(self.own + other.own, base=self.base)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClauseStore):
             return NotImplemented
-        return b"".join(self.layers()) == b"".join(other.layers())
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass(frozen=True)
@@ -183,24 +140,20 @@ class CnfFormula:
 # A truth value per variable, indexed by variable; entry 0 is unused.
 Model = list[bool]
 
-_FLUSH = 1 << 12  # entries of _write_dimacs's literal buffer
-_EXPORT_CHUNK = 1 << 16  # literals per write of export_dimacs
-
 
 def encode_base(domain: Domain) -> CnfFormula:
     """Exactly-one per profile plus both directions of the
     strategy-proofness constraint for every h-variant pair, as the walk
     of the encoding: nothing is written until a session or a reader of
-    the literals needs it."""
-    store = ClauseStore(None, None)
-    store.walk = BaseWalk(domain)
-    return CnfFormula(store, domain.m, len(domain))
+    the clauses walks it."""
+    return CnfFormula(ClauseStore(BaseWalk(domain)), domain.m, len(domain))
 
 
 class BaseWalk:
-    """The base encoding of `domain`, walked once per writer: `satcore`
-    writes it into a solver index, `_write_dimacs` into a literal array,
-    and both write the same clauses in the same order.
+    """The base encoding of `domain`, walked once per reader: `satcore`
+    writes it into a solver index, and iteration yields its clauses as
+    tuples, both in the same order.  `len()` is the clause count, walked
+    without writing the clauses on first use and kept from then on.
 
     Profile i's variables are base + 0 .. base + m - 1, for base =
     i * m + 1 in `groups`; its clauses are the group itself (at least
@@ -208,13 +161,14 @@ class BaseWalk:
     (at most one).  After every group, `pairs()` yields each variant
     pair's clauses as a template: see there."""
 
-    __slots__ = ("domain", "m", "groups", "alt_pairs")
+    __slots__ = ("domain", "m", "groups", "alt_pairs", "_count")
 
     def __init__(self, domain: Domain):
         self.domain = domain
         self.m = m = domain.m
         self.groups = range(1, len(domain) * m + 1, m)
         self.alt_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        self._count = None
 
     def pairs(self):
         """Yield (i, j, forward, backward) per h-variant pair of profiles
@@ -222,7 +176,7 @@ class BaseWalk:
         + 1) and neg_j likewise, the pair's clauses are neg_i - a, neg_j -
         b for each (a, b) of `forward`, then neg_j - a, neg_i - b for each
         (a, b) of `backward`.  One item per pair, not per clause: the
-        writers inline the loop over a template."""
+        readers inline the loop over a template."""
         m = self.m
         # A pair's clauses depend only on the deviating voter's two
         # orderings; each side's template is a list of (a, b) offsets:
@@ -254,43 +208,26 @@ class BaseWalk:
             forward, backward = templates.get((p, q)) or template(p, q)
             yield i, j, forward, backward
 
-    def count(self) -> int:
-        """The number of clauses, walked without writing them."""
-        return len(self.groups) * (1 + len(self.alt_pairs)) + sum(
-            len(forward) + len(backward)
-            for _, _, forward, backward in self.pairs())
+    def __len__(self) -> int:
+        if self._count is None:
+            self._count = len(self.groups) * (1 + len(self.alt_pairs)) + sum(
+                len(forward) + len(backward)
+                for _, _, forward, backward in self.pairs())
+        return self._count
 
-
-def _write_dimacs(walk: BaseWalk) -> tuple[array, int]:
-    """The DIMACS writer: the clauses of `walk` as a literal array, and
-    their count."""
-    m = walk.m
-    alt_pairs = walk.alt_pairs
-    lits = array("i")
-    # Literals gather in `buf` and move to `lits` whenever it passes
-    # _FLUSH entries, so they never sit in a list the size of the formula.
-    buf: list[int] = []
-    for base in walk.groups:
-        buf.extend(range(base, base + m))
-        buf.append(0)
-        for a, b in alt_pairs:
-            buf += (-base - a, -base - b, 0)
-        if len(buf) > _FLUSH:
-            lits.fromlist(buf)
-            buf.clear()
-    count = len(walk.groups) * (1 + len(alt_pairs))
-    for i, j, forward, backward in walk.pairs():
-        neg_i, neg_j = -(i * m + 1), -(j * m + 1)
-        for a, b in forward:
-            buf += (neg_i - a, neg_j - b, 0)
-        for a, b in backward:
-            buf += (neg_j - a, neg_i - b, 0)
-        count += len(forward) + len(backward)
-        if len(buf) > _FLUSH:
-            lits.fromlist(buf)
-            buf.clear()
-    lits.fromlist(buf)
-    return lits, count
+    def __iter__(self):
+        m = self.m
+        alt_pairs = self.alt_pairs
+        for base in self.groups:
+            yield tuple(range(base, base + m))
+            for a, b in alt_pairs:
+                yield -base - a, -base - b
+        for i, j, forward, backward in self.pairs():
+            neg_i, neg_j = -(i * m + 1), -(j * m + 1)
+            for a, b in forward:
+                yield neg_i - a, neg_j - b
+            for a, b in backward:
+                yield neg_j - a, neg_i - b
 
 
 # -- scenario constraints -------------------------------------------------
@@ -366,21 +303,17 @@ def add_scenario(f: CnfFormula,
 def export_dimacs(f: CnfFormula, out: IO[str] | None = None,
                   assumptions: Sequence[int] = ()) -> str | None:
     """Write `f` in DIMACS to the text handle `out`, then one unit clause
-    per literal of `assumptions`: each layer of `f.clauses` in turn,
-    _EXPORT_CHUNK literals at a time.  With no handle, return the text
-    instead."""
+    per literal of `assumptions`, a line per clause as `f.clauses` yields
+    it.  With no handle, return the text instead."""
     if out is None:
         text = io.StringIO()
         export_dimacs(f, text, assumptions)
         return text.getvalue()
-    # The layers first: writing an encoded base's literals also counts
-    # them, so the header needs no walk of its own.
-    layers = f.clauses.layers()
     out.write(f"p cnf {f.num_vars} {len(f.clauses) + len(assumptions)}\n")
-    for lits in layers:
-        for start in range(0, len(lits), _EXPORT_CHUNK):
-            out.write("".join([f"{lit} " if lit else "0\n"
-                               for lit in lits[start:start + _EXPORT_CHUNK]]))
+    # Almost every clause is binary: one f-string each.
+    out.writelines(f"{c[0]} {c[1]} 0\n" if len(c) == 2
+                   else "".join([f"{lit} " for lit in c]) + "0\n"
+                   for c in f.clauses)
     out.write("".join(f"{lit} 0\n" for lit in assumptions))
     return None
 

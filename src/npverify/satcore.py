@@ -50,13 +50,14 @@ per profile in an NP encoding), as watching reorders its literals.  Then
 it loads its own clauses in one of two ways.  The encoded base of a
 domain is written from the walk of its encoding (`cnf.BaseWalk`) by
 `_write`: each profile's exactly-one group, then the clauses of each
-variant pair, two list appends a clause, with no DIMACS array in
-between.  Every other clause (a scenario layer holds only units and
-clauses over a whole index set, and tests build clause lists) goes
+variant pair, two list appends a clause, with no clause tuple in
+between.  Every other clause (a scenario layer's tuple of units and
+clauses over a whole index set, and the clause lists tests build) goes
 through `_add_clause` one at a time, as a clause that `add_clause` adds
-between calls does: it drops repeated literals and tautologies and files
-the clause by its length.  Both give the lists of one load of the base's
-DIMACS array, clause by clause.  A base is written once, into an index
+between calls does: it checks every literal's range, drops repeated
+literals and tautologies and files the clause by its length.  Both give
+the lists of one load of the clauses that iterating the walk yields,
+clause by clause.  A base is written once, into an index
 that keeps no search state and is read-only from then on, and every
 session on that base opens its solver on it.  Every list holds the
 base's entries first, in load order, then the solver's own, so the
@@ -161,9 +162,9 @@ class BaseIndex:
 
     def _write(self, walk) -> bool:
         """The index writer: the clauses of the base encoding `walk`,
-        written straight into the lists in the order the DIMACS writer
-        gives them, so the lists are those that `_add_clause` builds from
-        its array clause by clause.
+        written straight into the lists in the order that iterating the
+        walk yields them, so the lists are those that `_add_clause`
+        builds from that stream clause by clause.
         A profile's exactly-one group makes the implication list of each
         of its negative literals this core's own (when m > 1), so a
         variant pair's clauses append to those lists without a check."""
@@ -222,11 +223,13 @@ class BaseIndex:
         seen = set()
         for lit in clause:
             enc = self._encode(lit)
-            if enc ^ 1 in seen:
-                return True  # tautology
             if enc not in seen:
                 seen.add(enc)
                 out.append(enc)
+        # Every literal is encoded, and so range-checked, before a
+        # tautology is dropped.
+        if any(enc ^ 1 in seen for enc in out):
+            return True  # tautology
         if not out:
             return False
         if len(out) == 1:

@@ -10,10 +10,10 @@ own call only.
 A formula's clauses are a base store with the scenario clauses layered on
 top (`cnf.ClauseStore`).  The first session on a base builds its
 read-only `satcore.BaseIndex`, written straight from the walk of the
-encoding with no DIMACS array in between, and keeps it on the base store
-itself, so it lives exactly as long as the store; every session on that
-base opens its core on the shared index, copy-on-write, and loads only
-the clauses above the base.
+encoding, and keeps it on the base store itself, so it lives exactly as
+long as the store; every session on that base opens its core on the
+shared index, copy-on-write, and loads only the clauses above the base,
+the layer's own tuple of clauses.
 
 For differential acceptance an independent external solver can re-check
 exported DIMACS files.  Any binary speaking the conventional interface
@@ -67,7 +67,7 @@ class Session:
         if store.base is None:
             base, top = store, ()
         else:
-            base, top = store.base, cnf.ClauseStore(store.lits, store.count)
+            base, top = store.base, store.own
         if base.index is None:
             base.index = satcore.BaseIndex(num_vars, base)
         # The core class is looked up at call time: tracing rebinds it.

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import tracemalloc
 
 import pytest
@@ -138,16 +139,18 @@ def test_clause_store_round_trip():
     clauses = [(1, -2), (3,), (), (-1, 2, -3, 4)]
     store = cnf.ClauseStore.of(clauses)
     assert len(store) == 4 and list(store) == clauses
-    assert list(store.lits) == [1, -2, 0, 3, 0, 0, -1, 2, -3, 4, 0]
     more = store + cnf.ClauseStore.of([(5,)])
     assert len(more) == 5 and list(more) == clauses + [(5,)]
     assert list(store) == clauses  # the operands are unchanged
     f = cnf.CnfFormula(clauses=clauses, m=1, domain_size=4)
     assert f.clauses == store
     assert cnf.export_dimacs(f) == "p cnf 4 4\n1 -2 0\n3 0\n0\n-1 2 -3 4 0\n"
-    for bad in ([(1, 0)], [(2**40,)]):
-        with pytest.raises(ValueError, match="out of range"):
-            cnf.ClauseStore.of(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        cnf.ClauseStore.of([(1, 0)])
+    # A literal past any variable is rejected when a core loads it.
+    huge = cnf.CnfFormula(clauses=[(2**40,)], m=1, domain_size=4)
+    with pytest.raises(ValueError, match="out of range"):
+        solver.solve_formula(huge)
 
 
 def test_layered_store_shares_its_base():
@@ -158,7 +161,7 @@ def test_layered_store_shares_its_base():
     once = f.extended([(3, -1, 2)])
     twice = once.extended([(-2,)])
     assert once.clauses.base is f.clauses is twice.clauses.base
-    assert list(twice.clauses.lits) == [3, -1, 2, 0, -2, 0]
+    assert twice.clauses.own == ((3, -1, 2), (-2,))
     assert len(twice.clauses) == 4
     assert list(twice.clauses) == [(1, 2), (-3,), (3, -1, 2), (-2,)]
     assert list(once.clauses) == [(1, 2), (-3,), (3, -1, 2)]
@@ -167,7 +170,7 @@ def test_layered_store_shares_its_base():
     assert cnf.export_dimacs(twice, assumptions=(1, -2)) == (
         "p cnf 3 6\n1 2 0\n-3 0\n3 -1 2 0\n-2 0\n1 0\n-2 0\n")
     with pytest.raises(ValueError, match="plain"):
-        cnf.ClauseStore(once.clauses.lits, 1, base=once.clauses)
+        cnf.ClauseStore(twice.clauses.own, base=once.clauses)
 
 
 def test_export_to_a_handle_matches_the_text(base33, tmp_path):
@@ -183,10 +186,10 @@ def test_export_to_a_handle_matches_the_text(base33, tmp_path):
 
 
 def test_store_memory(np43):
-    """Encoding the NP(4, 3) base retains under 1 MB, as it writes no
-    clause until a session or a reader of its literals asks (its literal
-    array is 0.44 MB, where a tuple per clause retains 4.4 MB), and
-    adding scenario clauses layers them on the base, copying neither."""
+    """Encoding the NP(4, 3) base retains under 1 MB, as it holds no
+    clause and only a session or a reader of its clauses walks it (a
+    tuple per clause retains 4.4 MB), and adding scenario clauses layers
+    them on the base, copying neither."""
     cnf.encode_base(np43)  # warm the per-m tables
     star = verify.np_star_indices(4, 3)
     tracemalloc.start()
@@ -207,6 +210,29 @@ def test_store_memory(np43):
     assert len(constrained.clauses) == 34080 + len(star) * 2 + 2
     assert retained < 1_000_000
     assert allocated < 1_000_000
+
+
+def test_export_streams_the_base(np43, tmp_path):
+    """Exporting the NP(4, 3) base to a handle streams its clauses from
+    the walk of the encoding: nothing the size of the formula is held
+    during the export or kept after it, and the text is the pinned one."""
+    cnf.export_dimacs(cnf.encode_base(np43), io.StringIO())  # warm tables
+    base = cnf.encode_base(np43)
+    path = tmp_path / "base.cnf"
+    with path.open("w") as fh:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cnf.export_dimacs(base, fh)
+            retained, peak = (n - before
+                              for n in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    text = path.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(
+        "f3422dfdc596567c")
+    assert retained < 50_000
+    assert peak < 1_000_000
 
 
 def test_external_dimacs_agreement(base33, external_solver):

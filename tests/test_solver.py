@@ -324,15 +324,14 @@ def test_sessions_on_one_index_leave_it_and_each_other_alone():
 def test_index_writer_equals_a_load_of_the_dimacs_array(np33, np43, np34,
                                                        star43):
     """The index that the walk writes equals the one that the general
-    clause path builds from the DIMACS writer's array clause by clause,
+    clause path builds from the walk's clause stream clause by clause,
     on the pinned bases, NP(5, 3), and NP(3, 2) and NP(2, 1), whose
     exactly-one groups are a binary clause and a unit."""
     for domain in (np33, np43, np34, star43, profiles.enumerate_np(5, 3),
                    profiles.enumerate_np(3, 2), profiles.enumerate_np(2, 1)):
         base = cnf.encode_base(domain)
         written = satcore.BaseIndex(base.num_vars, base.clauses)
-        loaded = satcore.BaseIndex(base.num_vars, cnf.ClauseStore(
-            base.clauses.lits, base.clauses.count))
+        loaded = satcore.BaseIndex(base.num_vars, iter(base.clauses))
         assert index_state(written) == index_state(loaded)
         assert written.lits == loaded.lits
 
@@ -348,7 +347,8 @@ def test_opened_core_equals_a_fresh_load(n):
     instance of each scenario with its assumptions as units: a core
     opened on the shared base index, written from the walk, ends in the
     state of an empty core loaded with the whole formula, whose base a
-    scenario formula reads from the DIMACS array clause by clause."""
+    scenario formula reads from the walk's clause stream clause by
+    clause."""
     for scn in verify.list_scenarios():
         try:
             instances = verify.scenario(scn.name, n).instances()
@@ -408,7 +408,8 @@ def test_session_rejects_an_index_of_another_size():
 
 
 @pytest.mark.parametrize("clauses", [
-    [[1, 4]], [[4, 1]], [[1], [-4]], [[1, 2, 3, -4]], [[1, 2], [3, 5, 1]]])
+    [[1, 4]], [[4, 1]], [[1], [-4]], [[1, 2, 3, -4]], [[1, 2], [3, 5, 1]],
+    [[1, -1, 5]], [[2, 5, -2]]])
 def test_loader_rejects_out_of_range_literals(clauses):
     for load in (lambda: satcore.Solver(3, cnf.ClauseStore.of(clauses)),
                  lambda: satcore.Solver(3, clauses)):

@@ -346,23 +346,24 @@ def test_each_base_is_loaded_once(monkeypatch):
 
 def test_a_plain_run_writes_no_dimacs_array(monkeypatch):
     """lemma4_3 with no external check opens its session on the index
-    that the walk of the base wrote: the base's DIMACS array is written
-    only by a later export, which still gives the pinned text."""
-    written = []
-    write = cnf._write_dimacs
+    that the walk of the base wrote, and never iterates the base's
+    clauses: only a later export does, which still gives the pinned
+    text."""
+    walked = []
+    walk = cnf.BaseWalk.__iter__
 
-    def counted(walk):
-        written.append(walk)
-        return write(walk)
+    def counted(self):
+        walked.append(self)
+        return walk(self)
 
-    monkeypatch.setattr(cnf, "_write_dimacs", counted)
+    monkeypatch.setattr(cnf.BaseWalk, "__iter__", counted)
     _reset_caches()
     assert verify.run_scenario("lemma4_3",
                                differential=False).expectation_met
     base = verify._encoded_base(4, 3)
-    assert base.clauses.index is not None and written == []
+    assert base.clauses.index is not None and walked == []
     text = cnf.export_dimacs(base)
-    assert written == [base.clauses.walk]
+    assert walked == [base.clauses.walk]
     assert _sha256(text).startswith("f3422dfdc596567c")
 
 
@@ -537,9 +538,9 @@ def _source_edit(module, old, new):
 _SOURCE_EDITS = {
     "satcore_comment": (_append_comment, False),
     "added_module": (_add_module, False),
-    # every profile's at-least-one clause with its literals reversed
-    "encoder": (_source_edit("cnf.py", "buf.extend(range(base, base + m))",
-                             "buf.extend(reversed(range(base, base + m)))"),
+    # every profile's at-most-one clauses in reverse order
+    "encoder": (_source_edit("cnf.py", "for b in range(a + 1, m)]",
+                             "for b in reversed(range(a + 1, m))]"),
                 True),
     # gs_np's non-dictator clauses in reverse voter order
     "recipe": (_source_edit("verify.py", "for v in range(scn.n)])",
