@@ -12,8 +12,8 @@ store whose clauses are the `BaseWalk` of the encoding, which yields
 each profile's exactly-one group and each variant pair's clause
 template, and two readers walk it: `satcore` writes the clauses straight
 into the solver index of the base, and iterating the walk yields them as
-tuples, in the same order, to whatever reads the clauses (export, the
-external check, ``==``).  A run that only solves never iterates it, and
+tuples, in the same order, to whatever reads the clauses (the export
+and the external check).  A run that only solves never iterates it, and
 nothing the size of the base outlives a reader.
 
 Scenario clauses are layered on the base, not copied with it: a store
@@ -24,16 +24,19 @@ layered one it copies only the clauses above the base.  So every
 scenario formula of one domain shares the one encoded base, `satcore`
 writes that base once into a read-only index for every session opened
 on it (`solver.Session`) and loads the clauses above it one by one, and
-`export_dimacs` streams the base, then the clauses above it, then one
-unit per assumption, straight to the handle.
+`export_dimacs` streams the base, then the clauses above it, straight to
+the handle.  A question leaves the process as one formula: an instance's
+assumptions become its last clauses, one unit each, by `extended`, and
+`export_dimacs`, `satisfies` and the external check read only that
+formula.  `add_scenario` records the constraints it layers in the
+formula's `constraints`, which is what a decoded witness must satisfy.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import eq
 from typing import IO, Iterable, Sequence
 
 from . import orders, profiles
@@ -97,23 +100,14 @@ class ClauseStore:
             return ClauseStore(other.own, base=self)
         return ClauseStore(self.own + other.own, base=self.base)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClauseStore):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
 
 @dataclass(frozen=True)
 class CnfFormula:
     clauses: ClauseStore
     m: int
     domain_size: int
-
-    def __post_init__(self):
-        # Any other sequence of clauses becomes a store on entry.
-        if not isinstance(self.clauses, ClauseStore):
-            object.__setattr__(self, "clauses",
-                               ClauseStore.of(self.clauses))
+    # The scenario constraints whose clauses `add_scenario` layered here.
+    constraints: tuple["ScenarioConstraint", ...] = ()
 
     @property
     def num_vars(self) -> int:  # one per (profile, alternative) pair
@@ -132,9 +126,9 @@ class CnfFormula:
 
     def extended(self, extra: Iterable[Clause]) -> "CnfFormula":
         """This formula followed by the clauses `extra`, layered on its
-        base store rather than copying it."""
+        base store rather than copying it; the constraints are kept."""
         return CnfFormula(self.clauses + ClauseStore.of(extra),
-                          self.m, self.domain_size)
+                          self.m, self.domain_size, self.constraints)
 
 
 # A truth value per variable, indexed by variable; entry 0 is unused.
@@ -293,28 +287,28 @@ ScenarioConstraint = Attains | RangeSubset | NotDictator
 def add_scenario(f: CnfFormula,
                  *constraints: ScenarioConstraint) -> CnfFormula:
     """`f` plus the clauses of each constraint, in order, layered on the
-    base store of `f`: the base is never copied."""
-    return f.extended(clause for c in constraints for clause in c.clauses(f))
+    base store of `f` (the base is never copied), with the constraints
+    added to those of `f`."""
+    return replace(
+        f.extended(clause for c in constraints for clause in c.clauses(f)),
+        constraints=f.constraints + constraints)
 
 
 # -- DIMACS export and model import ---------------------------------------
 
 
-def export_dimacs(f: CnfFormula, out: IO[str] | None = None,
-                  assumptions: Sequence[int] = ()) -> str | None:
-    """Write `f` in DIMACS to the text handle `out`, then one unit clause
-    per literal of `assumptions`, a line per clause as `f.clauses` yields
-    it.  With no handle, return the text instead."""
+def export_dimacs(f: CnfFormula, out: IO[str] | None = None) -> str | None:
+    """Write `f` in DIMACS to the text handle `out`, a line per clause as
+    `f.clauses` yields it.  With no handle, return the text instead."""
     if out is None:
         text = io.StringIO()
-        export_dimacs(f, text, assumptions)
+        export_dimacs(f, text)
         return text.getvalue()
-    out.write(f"p cnf {f.num_vars} {len(f.clauses) + len(assumptions)}\n")
+    out.write(f"p cnf {f.num_vars} {len(f.clauses)}\n")
     # Almost every clause is binary: one f-string each.
     out.writelines(f"{c[0]} {c[1]} 0\n" if len(c) == 2
                    else "".join([f"{lit} " for lit in c]) + "0\n"
                    for c in f.clauses)
-    out.write("".join(f"{lit} 0\n" for lit in assumptions))
     return None
 
 
@@ -370,11 +364,7 @@ def rule_assignment(rule: Rule, f: CnfFormula) -> Model:
     return model
 
 
-def satisfies(model: Model, f: CnfFormula,
-              assumptions: Sequence[int] = ()) -> bool:
-    """`model` satisfies every clause of `f` and every literal of
-    `assumptions`."""
-    return all(
-        any(model[abs(lit)] == (lit > 0) for lit in clause)
-        for clause in f.clauses) and all(
-        model[abs(lit)] == (lit > 0) for lit in assumptions)
+def satisfies(model: Model, f: CnfFormula) -> bool:
+    """`model` satisfies every clause of `f`."""
+    return all(any(model[abs(lit)] == (lit > 0) for lit in clause)
+               for clause in f.clauses)

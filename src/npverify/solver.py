@@ -16,15 +16,17 @@ shared index, copy-on-write, and loads only the clauses above the base,
 the layer's own tuple of clauses.
 
 For differential acceptance an independent external solver can re-check
-exported DIMACS files.  Any binary speaking the conventional interface
-(``solver FILE.cnf`` printing ``s SATISFIABLE``/``s UNSATISFIABLE`` and
-``v``-lines) works; ``tools/extsolver`` in this repository is one: a plain
-DPLL solver that shares no code with the CDCL core and needs only a Rust
-toolchain (``cargo build --release --offline``, no network).  Discovery
-order: ``NPVERIFY_EXT_SOLVER``, an ``extsolver`` on PATH, then the in-repo
-build location; a set ``NPVERIFY_EXT_SOLVER`` that names no file is an
-error, never skipped over.  A SAT model from the external solver is
-checked against every clause before it is accepted.
+a question exported as one DIMACS file: the formula whose last clauses
+are the question's assumptions, one unit each.  Any binary speaking the
+conventional interface (``solver FILE.cnf`` printing ``s SATISFIABLE``/
+``s UNSATISFIABLE`` and ``v``-lines) works; ``tools/extsolver`` in this
+repository is one: a plain DPLL solver that shares no code with the CDCL
+core and needs only a Rust toolchain (``cargo build --release
+--offline``, no network).  Discovery order: ``NPVERIFY_EXT_SOLVER``, an
+``extsolver`` on PATH, then the in-repo build location; a set
+``NPVERIFY_EXT_SOLVER`` that names no file is an error, never skipped
+over.  A SAT model from the external solver is checked against every
+clause before it is accepted.
 """
 
 from __future__ import annotations
@@ -113,19 +115,18 @@ def find_external_solver() -> str | None:
     return None
 
 
-def solve_external(formula: cnf.CnfFormula, binary: str,
-                   assumptions=()) -> SolveResult:
-    """Run an external DIMACS solver on `formula` exported with one unit
-    clause per literal of `assumptions`.
+def solve_external(formula: cnf.CnfFormula, binary: str) -> bool:
+    """The verdict of an external DIMACS solver on `formula`: True for
+    SAT, False for UNSAT.
 
     Raises ExternalSolverError when the binary cannot be started or runs
     past `EXTERNAL_TIMEOUT` seconds, TextFormatError when the output
     carries no verdict or no complete model, and ContractError when a
-    claimed model falsifies a clause or an assumption."""
+    claimed model falsifies a clause."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "formula.cnf")
         with open(path, "w") as fh:
-            cnf.export_dimacs(formula, fh, assumptions)
+            cnf.export_dimacs(formula, fh)
         try:
             proc = subprocess.run([binary, path], capture_output=True,
                                   text=True, timeout=EXTERNAL_TIMEOUT)
@@ -139,14 +140,13 @@ def solve_external(formula: cnf.CnfFormula, binary: str,
                 f"{exc.strerror or exc}") from None
     out = proc.stdout
     if "s UNSATISFIABLE" in out:
-        return SolveResult(status=False, model=None, stats={})
+        return False
     if "s SATISFIABLE" in out:
-        model = cnf.import_model(out, formula)
-        if not cnf.satisfies(model, formula, assumptions):
+        if not cnf.satisfies(cnf.import_model(out, formula), formula):
             raise ContractError(
                 f"external solver {binary} reported SAT with a model that "
                 "falsifies the formula")
-        return SolveResult(status=True, model=model, stats={})
+        return True
     raise TextFormatError(
         f"external solver produced no verdict (exit {proc.returncode}): "
         f"{out[:200]!r} {proc.stderr[:200]!r}")

@@ -11,8 +11,11 @@ every formula of a domain layers its scenario clauses on the one encoded
 base, whose solver index every session shares);
 an expected-SAT scenario passes when some instance has a model, and every
 model is decoded and re-checked against the manipulation oracle, the
-scenario's own constraints and the instance's assumptions, recomputed from
-scratch.
+scenario's own constraints (which the formula carries) and the instance's
+assumptions, recomputed from scratch.  A question leaves the process as
+one formula: the DIMACS export and the external check both read the
+instance's complete formula, its base with one unit clause per assumption
+as its last clauses.
 
 A report's verdict and external status are read from its instance records,
 which are all that the cache stores; a cache hit builds no instance.
@@ -117,13 +120,12 @@ class Instance:
     """One SAT question: `base` with the literals `assumptions` held true.
     `base` is the encoded base of the domain with the scenario clauses
     layered on top, never a copy of the base; instances of one sweep share
-    the same `base` object.  `constraints` are what a decoded witness must
-    satisfy."""
+    the same `base` object, whose `constraints` are what a decoded witness
+    must satisfy."""
 
     tag: str
     base: cnf.CnfFormula
     assumptions: tuple[int, ...]
-    constraints: tuple[cnf.ScenarioConstraint, ...]
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,10 @@ def _full_range(scn: Scenario) -> list[cnf.ScenarioConstraint]:
 def _constrained(scn: Scenario, tag: str,
                  constraints: Iterable[cnf.ScenarioConstraint]) -> Instance:
     """The base with `constraints` added as clauses, in order."""
-    constraints = tuple(constraints)
     return Instance(tag=tag,
                     base=cnf.add_scenario(_encoded_base(scn.n, scn.m),
                                           *constraints),
-                    assumptions=(), constraints=constraints)
+                    assumptions=())
 
 
 def _single(tag: str, constraints) -> Recipe:
@@ -202,8 +203,7 @@ def _sweep(qualifies, alt: int, sign: int) -> Recipe:
         base = cnf.add_scenario(_encoded_base(scn.n, scn.m), range_x)
         head = range(scn.n - 2)
         out = [Instance(tag=f"u={profiles.encode_profile(p)}", base=base,
-                        assumptions=(sign * base.var(i, alt),),
-                        constraints=(range_x,))
+                        assumptions=(sign * base.var(i, alt),))
                for i, p in enumerate(scn.domain())
                if any(qualifies(p[v]) for v in head)]
         if not out:
@@ -224,8 +224,7 @@ def _carries_x(triples: tuple[tuple[str, str, str], ...]) -> Recipe:
             i = domain.index_of(lists[fixed])
             k = domain.index_of(lists[target])
             out.append(Instance(tag=tag, base=base,
-                                assumptions=(base.var(i, X), -base.var(k, X)),
-                                constraints=()))
+                                assumptions=(base.var(i, X), -base.var(k, X))))
         return out
     return recipe
 
@@ -399,7 +398,7 @@ def _verify_witness(instance: Instance, model: cnf.Model,
     if witness is not None:
         raise ContractError(
             f"decoded witness is manipulable: {witness.render(domain)}")
-    for constraint in instance.constraints:
+    for constraint in instance.base.constraints:
         if not constraint.check(rule):
             raise ContractError(
                 f"decoded witness violates scenario constraint {constraint}")
@@ -433,11 +432,15 @@ def run_scenario(scn: Scenario | str, *, seed: int | None = None,
                 "build tools/extsolver or set NPVERIFY_EXT_SOLVER")
         external_check = "not found" if external is None else "run"
     if export_dimacs:
-        # Checked before solving, so a missing directory fails at once.
-        export_dir = Path(export_dimacs).parent
-        if not export_dir.is_dir():
+        # Checked before solving, so a path that cannot take the file, in
+        # a missing directory or naming a directory, fails at once.
+        export_path = Path(export_dimacs)
+        if not export_path.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory",
-                                    str(export_dir))
+                                    str(export_path.parent))
+        if export_path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "is a directory",
+                                    export_dimacs)
     # A cached report answers only the same external check by the same
     # solver, and never an export, which must write its files.
     cache_path = None
@@ -458,22 +461,26 @@ def run_scenario(scn: Scenario | str, *, seed: int | None = None,
             session = None  # free the old core before loading the next
             session = solver.Session(instance.base, seed=seed)
         res = session.solve(instance.assumptions)
+        if export_dimacs or external is not None:
+            # The question as it leaves the process: one formula whose
+            # last clauses are the assumptions.
+            formula = instance.base.extended(
+                (lit,) for lit in instance.assumptions)
         if export_dimacs:
-            path = Path(export_dimacs)
+            path = export_path
             if idx > 0:
                 path = path.with_name(f"{path.stem}-{idx:04d}{path.suffix}")
             with path.open("w") as fh:
-                cnf.export_dimacs(instance.base, fh, instance.assumptions)
+                cnf.export_dimacs(formula, fh)
         if external is None:
             check = external_check
         else:
-            ext = solver.solve_external(instance.base, external,
-                                        instance.assumptions)
-            if ext.status and not res.status:
+            sat = solver.solve_external(formula, external)
+            if sat and not res.status:
                 raise ContractError(
                     f"external solver found {instance.tag} SAT where the "
                     "built-in solver reported UNSAT")
-            check = "agree" if ext.status == res.status else "disagree"
+            check = "agree" if sat == res.status else "disagree"
         record = InstanceResult(tag=instance.tag,
                                 outcome="SAT" if res.status else "UNSAT",
                                 stats=res.stats, checks={"external": check})

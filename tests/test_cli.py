@@ -274,9 +274,9 @@ def test_scenario_run_differential_flags(flags, found_line, missing_line,
     line, or exit 1 when the check is required and no solver is found."""
     calls = []
 
-    def agree(formula, binary, assumptions=()):
+    def agree(formula, binary):
         calls.append(binary)
-        return solver.SolveResult(status=True, model=None, stats={})
+        return True
 
     monkeypatch.setattr(solver, "find_external_solver",
                         lambda: "stand-in" if found else None)
@@ -330,15 +330,19 @@ def test_cache_under_a_file_fails_before_solving(tmp_path, monkeypatch,
 
 def test_export_into_a_missing_directory_fails_before_solving(
         tmp_path, monkeypatch, capsys):
+    """An export path in a missing directory, or one that is a directory,
+    is an operational error before anything is solved."""
     def no_solving(*args, **kwargs):
-        raise AssertionError("solved before the export directory was checked")
+        raise AssertionError("solved before the export path was checked")
 
     monkeypatch.setattr(solver, "Session", no_solving)
     missing = tmp_path / "missing"
-    assert run(["scenario", "run", "sanity_sat", "--no-differential",
-                "--export-dimacs", str(missing / "out.cnf")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(missing) in err
+    for path, named in ((missing / "out.cnf", missing),
+                        (tmp_path, tmp_path)):
+        assert run(["scenario", "run", "sanity_sat", "--no-differential",
+                    "--export-dimacs", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(named) in err
 
 
 def test_cached_report_keeps_the_solver_counters(tmp_path, capsys):

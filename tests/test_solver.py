@@ -18,7 +18,7 @@ from npverify.errors import (
 
 def clause_formula(num_vars, clauses):
     """A formula over bare variables: one "profile" per variable."""
-    return cnf.CnfFormula(clauses=tuple(tuple(c) for c in clauses),
+    return cnf.CnfFormula(clauses=cnf.ClauseStore.of(clauses),
                           m=1, domain_size=num_vars)
 
 
@@ -285,8 +285,8 @@ def test_sessions_on_one_index_leave_it_and_each_other_alone():
     still equals a freshly built one, and session B on the same index
     answers exactly as a session on a fresh base does."""
     domain = verify.np_domain(3, 3)
-    full_range = verify.scenario("sanity_sat").instances()[0].constraints
-    gs = verify.scenario("gs_np").instances()[0].constraints
+    full_range = verify.scenario("sanity_sat").instances()[0].base.constraints
+    gs = verify.scenario("gs_np").instances()[0].base.constraints
     base = cnf.encode_base(domain)
     formula_a = cnf.add_scenario(base, *full_range)
     formula_b = cnf.add_scenario(base, *gs)
@@ -545,7 +545,7 @@ def test_stats_counters_populate():
 def test_external_model_is_checked(tmp_path):
     """An external SAT verdict is accepted only with a model that
     satisfies every clause."""
-    f = cnf.CnfFormula(clauses=((1, -2),), m=2, domain_size=1)
+    f = clause_formula(2, [(1, -2)])
     stand_in = tmp_path / "stand-in-solver"
 
     def answer(model):
@@ -554,7 +554,7 @@ def test_external_model_is_checked(tmp_path):
         stand_in.chmod(0o755)
         return solver.solve_external(f, str(stand_in))
 
-    assert answer("1 -2").model == [False, True, False]
+    assert answer("1 -2") is True
     with pytest.raises(ContractError):
         answer("-1 2")
     with pytest.raises(TextFormatError, match="'two' at line 1"):
@@ -562,16 +562,16 @@ def test_external_model_is_checked(tmp_path):
 
 
 def test_external_model_is_checked_against_the_assumptions(tmp_path):
-    """The assumptions are written as unit clauses after the formula, and
-    a claimed model must satisfy them as well as every clause."""
-    f = cnf.CnfFormula(clauses=((1, 2),), m=2, domain_size=1)
+    """Assumptions travel as the formula's last unit clauses, and a
+    claimed model must satisfy them as it satisfies every clause."""
+    f = clause_formula(2, [(1, 2)])
     stand_in = tmp_path / "stand-in-solver"
     stand_in.write_text("#!/bin/sh\necho 'v 1 -2 0'\n"
                         "echo 's SATISFIABLE'\n")
     stand_in.chmod(0o755)
-    assert solver.solve_external(f, str(stand_in), (1,)).status
+    assert solver.solve_external(f.extended([(1,)]), str(stand_in))
     with pytest.raises(ContractError):
-        solver.solve_external(f, str(stand_in), (1, 2))
+        solver.solve_external(f.extended([(1,), (2,)]), str(stand_in))
 
 
 def test_external_solver_that_cannot_run(tmp_path, monkeypatch):

@@ -207,24 +207,54 @@ def test_golden_search_digest():
     assert digest.hexdigest() == _GOLDEN_SEARCH
 
 
+def x_at_both():
+    """lemma4_4's first instance, and the satisfiable question that lifts
+    its refuted assumption: x at both of its profiles."""
+    inst = verify.scenario("lemma4_4").instances()[0]
+    fixed, target = (abs(lit) for lit in inst.assumptions)
+    return inst, verify.Instance("x-at-both", inst.base, (fixed, target))
+
+
 def test_witness_is_checked_against_assumptions(np43):
     """Lifting lemma4_4's refuted assumption gives a SAT instance whose
     witness must honour the remaining assumptions."""
-    inst = verify.scenario("lemma4_4").instances()[0]
-    fixed, target = (abs(lit) for lit in inst.assumptions)
-    sat = verify.Instance(tag="x-at-both", base=inst.base,
-                          assumptions=(fixed, target),
-                          constraints=inst.constraints)
+    inst, sat = x_at_both()
     res = solver.Session(sat.base).solve(sat.assumptions)
     assert res.status
     rule = verify._verify_witness(sat, res.model, np43)
-    i, alt = sat.base.profile_alt(target)
+    i, alt = sat.base.profile_alt(sat.assumptions[1])
     assert rule.table[i] == alt == X
-    wrong = verify.Instance(tag="x-not-at-target", base=inst.base,
-                            assumptions=inst.assumptions,
-                            constraints=inst.constraints)
     with pytest.raises(ContractError, match="assumption"):
-        verify._verify_witness(wrong, res.model, np43)
+        verify._verify_witness(inst, res.model, np43)
+
+
+def test_witness_is_checked_by_the_oracle_and_the_constraints(np33):
+    """A decoded witness that a voter can manipulate, or that breaks a
+    constraint its formula carries, is rejected by the check it fails."""
+    [inst] = verify.scenario("sanity_sat").instances()
+    table = list(rules.dictator(np33, 0).table)
+    table[5] = np33.profiles[5][0][-1]  # voter 1's bottom at one profile
+    for rule, check in (
+            (rules.Rule(np33, table), "decoded witness is manipulable"),
+            (rules.constant(np33, X),
+             "decoded witness violates scenario constraint Attains")):
+        model = cnf.rule_assignment(rule, inst.base)
+        with pytest.raises(ContractError, match=check):
+            verify._verify_witness(inst, model, np33)
+
+
+def test_external_check_under_assumptions(external_solver):
+    """The external solver answers questions whose assumptions are the
+    last clauses of their formula: it agrees on every lemma4_4 and
+    lemma4_5 instance, and finds x at both profiles satisfiable."""
+    if external_solver is None:
+        pytest.skip("no external solver")
+    for name, agreement in (("lemma4_4", "agree 4/4"),
+                            ("lemma4_5", "agree 1/1")):
+        report = verify.run_scenario(name, differential=True)
+        assert report.expectation_met and report.external == agreement
+    _, sat = x_at_both()
+    assert solver.solve_external(with_units(sat), external_solver) is True
 
 
 def test_relabel_symmetry_preserves_status(np33, star33):
@@ -385,13 +415,11 @@ def _sha256(text):
 
 def test_export_writes_the_layers_unchanged(tmp_path):
     """The base, the scenario clauses and one unit per assumption, written
-    in turn, give the text the complete formula gave: through
+    in turn as one complete formula, give the pinned text: through
     `export_dimacs` and through the runner's `--export-dimacs`."""
     for (name, idx), digest in _EXPORTS.items():
         inst = verify.scenario(name, 4).instances()[idx]
-        text = cnf.export_dimacs(inst.base, assumptions=inst.assumptions)
-        assert _sha256(text) == digest
-        assert text == cnf.export_dimacs(with_units(inst))
+        assert _sha256(cnf.export_dimacs(with_units(inst))) == digest
     for name in ("gs_np", "lemma4_5"):
         path = tmp_path / f"{name}.cnf"
         verify.run_scenario(verify.scenario(name, 4), differential=False,
