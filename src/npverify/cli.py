@@ -204,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub_scn.add_parser("run")
     p_run.add_argument("name")
     p_run.add_argument("--n", type=int)
-    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--seed", type=int,
+                       help="shuffle the order in which the solver decides "
+                            "profiles (0 or none: profile index order)")
     p_run.add_argument("--export-dimacs", metavar="PATH")
     check = p_run.add_mutually_exclusive_group()
     # one value for both flags: True requires the external check, False

@@ -73,8 +73,12 @@ class ClauseStore:
     @classmethod
     def of(cls, clauses: Iterable[Sequence[int]]) -> "ClauseStore":
         """A plain store holding `clauses` (sequences of nonzero
-        literals)."""
-        own = tuple(map(tuple, clauses))
+        literals), with one int object for each literal it holds: a
+        scenario layer's long clauses repeat the same variables."""
+        ints = {}
+        intern = ints.setdefault
+        own = tuple([tuple([intern(lit, lit) for lit in clause])
+                     for clause in clauses])
         if any(0 in clause for clause in own):
             raise ValueError("literal 0 out of range")
         return cls(own)

@@ -1,7 +1,17 @@
 """Pure-Python CDCL core: first-UIP learning, two-watched literals,
-activity-free branching (lowest unassigned variable in a fixed order),
+activity-free branching (the first unassigned variable of a fixed order),
 incremental solving under assumptions in the MiniSat style (Een &
 Sorensson, "An Extensible SAT-solver", SAT 2003).
+
+The branching order is 1..N, or, under a nonzero seed, a shuffle of
+whole profiles: on an encoded base each profile's m variables stay
+adjacent, in alternative order, and the seed only chooses which profile
+comes next.  On a direct encoding unit propagation does forward checking
+(Walsh, "SAT v CSP", CP 2000), so deciding one profile at a time settles
+one CSP variable before the next; shuffling single variables scatters
+each exactly-one group across the order and costs conflicts.  A core
+loaded from plain clause lists has groups of one, so its seed shuffles
+single variables.
 
 Literals are encoded as ``2*v`` (positive) / ``2*v + 1`` (negative) over
 1-based variables, through one table per base index that maps each
@@ -134,6 +144,9 @@ class BaseIndex:
             shared = base.binaries
             self.ok = base.ok
         self.num_vars = num_vars
+        # group: the size of a profile's group of adjacent variables, m
+        # once an encoded base is written, else 1.
+        self.group = 1 if base is None else base.group
         self.level = [0] * (num_vars + 1)
         self.reason = [UNDEF] * (num_vars + 1)
         # trail_lim[d]: the trail length where level d + 1 opened; its
@@ -171,7 +184,7 @@ class BaseIndex:
         lits = self.lits
         binaries = self.binaries
         shared = self._shared
-        m = walk.m
+        m = self.group = walk.m
         alt_pairs = walk.alt_pairs
         # negs[i][a]: the encoded literal -(i * m + a + 1); imps[i][a]: its
         # implication list.
@@ -271,8 +284,10 @@ class Solver(BaseIndex):
     def __init__(self, num_vars: int, clauses, seed=None, base=None):
         """A core on the index `base` with `clauses` loaded on top, or,
         with no index, on an empty database with every clause of
-        `clauses`.  It branches on the variables in order, or in an
-        order shuffled by `seed` when that is nonzero."""
+        `clauses`.  It branches on the variables in order, or, when
+        `seed` is nonzero, in an order of whole profile groups (`group`
+        adjacent variables each, taken from the index) shuffled by
+        `seed`."""
         # watches[p]: the long clauses watching p, base ones first in
         # index order; None until a clause first watches p.
         self.watches: list[list[list[int]] | None] = [None] * (
@@ -566,9 +581,12 @@ class Solver(BaseIndex):
     def _pick_branch_var(self) -> int:
         order = self.order
         if order is None:
-            order = self.order = list(range(1, self.num_vars + 1))
+            m = self.group
+            bases = list(range(1, self.num_vars + 1, m))
             if self._seed:
-                random.Random(self._seed).shuffle(order)
+                random.Random(self._seed).shuffle(bases)
+            order = self.order = [var for base in bases
+                                  for var in range(base, base + m)]
         for var in order:
             if self.values[2 * var] == UNDEF:
                 return var

@@ -544,7 +544,8 @@ def _cache_path(cache_dir: str, scn: Scenario, seed: int | None,
         source = path.read_bytes()
         digest.update(f"{path.name}|{len(source)}|".encode())
         digest.update(source)
-    digest.update(f"{scn.name}|{scn.n}|{scn.m}|{seed}|"
+    # The core ignores seed 0, so it shares the unseeded key.
+    digest.update(f"{scn.name}|{scn.n}|{scn.m}|{seed or None}|"
                   f"{external_check}".encode())
     if external is not None:
         digest.update(b"|" + Path(external).read_bytes())

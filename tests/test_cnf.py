@@ -160,6 +160,15 @@ def test_clause_store_round_trip():
         solver.solve_formula(huge)
 
 
+def test_a_layer_holds_one_int_object_per_literal():
+    """gs_np's layer at n=4 names each variable in an Attains clause and
+    again in NotDictator clauses, yet holds one int object for each."""
+    [instance] = verify.scenario("gs_np", 4).instances()
+    lits = [lit for clause in instance.base.clauses.own for lit in clause]
+    assert len(lits) == 9966
+    assert len({id(lit) for lit in lits}) == len(set(lits)) == 2718
+
+
 def test_layered_store_shares_its_base():
     """Clauses added to a formula sit on its plain base store, which is
     never copied: adding to a layered formula copies only the clauses

@@ -523,6 +523,30 @@ def test_branching_order_is_seeded_permutation():
     assert branching_order(123) == shuffled
 
 
+def profile_order(base, seed):
+    """The order that a session on `base` builds at its first decision."""
+    session = solver.Session(base, seed=seed)
+    assert session.solve().status
+    return session._core.order
+
+
+def test_seed_shuffles_whole_profiles(np43):
+    """On an encoded base a seed shuffles the profiles, and each profile's
+    m variables stay adjacent, in alternative order."""
+    base = cnf.encode_base(np43)
+    m, size = base.m, base.num_vars
+    assert profile_order(base, None) == list(range(1, size + 1))
+    shuffled = profile_order(base, 7)
+    groups = [shuffled[k:k + m] for k in range(0, size, m)]
+    assert all(group == list(range(group[0], group[0] + m))
+               for group in groups)
+    starts = [group[0] for group in groups]
+    assert sorted(starts) == list(range(1, size + 1, m))
+    assert starts != sorted(starts)
+    assert profile_order(base, 7) == shuffled
+    assert profile_order(base, 8) != shuffled
+
+
 def test_a_sweep_without_decisions_builds_no_order():
     """Propagation answers every lemma4_3 instance at n = 4, so a seeded
     session never shuffles a branching order."""

@@ -181,10 +181,10 @@ def test_lemma_session_verdicts_match_full_formulas(name):
                                         + len(inst.assumptions))
 
 
-# Taken when binary clauses moved into implication lists, on the core
-# before that change: the move left every search step as it was.
-_GOLDEN_SEARCH = ("928f1b5ca113e62f3b470d97af3ff5a6"
-                  "21eeca962d794781a6bf672ad0189d3c")
+# Taken when a seed came to shuffle whole profile groups rather than
+# single variables; every verdict stayed as it was.
+_GOLDEN_SEARCH = ("8800b74d20087ba61a6fc41c47d99d07"
+                  "0a93f6ccb1dc2946e0933f741ff71bcd")
 
 
 def test_golden_search_digest():
@@ -495,6 +495,18 @@ def test_cached_report_reads_as_the_fresh_one(tmp_path, name):
                      for _ in range(2))
     assert not fresh.cached and cached.cached
     assert _masked(cached) == _masked(fresh)
+
+
+def test_seed_zero_shares_the_unseeded_cache_entry(tmp_path):
+    """Seed 0 runs the unseeded search, so it reads the entry that a run
+    with no seed wrote, and a nonzero seed does not."""
+    assert not verify.run_scenario("sanity_sat", differential=False,
+                                   cache_dir=str(tmp_path)).cached
+    assert verify.run_scenario("sanity_sat", seed=0, differential=False,
+                               cache_dir=str(tmp_path)).cached
+    assert len(list(tmp_path.iterdir())) == 1
+    assert not verify.run_scenario("sanity_sat", seed=1, differential=False,
+                                   cache_dir=str(tmp_path)).cached
 
 
 def test_cached_verdict_is_read_from_the_cached_records(tmp_path):
